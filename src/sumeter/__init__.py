@@ -28,7 +28,6 @@ from .core import (
     ProcessorSpec,
     core_equivalent,
     core_fraction,
-    default_partition_weight,
     energy_estimate_wh,
     exact,
     gpu_fraction,
@@ -36,7 +35,6 @@ from .core import (
     job_cost,
     memory_fraction,
     node_fraction,
-    validate_usage,
     watt_to_su_rate,
 )
 from .errors import AccountingError, CapacityError, ConfigError, ModelError, ValidationError

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import tables
 from .analysis import decision_threshold, efficiency_band, write_sweep_csv
-from .core import ChargeReport, JobRequest, NodeUsage, Partition
+from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh
 from .display import format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ValidationError
 from .ingest import SystemConfig, aggregate, builtin_config, ingest_jobs, load_config
@@ -52,14 +52,12 @@ def _models_arg(text: str) -> list[str]:
     return list(dict.fromkeys(ids))
 
 
-def _model_for(config: SystemConfig, partition: Partition, override: str | None) -> ChargeModel:
+def _model_for(partition: Partition, override: str | None) -> ChargeModel:
     # keep the configured instance (it may carry custom parameters) when the
     # requested model is the one the partition already bills under
-    if override is None or override == partition.model_id:
-        configured = config.models.get(partition.name)
-        if configured is not None:
-            return configured
-    return get_model(override if override is not None else partition.model_id)
+    if override is None or override == partition.model.id:
+        return partition.model
+    return get_model(override)
 
 
 def _usage_from_args(args: argparse.Namespace) -> NodeUsage:
@@ -75,6 +73,10 @@ def _job_from_args(config: SystemConfig, args: argparse.Namespace) -> JobRequest
     return JobRequest.uniform(partition, args.nodes, _usage_from_args(args), args.hours)
 
 
+def _energy_wh(job: JobRequest) -> Fraction:
+    return energy_estimate_wh(job.per_node_usage, job.partition.node_type, job.walltime_hours)
+
+
 def _print_fractions(report: ChargeReport) -> None:
     fractions = report.per_node_fraction
     if len(set(fractions)) == 1:
@@ -87,10 +89,9 @@ def _print_fractions(report: ChargeReport) -> None:
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     job = _job_from_args(config, args)
-    model = _model_for(config, job.partition, args.model)
-    report = model.charge(job)
+    report = _model_for(job.partition, args.model).charge(job)
     if args.format == "json":
-        print(json.dumps(_report_json(args.partition, report)))
+        print(json.dumps(_report_json(args.partition, report, _energy_wh(job))))
     elif args.format == "csv":
         print("model_id,total_su,weight_used,walltime_hours,node_index,node_fraction")
         for i, fraction in enumerate(report.per_node_fraction):
@@ -103,12 +104,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"model: {report.model_id}")
         print(f"node-hour weight: {round_half_up(report.weight_used):,}")
         _print_fractions(report)
-        print(f"estimated energy: {format_real(report.energy_wh)} Wh")
+        print(f"estimated energy: {format_real(_energy_wh(job))} Wh")
         print(f"total: {format_su(report.total_su)} SU")
     return 0
 
 
-def _report_json(partition: str, report: ChargeReport) -> dict:
+def _report_json(partition: str, report: ChargeReport, energy_wh: Fraction) -> dict:
     return {
         "partition": partition,
         "model_id": report.model_id,
@@ -116,7 +117,7 @@ def _report_json(partition: str, report: ChargeReport) -> dict:
         "weight_used": float(report.weight_used),
         "walltime_hours": float(report.walltime_hours),
         "per_node_fraction": [float(f) for f in report.per_node_fraction],
-        "energy_wh": float(report.energy_wh),
+        "energy_wh": float(energy_wh),
     }
 
 
@@ -124,11 +125,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     job = _job_from_args(config, args)
     reports = [
-        (model_id, _model_for(config, job.partition, model_id).charge(job))
+        (model_id, _model_for(job.partition, model_id).charge(job))
         for model_id in _models_arg(args.models)
     ]
     if args.format == "json":
-        print(json.dumps([{**_report_json(args.partition, r), "model_id": m} for m, r in reports]))
+        energy_wh = _energy_wh(job)
+        print(json.dumps([{**_report_json(args.partition, r, energy_wh), "model_id": m} for m, r in reports]))
     elif args.format == "csv":
         print("model_id,total_su,weight_used")
         for model_id, report in reports:
@@ -156,7 +158,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     cpu_partition, gpu_partition = _partition_pair(config, args)
     cpu_node, gpu_node = cpu_partition.node_type, gpu_partition.node_type
-    models = [get_model(model_id) for model_id in _models_arg(args.models)]
+    models = [_model_for(gpu_partition, model_id) for model_id in _models_arg(args.models)]
 
     summary_out = sys.stdout if args.out else sys.stderr
     print(f"cpu node-hour weight: {round_half_up(Fraction(cpu_node.total_cores)):,}", file=summary_out)

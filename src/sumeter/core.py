@@ -14,6 +14,10 @@ count: the price of a GPU node-hour tracks its power envelope rather than
 its peak throughput, which steers cost-minimising users toward the more
 energy-efficient hardware for their job.
 
+That is the default `energy` model. Each partition carries a
+`ChargeModel`, which supplies the weight and may replace the per-node
+fraction; `sumeter.models` holds the rival models.
+
 All arithmetic is exact. Inputs are converted to `fractions.Fraction` on
 entry (floats keep their binary value; strings such as "0.1" are read as
 decimals) and values are rounded only for display.
@@ -23,9 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import CapacityError, ModelError, ValidationError
 
@@ -40,7 +44,7 @@ def exact(value: RealLike) -> Fraction:
     """
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as err:
         raise ValidationError(f"not a number: {value!r}") from err
 
 
@@ -289,11 +293,6 @@ def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     return best
 
 
-def validate_usage(usage: NodeUsage, node: NodeType) -> None:
-    """Raise CapacityError if the usage does not fit on the node type."""
-    node_fraction(usage, node)
-
-
 def watt_to_su_rate(cpu: ProcessorSpec) -> Fraction:
     """Service units bought by one watt-hour on the reference CPU: cores / TDP."""
     if cpu.kind is not ProcessorKind.CPU:
@@ -314,41 +313,79 @@ def gpu_partition_weight(node: NodeType) -> Fraction:
     return node.gpu_tdp_watts / node.cpu_tdp_watts * node.total_cores
 
 
-def default_partition_weight(node: NodeType) -> Fraction:
-    """Energy-based node-hour weight: core count, or the GPU TDP ratio form."""
-    if node.gpu_count == 0:
-        return Fraction(node.total_cores)
-    return gpu_partition_weight(node)
+class ChargeModel:
+    """A deterministic pricing scheme: a node-hour weight and a per-node fraction.
+
+    Every model charges a job the same way, weight * hours * sum of the
+    per-node fractions; a model supplies the weight and may replace the
+    fraction. A CPU-only node weighs its core count unless the model
+    overrides `node_weight` itself.
+    """
+
+    id: str
+
+    def node_weight(self, node: NodeType) -> Fraction:
+        """SU charged for one hour's use of one full node of this type."""
+        if node.gpu_count == 0:
+            return Fraction(node.total_cores)
+        return self.gpu_node_weight(node)
+
+    def gpu_node_weight(self, node: NodeType) -> Fraction:
+        """Node-hour weight of a node that has GPUs."""
+        raise NotImplementedError
+
+    def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
+        """Share of one node the usage is charged for: the max-fraction rule."""
+        return node_fraction(usage, node)
+
+    def charge(self, job: JobRequest) -> ChargeReport:
+        """Charge a job on its partition's node type under this model."""
+        node = job.partition.node_type
+        weight = self.node_weight(node)
+        fractions = tuple(self.node_fraction(usage, node) for usage in job.per_node_usage)
+        return ChargeReport(
+            model_id=self.id,
+            total_su=weight * job.walltime_hours * sum(fractions, start=Fraction(0)),
+            per_node_fraction=fractions,
+            weight_used=weight,
+            walltime_hours=job.walltime_hours,
+        )
+
+    def parameters(self) -> dict:
+        """Model-specific parameters, serialisable for config round-trips."""
+        return {}
+
+
+@dataclass(frozen=True)
+class EnergyModel(ChargeModel):
+    """TDP-ratio GPU weighting; CPU nodes weigh their core count."""
+
+    id = "energy"
+
+    def gpu_node_weight(self, node: NodeType) -> Fraction:
+        return gpu_partition_weight(node)
 
 
 @dataclass(frozen=True)
 class Partition:
-    """A named set of identical nodes with a cached node-hour weight.
+    """A named set of identical nodes billed under one charge model.
 
-    When `weight` is omitted it is derived under the energy-based model
-    (and `model_id` must then be "energy"); configuration loading passes
-    an explicit weight for the other models.
+    `weight` is derived from the model once, at construction.
     """
 
     name: str
     node_type: NodeType
     node_count: int = 1
-    model_id: str = "energy"
-    weight: Fraction | None = None
+    model: ChargeModel = EnergyModel()
+    weight: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValidationError(f"partition {self.name!r}: node_count must be at least 1")
-        if self.weight is None:
-            if self.model_id != "energy":
-                raise ValidationError(
-                    f"partition {self.name!r}: an explicit weight is required for model {self.model_id!r}"
-                )
-            object.__setattr__(self, "weight", default_partition_weight(self.node_type))
-        else:
-            object.__setattr__(self, "weight", exact(self.weight))
-            if self.weight <= 0:
-                raise ValidationError(f"partition {self.name!r}: weight must be positive")
+        weight = self.model.node_weight(self.node_type)
+        if weight <= 0:
+            raise ValidationError(f"partition {self.name!r}: weight must be positive")
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -395,7 +432,6 @@ class ChargeReport:
     per_node_fraction: tuple[Fraction, ...]
     weight_used: Fraction
     walltime_hours: Fraction
-    energy_wh: Fraction
 
 
 def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fraction) -> Fraction:
@@ -407,33 +443,6 @@ def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fract
     return draw * hours
 
 
-def cost_report(
-    usages: Iterable[NodeUsage],
-    node: NodeType,
-    weight: Fraction,
-    walltime_hours: Fraction,
-    model_id: str,
-) -> ChargeReport:
-    """Charge usages against a node type at the given node-hour weight."""
-    usages = tuple(usages)
-    fractions = tuple(node_fraction(usage, node) for usage in usages)
-    total = weight * walltime_hours * sum(fractions, start=Fraction(0))
-    return ChargeReport(
-        model_id=model_id,
-        total_su=total,
-        per_node_fraction=fractions,
-        weight_used=weight,
-        walltime_hours=walltime_hours,
-        energy_wh=energy_estimate_wh(usages, node, walltime_hours),
-    )
-
-
 def job_cost(job: JobRequest) -> ChargeReport:
-    """Charge a job under its partition's cached weight and model."""
-    return cost_report(
-        job.per_node_usage,
-        job.partition.node_type,
-        job.partition.weight,
-        job.walltime_hours,
-        job.partition.model_id,
-    )
+    """Charge a job under its partition's model."""
+    return job.partition.model.charge(job)

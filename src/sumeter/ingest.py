@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import tables
 from .core import (
+    ChargeModel,
     ChargeReport,
     JobRequest,
     NodeType,
@@ -27,10 +29,10 @@ from .core import (
     Partition,
     ProcessorSpec,
     job_cost,
-    validate_usage,
+    node_fraction,
 )
 from .errors import AccountingError, CapacityError, ConfigError, ValidationError
-from .models import ChargeModel, MODEL_IDS, PuhtiRates, get_model
+from .models import MODEL_IDS, PuhtiRates, get_model
 
 JOBS_CSV_COLUMNS = (
     "job_id",
@@ -48,10 +50,9 @@ DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Validated partitions plus the charge model each one bills under."""
+    """Validated partitions, each carrying the charge model it bills under."""
 
     partitions: tuple[Partition, ...]
-    models: Mapping[str, ChargeModel]
 
     def partition(self, name: str) -> Partition:
         for partition in self.partitions:
@@ -60,8 +61,7 @@ class SystemConfig:
         raise ValidationError(f"unknown partition {name!r}")
 
     def model_for(self, partition_name: str) -> ChargeModel:
-        self.partition(partition_name)
-        return self.models[partition_name]
+        return self.partition(partition_name).model
 
     def first_partition(self, with_gpus: bool) -> Partition | None:
         for partition in self.partitions:
@@ -104,6 +104,9 @@ def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     """Parse a JSON number decimally (0.1 becomes exactly 1/10)."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         errors.append(f"{path}: expected a number, got {raw!r}")
+        return Fraction(1)
+    if not math.isfinite(raw):
+        errors.append(f"{path}: expected a finite number")
         return Fraction(1)
     return Fraction(str(raw))
 
@@ -195,8 +198,6 @@ def _model_from_entry(model_id: str, parameters, path: str, errors: list[str]) -
         if parameters:
             errors.append(f"{path}.model_parameters: model {model_id!r} takes no parameters")
             return None
-        if model_id == "peak-perf":
-            return get_model("peak-perf")  # reference defaults to the node's own CPUs
         return get_model(model_id)
     except (ValidationError, TypeError, ValueError) as err:
         errors.append(f"{path}.model_parameters: {err}")
@@ -212,7 +213,6 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     if not isinstance(raw_partitions, list) or not raw_partitions:
         raise ValidationError(f"{source}: 'partitions' must be a non-empty list")
     partitions: list[Partition] = []
-    models: dict[str, ChargeModel] = {}
     seen_names: set[str] = set()
     for i, entry in enumerate(raw_partitions):
         path = f"partitions[{i}]"
@@ -233,16 +233,14 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
             errors.extend(local)
             continue
         try:
-            weight = model.node_weight(node)
-            partitions.append(Partition(name, node, node_count, model_id=model_id, weight=weight))
+            partitions.append(Partition(name, node, node_count, model=model))
         except AccountingError as err:
             errors.append(f"{path}: {err}")
             continue
         seen_names.add(name)
-        models[name] = model
     if errors:
         raise ValidationError(f"{source}: invalid configuration:\n- " + "\n- ".join(errors))
-    return SystemConfig(partitions=tuple(partitions), models=models)
+    return SystemConfig(partitions=tuple(partitions))
 
 
 def load_config(path: str | Path) -> SystemConfig:
@@ -272,7 +270,7 @@ def config_to_dict(config: SystemConfig) -> dict:
         gpus = _grouped_processors(node.gpus, "gpu")
         entry = {
             "name": partition.name,
-            "model": partition.model_id,
+            "model": partition.model.id,
             "node_count": partition.node_count,
             "node": {
                 "name": node.name,
@@ -285,7 +283,7 @@ def config_to_dict(config: SystemConfig) -> dict:
             entry["node"]["extra_resources"] = {
                 resource: _number_out(capacity) for resource, capacity in node.extra_resources
             }
-        parameters = config.models[partition.name].parameters()
+        parameters = partition.model.parameters()
         if parameters:
             entry["model_parameters"] = _serialise_parameters(parameters)
         out_partitions.append(entry)
@@ -332,10 +330,7 @@ def builtin_config() -> SystemConfig:
     """The reference test system: one CPU and one GPU partition, energy model."""
     cpu_partition = Partition("cpu", tables.reference_cpu_node(), node_count=1000)
     gpu_partition = Partition("gpu", tables.reference_gpu_node(), node_count=250)
-    return SystemConfig(
-        partitions=(cpu_partition, gpu_partition),
-        models={"cpu": get_model("energy"), "gpu": get_model("energy")},
-    )
+    return SystemConfig(partitions=(cpu_partition, gpu_partition))
 
 
 def _row_int(row: dict, column: str, minimum: int) -> int:
@@ -364,7 +359,11 @@ def _load_details(path: str | Path) -> tuple[dict[str, dict[int, NodeUsage]], di
     """Per-node usage keyed by job id, plus per-job parse failures."""
     details: dict[str, dict[int, NodeUsage]] = {}
     poisoned: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot read details file {path}: {err}") from err
+    with handle:
         reader = csv.DictReader(handle)
         missing = set(DETAIL_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
@@ -423,7 +422,7 @@ def _parse_job_row(
         usages = (usage,) * nodes
     # Surface capacity violations now rather than at charge time.
     for usage in dict.fromkeys(usages):
-        validate_usage(usage, partition.node_type)
+        node_fraction(usage, partition.node_type)
     JobRequest(partition, usages, elapsed)
     return JobRecord(job_id=job_id, project=project, partition=partition.name, node_usages=usages, elapsed_hours=elapsed)
 
@@ -464,13 +463,9 @@ def ingest_jobs(
 
 
 def charge_record(record: JobRecord, config: SystemConfig) -> ChargeReport:
-    """Charge one job record under its partition's configured model."""
+    """Charge one job record under its partition's model."""
     partition = config.partition(record.partition)
-    job = JobRequest(partition, record.node_usages, record.elapsed_hours)
-    model = config.models.get(partition.name)
-    if model is None:
-        return job_cost(job)
-    return model.charge(job)
+    return job_cost(JobRequest(partition, record.node_usages, record.elapsed_hours))
 
 
 def aggregate(records: Iterable[JobRecord], config: SystemConfig) -> dict[str, ProjectUsage]:

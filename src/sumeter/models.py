@@ -1,30 +1,21 @@
 """Pluggable charge models behind one interface.
 
-Every model turns a node type into a node-hour weight and a job request
-into a charge, deterministically. `energy` prices a GPU node by the TDP
-ratio of its GPUs to its CPUs; `sm` by the streaming-multiprocessor
-count; `peak-perf` by the ratio of peak FLOPs against a reference CPU
-node; `titan` charges cores plus SMs for whole nodes (exclusive access);
-`puhti` bills each resource linearly at per-hour rates.
+Every model supplies a node-hour weight and may replace the per-node
+fraction; `ChargeModel.charge` (in `core`, with `EnergyModel`) turns
+those into a charge the same way for all of them. `energy` prices a GPU
+node by the TDP ratio of its GPUs to its CPUs; `sm` by the
+streaming-multiprocessor count; `peak-perf` by the ratio of peak FLOPs
+against a reference CPU node; `titan` charges cores plus SMs for whole
+nodes (exclusive access); `puhti` bills each resource linearly at
+per-hour rates.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (
-    ChargeReport,
-    JobRequest,
-    NodeType,
-    RealLike,
-    cost_report,
-    default_partition_weight,
-    energy_estimate_wh,
-    exact,
-    node_fraction,
-)
+from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, exact, node_fraction
 from .errors import ModelError, ValidationError
 
 
@@ -129,44 +120,13 @@ def puhti_tdp_core_ratio(
     return puhti_tdp_equivalence(gpu_tdp_watts, cpu_tdp_watts_per_socket, sockets, node_share) / per_core
 
 
-class ChargeModel(abc.ABC):
-    """A deterministic pricing scheme: node-hour weight plus job charging."""
-
-    id: str
-
-    @abc.abstractmethod
-    def node_weight(self, node: NodeType) -> Fraction:
-        """SU charged for one hour's use of one full node of this type."""
-
-    def charge(self, job: JobRequest) -> ChargeReport:
-        """Charge a job; the default shares nodes via the max-fraction rule."""
-        node = job.partition.node_type
-        return cost_report(job.per_node_usage, node, self.node_weight(node), job.walltime_hours, self.id)
-
-    def parameters(self) -> dict:
-        """Model-specific parameters, serialisable for config round-trips."""
-        return {}
-
-
-@dataclass(frozen=True)
-class EnergyModel(ChargeModel):
-    """TDP-ratio GPU weighting; CPU nodes weigh their core count."""
-
-    id = "energy"
-
-    def node_weight(self, node: NodeType) -> Fraction:
-        return default_partition_weight(node)
-
-
 @dataclass(frozen=True)
 class SmModel(ChargeModel):
     """Streaming-multiprocessor GPU weighting; CPU nodes weigh their core count."""
 
     id = "sm"
 
-    def node_weight(self, node: NodeType) -> Fraction:
-        if node.gpu_count == 0:
-            return Fraction(node.total_cores)
+    def gpu_node_weight(self, node: NodeType) -> Fraction:
         return sm_based_weight(node)
 
 
@@ -182,9 +142,7 @@ class PeakPerfModel(ChargeModel):
 
     id = "peak-perf"
 
-    def node_weight(self, node: NodeType) -> Fraction:
-        if node.gpu_count == 0:
-            return Fraction(node.total_cores)
+    def gpu_node_weight(self, node: NodeType) -> Fraction:
         return peak_perf_weight(node, self.reference if self.reference is not None else node)
 
 
@@ -193,28 +151,18 @@ class TitanModel(ChargeModel):
     """Cores-plus-SMs weighting with exclusive-node semantics.
 
     Jobs are charged for whole nodes regardless of the fraction used, GPU
-    or not; a classic 16-core, 14-SM node costs 30 per hour.
+    or not; a classic 16-core, 14-SM node costs 30 per hour. A CPU-only
+    node has no SMs and weighs its core count.
     """
 
     id = "titan"
 
-    def node_weight(self, node: NodeType) -> Fraction:
+    def gpu_node_weight(self, node: NodeType) -> Fraction:
         return Fraction(titan_node_charge(node.total_cores, node.total_streaming_multiprocessors))
 
-    def charge(self, job: JobRequest) -> ChargeReport:
-        node = job.partition.node_type
-        for usage in job.per_node_usage:
-            node_fraction(usage, node)  # capacity validation only
-        weight = self.node_weight(node)
-        fractions = (Fraction(1),) * len(job.per_node_usage)
-        return ChargeReport(
-            model_id=self.id,
-            total_su=weight * job.walltime_hours * len(fractions),
-            per_node_fraction=fractions,
-            weight_used=weight,
-            walltime_hours=job.walltime_hours,
-            energy_wh=energy_estimate_wh(job.per_node_usage, node, job.walltime_hours),
-        )
+    def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
+        node_fraction(usage, node)  # capacity validation only
+        return Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -236,26 +184,14 @@ class PuhtiModel(ChargeModel):
         nvme_capacity = node.extra_capacities.get(self.nvme_resource, Fraction(0))
         return puhti_bu(node.total_cores, node.memory_total_gib, nvme_capacity, node.gpu_count, 1, self.rates)
 
-    def charge(self, job: JobRequest) -> ChargeReport:
-        node = job.partition.node_type
+    def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
+        node_fraction(usage, node)  # capacity validation
         full_node = self.node_weight(node)
         if full_node <= 0:
             raise ModelError("the configured rates price a whole node at zero")
-        fractions = []
-        for usage in job.per_node_usage:
-            node_fraction(usage, node)  # capacity validation
-            nvme_used = dict(usage.extra_used).get(self.nvme_resource, Fraction(0))
-            hourly = puhti_bu(usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1, self.rates)
-            fractions.append(hourly / full_node)
-        fractions = tuple(fractions)
-        return ChargeReport(
-            model_id=self.id,
-            total_su=full_node * job.walltime_hours * sum(fractions, start=Fraction(0)),
-            per_node_fraction=fractions,
-            weight_used=full_node,
-            walltime_hours=job.walltime_hours,
-            energy_wh=energy_estimate_wh(job.per_node_usage, node, job.walltime_hours),
-        )
+        nvme_used = dict(usage.extra_used).get(self.nvme_resource, Fraction(0))
+        hourly = puhti_bu(usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1, self.rates)
+        return hourly / full_node
 
     def parameters(self) -> dict:
         return {

@@ -1,11 +1,12 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
+import copy
 import csv
 import io
 import json
 
 from sumeter.cli import main
-from conftest import write_jobs_csv
+from conftest import TEST_CONFIG, write_jobs_csv
 
 
 def run(capsys, *argv):
@@ -184,6 +185,21 @@ class TestCrossover:
         assert code == 1
         assert "no GPUs" in err
 
+    def test_uses_the_configured_model_parameters(self, capsys, tmp_path):
+        data = copy.deepcopy(TEST_CONFIG)
+        data["partitions"][4]["model_parameters"] = {"rates": {"core": 2}}
+        config_path = tmp_path / "system.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "--config", str(config_path),
+            "crossover", "--models", "puhti", "--cpu-partition", "work", "--gpu-partition", "shared",
+            "--steps", "2",
+        )
+        assert code == 0
+        # 40 cores at 2 + 38.4 GiB-rate + 8.94 NVMe-rate + 4 GPUs at 60; the default rates give 327
+        assert "model puhti: gpu node-hour weight 367," in err
+
     def test_csv_to_stdout_keeps_summary_on_stderr(self, capsys, config_path):
         code, out, err = run(capsys, "--config", str(config_path), "crossover", "--steps", "5")
         assert code == 0
@@ -241,6 +257,18 @@ class TestIngestCommand:
         assert code == 1
         assert "1 rejected" in err
         assert "projA,ALL,1" in out  # valid rows still aggregated
+
+    def test_missing_details_file_is_a_config_error(self, capsys, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
+        code, out, err = run(
+            capsys,
+            "--config", str(config_path),
+            "ingest", "--jobs", str(jobs), "--details", str(tmp_path / "missing.csv"),
+        )
+        assert code == 1
+        assert not out
+        assert err.startswith("error: cannot read details file ")
+        assert "Traceback" not in err
 
     def test_agrees_with_estimate(self, capsys, config_path, tmp_path):
         jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,gpu,2,9,1,64,1.5"])

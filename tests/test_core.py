@@ -15,6 +15,9 @@ from sumeter import (
     ValidationError,
     core_equivalent,
     core_fraction,
+    energy_estimate_wh,
+    exact,
+    get_model,
     gpu_fraction,
     gpu_partition_weight,
     job_cost,
@@ -23,6 +26,13 @@ from sumeter import (
     watt_to_su_rate,
 )
 from sumeter.tables import REFERENCE_CPU, REFERENCE_GPU
+
+
+class TestExact:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_is_a_validation_error(self, value):
+        with pytest.raises(ValidationError, match="not a number"):
+            exact(value)
 
 
 class TestProcessorSpec:
@@ -208,12 +218,8 @@ class TestPartition:
         assert Partition("gpu", gpu_node).weight == 192
 
     def test_explicit_weight_kept_exact(self, gpu_node):
-        partition = Partition("gpu", gpu_node, model_id="peak-perf", weight=Fraction(2328, 5))
+        partition = Partition("gpu", gpu_node, model=get_model("peak-perf"))
         assert partition.weight == Fraction(2328, 5)
-
-    def test_non_energy_model_needs_weight(self, gpu_node):
-        with pytest.raises(ValidationError):
-            Partition("gpu", gpu_node, model_id="sm")
 
 
 class TestJobCost:
@@ -250,10 +256,10 @@ class TestJobCost:
         with pytest.raises(CapacityError):
             JobRequest.uniform(cpu_partition, 1001, NodeUsage(cores_used=1), 1)
 
-    def test_energy_estimate(self, gpu_partition):
+    def test_energy_estimate(self, gpu_partition, gpu_node):
         job = JobRequest.uniform(gpu_partition, 1, NodeUsage(cores_used=18, gpus_used=2), 2)
         # half the CPU TDP plus half the GPU TDP, for two hours
-        assert job_cost(job).energy_wh == (150 + 800) * 2
+        assert energy_estimate_wh(job.per_node_usage, gpu_node, job.walltime_hours) == (150 + 800) * 2
 
 
 class TestNodeUsageValidation:

@@ -69,6 +69,15 @@ class TestLoadConfig:
         assert "partitions[0]" in message
         assert "partitions[1]" in message
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_number_is_a_collected_error(self, tmp_path, value):
+        entry = json.loads(json.dumps(TEST_CONFIG["partitions"][0]))
+        entry["node"]["memory_total_gib"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"partitions": [entry]}), encoding="utf-8")  # Infinity / NaN literals
+        with pytest.raises(ValidationError, match=r"partitions\[0\]\.node\.memory_total_gib: expected a finite number"):
+            load_config(path)
+
     def test_duplicate_partition_names(self, tmp_path):
         entry = TEST_CONFIG["partitions"][0]
         path = tmp_path / "dup.json"

@@ -89,7 +89,7 @@ class TestTitan:
 
     def test_exclusive_node_semantics(self):
         # charged for the whole node even when barely using it, GPU or not
-        partition = Partition("legacy", titan_node(), node_count=4, model_id="titan", weight=30)
+        partition = Partition("legacy", titan_node(), node_count=4, model=get_model("titan"))
         model = get_model("titan")
         job = JobRequest.uniform(partition, 2, NodeUsage(cores_used=1), Fraction(1, 2))
         report = model.charge(job)
@@ -144,7 +144,7 @@ class TestPuhtiModel:
             extra_resources={"nvme_gib": 1490},
         )
         model = get_model("puhti")
-        partition = Partition("shared", node, node_count=10, model_id="puhti", weight=model.node_weight(node))
+        partition = Partition("shared", node, node_count=10, model=model)
         usage = NodeUsage(cores_used=4, gpus_used=1, memory_used_gib=16, extra_used={"nvme_gib": 100})
         job = JobRequest.uniform(partition, 1, usage, 2)
         report = model.charge(job)

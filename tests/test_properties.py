@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from sumeter import (
+    MODEL_IDS,
     JobRequest,
     NodeType,
     NodeUsage,
@@ -63,9 +64,9 @@ def usages(draw, node):
 
 
 @st.composite
-def jobs(draw):
+def jobs(draw, model_id="energy"):
     node = draw(node_types())
-    partition = Partition("p", node, node_count=MAX_NODES)
+    partition = Partition("p", node, node_count=MAX_NODES, model=get_model(model_id))
     node_count = draw(st.integers(1, MAX_NODES))
     per_node = tuple(draw(usages(node)) for _ in range(node_count))
     walltime = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
@@ -79,6 +80,16 @@ def test_report_identity_and_bounds(job):
     assert all(0 < f <= 1 for f in report.per_node_fraction)
     # shared-node charging never exceeds the exclusive whole-node price
     assert report.total_su <= report.weight_used * report.walltime_hours * len(job.per_node_usage)
+
+
+@given(st.sampled_from(MODEL_IDS).flatmap(jobs))
+def test_job_cost_is_the_partition_model_charge(job):
+    model_id = job.partition.model.id
+    report = job_cost(job)
+    assert report == get_model(model_id).charge(job)
+    assert report.model_id == model_id
+    assert report.weight_used == job.partition.weight
+    assert report.total_su == report.weight_used * report.walltime_hours * sum(report.per_node_fraction)
 
 
 @given(jobs(), st.fractions(min_value=0, max_value=10, max_denominator=100))
