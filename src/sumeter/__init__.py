@@ -35,10 +35,12 @@ from .core import (
     job_cost,
     memory_fraction,
     node_fraction,
+    parse_real,
     watt_to_su_rate,
 )
 from .errors import AccountingError, CapacityError, ConfigError, ModelError, ValidationError
 from .ingest import (
+    DetailRowError,
     IngestResult,
     JobRecord,
     ProjectUsage,
@@ -49,6 +51,7 @@ from .ingest import (
     charge_record,
     config_to_dict,
     ingest_jobs,
+    iter_jobs,
     load_config,
     parse_config,
     save_config,

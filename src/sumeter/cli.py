@@ -10,6 +10,7 @@ code 0 means no errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,10 +19,10 @@ from pathlib import Path
 
 from . import tables
 from .analysis import decision_threshold, efficiency_band, write_sweep_csv
-from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh
+from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ValidationError
-from .ingest import SystemConfig, aggregate, builtin_config, ingest_jobs, load_config
+from .ingest import RowTally, SystemConfig, aggregate, builtin_config, iter_jobs, load_config
 from .models import MODEL_IDS, ChargeModel, get_model
 
 DEFAULT_CONFIG = "system.json"
@@ -30,9 +31,9 @@ CONFIG_ENV_VAR = "SUMETER_CONFIG"
 
 def _real_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        return parse_real(text)
+    except ValidationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _load_config_arg(args: argparse.Namespace) -> SystemConfig:
@@ -161,7 +162,12 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     models = [_model_for(gpu_partition, model_id) for model_id in _models_arg(args.models)]
 
     summary_out = sys.stdout if args.out else sys.stderr
-    print(f"cpu node-hour weight: {round_half_up(Fraction(cpu_node.total_cores)):,}", file=summary_out)
+    cpu_weights = [model.node_weight(cpu_node) for model in models]
+    if len(set(cpu_weights)) == 1:
+        print(f"cpu node-hour weight: {round_half_up(cpu_weights[0]):,}", file=summary_out)
+    else:
+        for model, weight in zip(models, cpu_weights):
+            print(f"model {model.id}: cpu node-hour weight {round_half_up(weight):,}", file=summary_out)
     for model in models:
         weight = model.node_weight(gpu_node)
         threshold = decision_threshold(model, cpu_node, gpu_node)
@@ -212,14 +218,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
-    result = ingest_jobs(args.jobs, config, details_path=args.details)
-    for error in result.errors:
+    tally = RowTally()
+    usage = aggregate(tally.records(iter_jobs(args.jobs, config, args.details)), config)
+    for error in tally.errors:
         print(f"{args.jobs}:{error.line}: {error.message}", file=sys.stderr)
-    print(
-        f"{result.total_rows} rows: {len(result.records)} charged, {len(result.errors)} rejected",
-        file=sys.stderr,
-    )
-    usage = aggregate(result.records, config)
+    for orphan in tally.orphans:
+        print(f"{args.details}:{orphan.line}: {orphan.message}", file=sys.stderr)
+    print(f"{tally.total_rows} rows: {tally.charged} charged, {len(tally.errors)} rejected", file=sys.stderr)
     lines = ["project,partition,total_su"]
     for project, project_usage in usage.items():
         for partition, subtotal in project_usage.by_partition.items():
@@ -230,7 +235,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 1 if result.errors else 0
+    return 1 if tally.errors or tally.orphans else 0
 
 
 def _add_job_flags(parser: argparse.ArgumentParser) -> None:
@@ -294,9 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return code
     except AccountingError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (`sumeter report | head`). Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        with contextlib.suppress(OSError, ValueError):  # stdout without a file descriptor
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
         return 1
 
 

@@ -27,8 +27,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import re
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .errors import CapacityError, ModelError, ValidationError
@@ -36,12 +40,35 @@ from .errors import CapacityError, ModelError, ValidationError
 RealLike = Union[int, float, Fraction, str]
 
 
+# Number text is bounded before it is parsed: Fraction("1e<huge>") builds
+# 10**exp in memory. 400 covers the exponent of every float64.
+MAX_NUMBER_LENGTH = 100
+MAX_DECIMAL_EXPONENT = 400
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
+def parse_real(text: str) -> Fraction:
+    """Read a decimal or p/q string exactly, refusing oversized text first."""
+    if len(text) > MAX_NUMBER_LENGTH:
+        raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
+        raise ValidationError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"not a number: {text!r}") from None
+
+
 def exact(value: RealLike) -> Fraction:
     """Convert a quantity to an exact Fraction.
 
     Accepts anything `fractions.Fraction` accepts: ints, floats (kept at
-    their exact binary value), Fractions, Decimals, and decimal strings.
+    their exact binary value), Fractions, Decimals, and decimal strings
+    (bounded by `parse_real`).
     """
+    if isinstance(value, str):
+        return parse_real(value)
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as err:
@@ -154,44 +181,51 @@ class NodeType:
             if capacity <= 0:
                 raise ValidationError(f"node type {self.name!r}: capacity of {resource!r} must be positive")
 
-    @property
+    # Derived values are worked out once per node type. The cache lives in
+    # the instance __dict__, outside the fields, so equality and hashing
+    # still use the fields only, and copies and pickles leave it behind.
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def total_cores(self) -> int:
         return sum(spec.cores for spec in self.cpus)
 
-    @property
+    @cached_property
     def gpu_count(self) -> int:
         return len(self.gpus)
 
-    @property
+    @cached_property
     def total_streaming_multiprocessors(self) -> int:
         return sum(spec.streaming_multiprocessors for spec in self.gpus)
 
-    @property
+    @cached_property
     def cpu_tdp_watts(self) -> Fraction:
         """Cumulative TDP over all CPUs."""
         return sum((spec.tdp_watts for spec in self.cpus), start=Fraction(0))
 
-    @property
+    @cached_property
     def gpu_tdp_watts(self) -> Fraction:
         """Cumulative TDP over all GPUs (zero on CPU-only nodes)."""
         return sum((spec.tdp_watts for spec in self.gpus), start=Fraction(0))
 
-    @property
+    @cached_property
     def cpu_peak_flops(self) -> Fraction:
         return sum((spec.peak_flops for spec in self.cpus), start=Fraction(0))
 
-    @property
+    @cached_property
     def gpu_peak_flops(self) -> Fraction:
         return sum((spec.peak_flops for spec in self.gpus), start=Fraction(0))
 
-    @property
+    @cached_property
     def memory_per_core_gib(self) -> Fraction:
         """The even split of node memory across cores; one charging step."""
         return self.memory_total_gib / self.total_cores
 
-    @property
-    def extra_capacities(self) -> dict[str, Fraction]:
-        return dict(self.extra_resources)
+    @cached_property
+    def extra_capacities(self) -> Mapping[str, Fraction]:
+        """Read-only resource name -> capacity view of `extra_resources`."""
+        return MappingProxyType(dict(self.extra_resources))
 
 
 @dataclass(frozen=True)
@@ -339,14 +373,22 @@ class ChargeModel:
         return node_fraction(usage, node)
 
     def charge(self, job: JobRequest) -> ChargeReport:
-        """Charge a job on its partition's node type under this model."""
+        """Charge a job on its partition's node type under this model.
+
+        The fraction is worked out once per distinct usage object; a
+        uniform job repeats one object on every node.
+        """
         node = job.partition.node_type
         weight = self.node_weight(node)
-        fractions = tuple(self.node_fraction(usage, node) for usage in job.per_node_usage)
+        usages = job.per_node_usage
+        distinct = {id(usage): usage for usage in usages}
+        by_id = {key: self.node_fraction(usage, node) for key, usage in distinct.items()}
+        counts = Counter(map(id, usages))
+        units = sum((counts[key] * fraction for key, fraction in by_id.items()), start=Fraction(0))
         return ChargeReport(
             model_id=self.id,
-            total_su=weight * job.walltime_hours * sum(fractions, start=Fraction(0)),
-            per_node_fraction=fractions,
+            total_su=weight * job.walltime_hours * units,
+            per_node_fraction=tuple(map(by_id.__getitem__, map(id, usages))),
             weight_used=weight,
             walltime_hours=job.walltime_hours,
         )

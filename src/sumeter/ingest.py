@@ -5,8 +5,9 @@ counts, processor specs with explicit units (tdp_watts, peak_flops,
 memory_total_gib) and the charge model each partition bills under. Job
 accounting logs are CSVs with one uniform-usage row per job, optionally
 joined with a per-node detail file for heterogeneous jobs. Ingestion
-never drops a row silently: every input row ends up either as a record
-or as a row error.
+streams: `iter_jobs` yields one jobs row at a time, and never drops a row
+silently. Every jobs row ends up either as a record or as a row error,
+and every detail row that belongs to no jobs row as a detail row error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import tables
 from .core import (
@@ -30,6 +31,7 @@ from .core import (
     ProcessorSpec,
     job_cost,
     node_fraction,
+    parse_real,
 )
 from .errors import AccountingError, CapacityError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiRates, get_model
@@ -87,11 +89,42 @@ class RowError:
     message: str
 
 
+class DetailRowError(RowError):
+    """A detail-file row that belongs to no jobs-file row; `line` is in the detail file."""
+
+
 @dataclass(frozen=True)
 class IngestResult:
+    """Records and errors of the jobs rows (`total_rows` counts both), plus orphan detail rows."""
+
     records: tuple[JobRecord, ...]
     errors: tuple[RowError, ...]
     total_rows: int
+    orphans: tuple[DetailRowError, ...] = ()
+
+
+class RowTally:
+    """Row outcomes of one ingest pass, kept while its records stream past."""
+
+    def __init__(self) -> None:
+        self.charged = 0
+        self.errors: list[RowError] = []
+        self.orphans: list[DetailRowError] = []
+
+    @property
+    def total_rows(self) -> int:
+        return self.charged + len(self.errors)
+
+    def records(self, items: Iterable[JobRecord | RowError]) -> Iterator[JobRecord]:
+        """Pass the records of `iter_jobs` on and keep its errors."""
+        for item in items:
+            if isinstance(item, JobRecord):
+                self.charged += 1
+                yield item
+            elif isinstance(item, DetailRowError):
+                self.orphans.append(item)
+            else:
+                self.errors.append(item)
 
 
 @dataclass(frozen=True)
@@ -254,6 +287,8 @@ def load_config(path: str | Path) -> SystemConfig:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except ValueError as err:  # an integer beyond the interpreter's digit limit
+        raise ConfigError(f"{path}: {err}") from err
     return parse_config(data, source=str(path))
 
 
@@ -347,18 +382,21 @@ def _row_int(row: dict, column: str, minimum: int) -> int:
 def _row_real(row: dict, column: str) -> Fraction:
     raw = (row.get(column) or "").strip()
     try:
-        value = Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{column}: not a number: {raw!r}") from None
+        value = parse_real(raw)
+    except ValidationError as err:
+        raise ValidationError(f"{column}: {err}") from None
     if value < 0:
         raise ValidationError(f"{column}: must be nonnegative, got {raw}")
     return value
 
 
-def _load_details(path: str | Path) -> tuple[dict[str, dict[int, NodeUsage]], dict[str, str]]:
-    """Per-node usage keyed by job id, plus per-job parse failures."""
+def _load_details(
+    path: str | Path,
+) -> tuple[dict[str, dict[int, NodeUsage]], dict[str, str], dict[str, list[int]]]:
+    """Per-node usage keyed by job id, per-job parse failures, and each job id's lines ("" for blank)."""
     details: dict[str, dict[int, NodeUsage]] = {}
     poisoned: dict[str, str] = {}
+    lines: dict[str, list[int]] = {}
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as err:
@@ -370,6 +408,7 @@ def _load_details(path: str | Path) -> tuple[dict[str, dict[int, NodeUsage]], di
             raise ConfigError(f"{path}: detail file missing columns: {', '.join(sorted(missing))}")
         for line, row in enumerate(reader, start=2):
             job_id = (row.get("job_id") or "").strip()
+            lines.setdefault(job_id, []).append(line)
             if not job_id:
                 continue
             try:
@@ -386,7 +425,7 @@ def _load_details(path: str | Path) -> tuple[dict[str, dict[int, NodeUsage]], di
             if index in per_job:
                 poisoned.setdefault(job_id, f"detail line {line}: duplicate node_index {index}")
             per_job[index] = usage
-    return details, poisoned
+    return details, poisoned, lines
 
 
 def _parse_job_row(
@@ -420,23 +459,28 @@ def _parse_job_row(
             memory_used_gib=_row_real(row, "mem_gib_per_node"),
         )
         usages = (usage,) * nodes
-    # Surface capacity violations now rather than at charge time.
-    for usage in dict.fromkeys(usages):
+    # Surface capacity violations now rather than at charge time, once per
+    # usage object: a uniform job repeats one object on every node.
+    for usage in {id(usage): usage for usage in usages}.values():
         node_fraction(usage, partition.node_type)
     JobRequest(partition, usages, elapsed)
     return JobRecord(job_id=job_id, project=project, partition=partition.name, node_usages=usages, elapsed_hours=elapsed)
 
 
-def ingest_jobs(
+def iter_jobs(
     path: str | Path, config: SystemConfig, details_path: str | Path | None = None
-) -> IngestResult:
-    """Read a jobs CSV; malformed rows become row errors, never silent drops."""
+) -> Iterator[JobRecord | RowError]:
+    """Stream a jobs CSV: each row in file order as a record or a row error.
+
+    After the last jobs row come the detail rows that belong to no jobs
+    row (blank job_id, or a job_id no jobs row names, whether that row was
+    charged or rejected), as `DetailRowError`s in detail-file order.
+    """
     details: dict[str, dict[int, NodeUsage]] = {}
     poisoned: dict[str, str] = {}
+    detail_lines: dict[str, list[int]] = {}
     if details_path is not None:
-        details, poisoned = _load_details(details_path)
-    records: list[JobRecord] = []
-    errors: list[RowError] = []
+        details, poisoned, detail_lines = _load_details(details_path)
     seen_ids: set[str] = set()
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -447,19 +491,33 @@ def ingest_jobs(
         missing = set(JOBS_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ConfigError(f"{path}: jobs file missing columns: {', '.join(sorted(missing))}")
-        total = 0
         for line, row in enumerate(reader, start=2):
-            total += 1
+            job_id = (row.get("job_id") or "").strip()
+            if job_id:
+                detail_lines.pop(job_id, None)
             try:
                 record = _parse_job_row(row, config, details, poisoned)
                 if record.job_id in seen_ids:
                     raise ValidationError(f"duplicate job_id {record.job_id!r}")
             except (ValidationError, CapacityError) as err:
-                errors.append(RowError(line=line, message=str(err)))
+                yield RowError(line=line, message=str(err))
             else:
                 seen_ids.add(record.job_id)
-                records.append(record)
-    return IngestResult(records=tuple(records), errors=tuple(errors), total_rows=total)
+                yield record
+    for line, job_id in sorted((line, job_id) for job_id, lines in detail_lines.items() for line in lines):
+        message = f"job_id {job_id!r} matches no jobs row" if job_id else "job_id: must be non-empty"
+        yield DetailRowError(line=line, message=message)
+
+
+def ingest_jobs(
+    path: str | Path, config: SystemConfig, details_path: str | Path | None = None
+) -> IngestResult:
+    """Read a jobs CSV; malformed rows become row errors, never silent drops."""
+    tally = RowTally()
+    records = tuple(tally.records(iter_jobs(path, config, details_path)))
+    return IngestResult(
+        records=records, errors=tuple(tally.errors), total_rows=tally.total_rows, orphans=tuple(tally.orphans)
+    )
 
 
 def charge_record(record: JobRecord, config: SystemConfig) -> ChargeReport:

@@ -1,5 +1,6 @@
 """Property-based checks of the charging invariants."""
 
+import dataclasses
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,54 @@ def jobs(draw, model_id="energy"):
     per_node = tuple(draw(usages(node)) for _ in range(node_count))
     walltime = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
     return JobRequest(partition, per_node, walltime)
+
+
+@st.composite
+def mixed_usage_jobs(draw, model_id):
+    """Jobs mixing one repeated usage object, equal-but-distinct copies of it and other usages."""
+    node = draw(node_types())
+    partition = Partition("p", node, node_count=MAX_NODES, model=get_model(model_id))
+    shared = draw(usages(node))
+    per_node = []
+    for kind in draw(st.lists(st.sampled_from(("same", "copy", "other")), min_size=1, max_size=MAX_NODES)):
+        if kind == "same":
+            per_node.append(shared)
+        elif kind == "copy":
+            per_node.append(dataclasses.replace(shared))
+        else:
+            per_node.append(draw(usages(node)))
+    walltime = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
+    return JobRequest(partition, tuple(per_node), walltime)
+
+
+@given(st.sampled_from(MODEL_IDS).flatmap(mixed_usage_jobs))
+def test_charge_equals_the_naive_per_node_sum(job):
+    model, node = job.partition.model, job.partition.node_type
+    naive = tuple(model.node_fraction(usage, node) for usage in job.per_node_usage)
+    report = model.charge(job)
+    assert report.per_node_fraction == naive
+    assert report.total_su == model.node_weight(node) * job.walltime_hours * sum(naive)
+
+
+@given(node_types(), st.dictionaries(st.sampled_from(("nvme_gib", "scratch")), st.integers(1, 4000)))
+def test_cached_node_values_equal_their_sums(node, extras):
+    node = dataclasses.replace(node, extra_resources=extras)
+    fresh = dataclasses.replace(node)
+    expected = {
+        "total_cores": sum(c.cores for c in node.cpus),
+        "gpu_count": len(node.gpus),
+        "total_streaming_multiprocessors": sum(g.streaming_multiprocessors for g in node.gpus),
+        "cpu_tdp_watts": sum(c.tdp_watts for c in node.cpus),
+        "gpu_tdp_watts": sum(g.tdp_watts for g in node.gpus),
+        "cpu_peak_flops": sum(c.peak_flops for c in node.cpus),
+        "gpu_peak_flops": sum(g.peak_flops for g in node.gpus),
+        "memory_per_core_gib": node.memory_total_gib / sum(c.cores for c in node.cpus),
+        "extra_capacities": {name: Fraction(capacity) for name, capacity in extras.items()},
+    }
+    for _ in range(2):  # the first read fills the cache, the second reads it
+        assert {name: getattr(node, name) for name in expected} == expected
+    # the cache sits outside the fields: equality and hashing ignore it
+    assert node == fresh and hash(node) == hash(fresh)
 
 
 @given(jobs())
