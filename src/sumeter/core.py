@@ -26,7 +26,6 @@ decimals) and values are rounded only for display.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -67,6 +66,8 @@ def exact(value: RealLike) -> Fraction:
     their exact binary value), Fractions, Decimals, and decimal strings
     (bounded by `parse_real`).
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return parse_real(value)
     try:
@@ -258,24 +259,47 @@ class NodeUsage:
         )
 
 
-def core_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Fraction of the node's CPU cores requested."""
+# The capacity rules. Each returns the usage's step count as a plain int
+# over the node's core or GPU count, so the max can be taken without
+# building a Fraction per resource.
+def _cores_used(usage: NodeUsage, node: NodeType) -> int:
     if usage.cores_used > node.total_cores:
         raise CapacityError(
             f"{usage.cores_used} cores requested but node type {node.name!r} has {node.total_cores}"
         )
-    return Fraction(usage.cores_used, node.total_cores)
+    return usage.cores_used
 
 
-def gpu_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Fraction of the node's GPUs requested; zero on GPU-less nodes."""
-    if usage.gpus_used == 0:
-        return Fraction(0)
+def _gpus_used(usage: NodeUsage, node: NodeType) -> int:
     if usage.gpus_used > node.gpu_count:
         raise CapacityError(
             f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {node.gpu_count}"
         )
-    return Fraction(usage.gpus_used, node.gpu_count)
+    return usage.gpus_used
+
+
+def _memory_shares(usage: NodeUsage, node: NodeType) -> int:
+    """Whole per-core memory shares the request occupies: ceil(used * C / M)."""
+    used = usage.memory_used_gib
+    used_num, used_den = used.numerator, used.denominator
+    total = node.memory_total_gib
+    if used_num * total.denominator > total.numerator * used_den:
+        raise CapacityError(
+            f"{float(used):g} GiB requested but node type {node.name!r} has {float(total):g} GiB"
+        )
+    share = node.memory_per_core_gib
+    return -(-(used_num * share.denominator) // (used_den * share.numerator))
+
+
+def core_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
+    """Fraction of the node's CPU cores requested."""
+    return Fraction(_cores_used(usage, node), node.total_cores)
+
+
+def gpu_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
+    """Fraction of the node's GPUs requested; zero on GPU-less nodes."""
+    gpus = _gpus_used(usage, node)
+    return Fraction(gpus, node.gpu_count) if gpus else Fraction(0)
 
 
 def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
@@ -287,21 +311,12 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     node charges the whole node: it leaves nothing for anyone else even if
     a single core was asked for. Zero requested memory charges zero.
     """
-    used = usage.memory_used_gib
-    if used <= 0:
-        return Fraction(0)
-    if used > node.memory_total_gib:
-        raise CapacityError(
-            f"{float(used):g} GiB requested but node type {node.name!r} has "
-            f"{float(node.memory_total_gib):g} GiB"
-        )
-    shares = math.ceil(used / node.memory_per_core_gib)
-    return Fraction(shares, node.total_cores)
+    return Fraction(_memory_shares(usage, node), node.total_cores)
 
 
 def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     """Number of cores the memory request is charged as (0 when no memory)."""
-    return int(memory_fraction(usage, node) * node.total_cores)
+    return _memory_shares(usage, node)
 
 
 def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
@@ -309,9 +324,17 @@ def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
 
     Extra resources named in the usage must exist on the node type and add
     amount/capacity terms to the max. Raises CapacityError whenever any
-    quantity exceeds what the node provides.
+    quantity exceeds what the node provides, checking cores, GPUs, memory
+    and then the extras.
     """
-    best = max(core_fraction(usage, node), gpu_fraction(usage, node), memory_fraction(usage, node))
+    cores = _cores_used(usage, node)
+    gpus = _gpus_used(usage, node)
+    steps = max(cores, _memory_shares(usage, node))  # over C, the core count
+    # gpus / G against steps / C, cross-multiplied; gpus > 0 implies G > 0
+    if gpus * node.total_cores > steps * node.gpu_count:
+        best = Fraction(gpus, node.gpu_count)
+    else:
+        best = Fraction(steps, node.total_cores)
     if usage.extra_used:
         capacities = node.extra_capacities
         for resource, amount in usage.extra_used:
@@ -378,8 +401,10 @@ class ChargeModel:
         The fraction is worked out once per distinct usage object; a
         uniform job repeats one object on every node.
         """
-        node = job.partition.node_type
-        weight = self.node_weight(node)
+        partition = job.partition
+        node = partition.node_type
+        # the partition worked out its own model's weight once, at construction
+        weight = partition.weight if self is partition.model else self.node_weight(node)
         usages = job.per_node_usage
         distinct = {id(usage): usage for usage in usages}
         by_id = {key: self.node_fraction(usage, node) for key, usage in distinct.items()}
@@ -449,11 +474,7 @@ class JobRequest:
             raise ValidationError("a job must span at least one node")
         if self.walltime_hours < 0:
             raise ValidationError("walltime_hours must be nonnegative")
-        if len(self.per_node_usage) > self.partition.node_count:
-            raise CapacityError(
-                f"job spans {len(self.per_node_usage)} nodes but partition "
-                f"{self.partition.name!r} has {self.partition.node_count}"
-            )
+        _check_span(self.partition, len(self.per_node_usage))
 
     @classmethod
     def uniform(
@@ -462,7 +483,15 @@ class JobRequest:
         """Identical usage replicated across `nodes` nodes."""
         if nodes < 1:
             raise ValidationError("a job must span at least one node")
+        _check_span(partition, nodes)  # before `nodes` copies are made
         return cls(partition, (usage,) * nodes, exact(walltime_hours))
+
+
+def _check_span(partition: Partition, nodes: int) -> None:
+    if nodes > partition.node_count:
+        raise CapacityError(
+            f"job spans {nodes} nodes but partition {partition.name!r} has {partition.node_count}"
+        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -30,11 +30,10 @@ from .core import (
     Partition,
     ProcessorSpec,
     job_cost,
-    node_fraction,
     parse_real,
 )
 from .errors import AccountingError, CapacityError, ConfigError, ValidationError
-from .models import MODEL_IDS, PuhtiRates, get_model
+from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
 
 JOBS_CSV_COLUMNS = (
     "job_id",
@@ -48,6 +47,9 @@ JOBS_CSV_COLUMNS = (
 )
 
 DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
+
+_PUHTI_PARAMETERS = tuple(parameter.name for parameter in fields(PuhtiModel))
+_PUHTI_RATE_NAMES = tuple(rate.name for rate in fields(PuhtiRates))
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,14 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One accounted job: who ran it, where, with what, for how long."""
+    """One accounted job: who ran it, where, with what, for how long, and its charge."""
 
     job_id: str
     project: str
     partition: str
     node_usages: tuple[NodeUsage, ...]
     elapsed_hours: Fraction
+    total_su: Fraction
 
 
 @dataclass(frozen=True)
@@ -223,17 +226,36 @@ def _model_from_entry(model_id: str, parameters, path: str, errors: list[str]) -
     if not isinstance(parameters, dict):
         errors.append(f"{path}.model_parameters: expected an object")
         return None
+    if model_id == "puhti":
+        return _puhti_model(parameters, f"{path}.model_parameters", errors)
+    if parameters:
+        errors.append(f"{path}.model_parameters: model {model_id!r} takes no parameters")
+        return None
+    return get_model(model_id)
+
+
+def _puhti_model(parameters: dict, path: str, errors: list[str]) -> ChargeModel | None:
+    before = len(errors)
+    for key in parameters:
+        if key not in _PUHTI_PARAMETERS:
+            errors.append(f"{path}.{key}: unknown parameter (known: {', '.join(_PUHTI_PARAMETERS)})")
+    raw_rates = parameters.get("rates", {})
+    if not isinstance(raw_rates, dict):
+        errors.append(f"{path}.rates: expected an object of rate name -> number")
+        raw_rates = {}
+    rates = {}
+    for name, value in raw_rates.items():
+        if name in _PUHTI_RATE_NAMES:
+            rates[name] = _decimal(value, f"{path}.rates.{name}", errors)
+        else:
+            errors.append(f"{path}.rates.{name}: unknown rate (known: {', '.join(_PUHTI_RATE_NAMES)})")
+    nvme_resource = _text(parameters.get("nvme_resource", "nvme_gib"), f"{path}.nvme_resource", errors)
+    if len(errors) > before:
+        return None
     try:
-        if model_id == "puhti":
-            rates_entry = parameters.get("rates") or {}
-            rates = PuhtiRates(**{key: Fraction(str(value)) for key, value in rates_entry.items()})
-            return get_model("puhti", rates=rates, nvme_resource=parameters.get("nvme_resource", "nvme_gib"))
-        if parameters:
-            errors.append(f"{path}.model_parameters: model {model_id!r} takes no parameters")
-            return None
-        return get_model(model_id)
-    except (ValidationError, TypeError, ValueError) as err:
-        errors.append(f"{path}.model_parameters: {err}")
+        return PuhtiModel(rates=PuhtiRates(**rates), nvme_resource=nvme_resource)
+    except ValidationError as err:
+        errors.append(f"{path}: {err}")
         return None
 
 
@@ -447,24 +469,28 @@ def _parse_job_row(
     elapsed = _row_real(row, "elapsed_hours")
     if job_id in details:
         per_node = details[job_id]
-        if set(per_node) != set(range(nodes)):
+        # distinct indices >= 0, so these two cover 0..nodes-1 exactly
+        if len(per_node) != nodes or max(per_node) >= nodes:
             raise ValidationError(
                 f"detail rows for job {job_id!r} must cover node_index 0..{nodes - 1} exactly"
             )
-        usages = tuple(per_node[i] for i in range(nodes))
+        job = JobRequest(partition, tuple(per_node[i] for i in range(nodes)), elapsed)
     else:
         usage = NodeUsage(
             cores_used=_row_int(row, "cores_per_node", 0),
             gpus_used=_row_int(row, "gpus_per_node", 0),
             memory_used_gib=_row_real(row, "mem_gib_per_node"),
         )
-        usages = (usage,) * nodes
-    # Surface capacity violations now rather than at charge time, once per
-    # usage object: a uniform job repeats one object on every node.
-    for usage in {id(usage): usage for usage in usages}.values():
-        node_fraction(usage, partition.node_type)
-    JobRequest(partition, usages, elapsed)
-    return JobRecord(job_id=job_id, project=project, partition=partition.name, node_usages=usages, elapsed_hours=elapsed)
+        job = JobRequest.uniform(partition, nodes, usage, elapsed)
+    # Charging checks every capacity: a row that does not fit raises here.
+    return JobRecord(
+        job_id=job_id,
+        project=project,
+        partition=partition.name,
+        node_usages=job.per_node_usage,
+        elapsed_hours=elapsed,
+        total_su=job_cost(job).total_su,
+    )
 
 
 def iter_jobs(
@@ -521,16 +547,19 @@ def ingest_jobs(
 
 
 def charge_record(record: JobRecord, config: SystemConfig) -> ChargeReport:
-    """Charge one job record under its partition's model."""
+    """Charge one job record again, under its partition's model in `config`."""
     partition = config.partition(record.partition)
     return job_cost(JobRequest(partition, record.node_usages, record.elapsed_hours))
 
 
 def aggregate(records: Iterable[JobRecord], config: SystemConfig) -> dict[str, ProjectUsage]:
-    """Per-project totals with per-partition subtotals, summed exactly."""
+    """Per-project totals with per-partition subtotals, summed exactly.
+
+    Sums the charge each record carries from ingestion; `config` is not read.
+    """
     subtotals: dict[str, dict[str, Fraction]] = {}
     for record in records:
-        su = charge_record(record, config).total_su
+        su = record.total_su
         per_partition = subtotals.setdefault(record.project, {})
         per_partition[record.partition] = per_partition.get(record.partition, Fraction(0)) + su
     return {

@@ -184,9 +184,17 @@ class PuhtiModel(ChargeModel):
         nvme_capacity = node.extra_capacities.get(self.nvme_resource, Fraction(0))
         return puhti_bu(node.total_cores, node.memory_total_gib, nvme_capacity, node.gpu_count, 1, self.rates)
 
+    def _full_node_bill(self, node: NodeType) -> Fraction:
+        """`node_weight(node)`, kept for the last node priced: a partition has one node type."""
+        last = self.__dict__.get("_last_full_node")
+        if last is None or last[0] is not node:
+            last = (node, self.node_weight(node))
+            object.__setattr__(self, "_last_full_node", last)
+        return last[1]
+
     def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
         node_fraction(usage, node)  # capacity validation
-        full_node = self.node_weight(node)
+        full_node = self._full_node_bill(node)
         if full_node <= 0:
             raise ModelError("the configured rates price a whole node at zero")
         nvme_used = dict(usage.extra_used).get(self.nvme_resource, Fraction(0))

@@ -4,12 +4,14 @@ The routes are `job_cost`, `charge_record` after ingestion, the model that
 `SystemConfig.model_for` returns, and the `estimate` and `ingest`
 commands. Each must give the exact total of the partition's own model.
 The edges of that path are checked here too: the streaming `ingest` pass
-against `ingest_jobs` + `aggregate`, orphan detail rows, the number-size
-guard, `crossover`'s CPU weight and a closed stdout pipe.
+against `ingest_jobs` + `aggregate`, each row charged once while it is
+parsed, orphan detail rows, the number-size and node-count guards,
+`crossover`'s CPU weight and a closed stdout pipe.
 """
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,7 +23,9 @@ from pathlib import Path
 
 import pytest
 
+import sumeter.core
 from sumeter import (
+    CapacityError,
     JobRequest,
     NodeUsage,
     aggregate,
@@ -178,6 +182,62 @@ def test_uniform_job_prices_its_usage_once(monkeypatch, config_path):
     assert len(calls) == 1
     assert report.per_node_fraction == (Fraction(1, 4),) * 64
     assert report.total_su == 36 * 2 * 16
+
+
+def test_ingest_charges_each_row_once_while_parsing(monkeypatch, config_path, tmp_path):
+    jobs = write_jobs_csv(
+        tmp_path / "jobs.csv",
+        ["j1,projA,work,2,1,0,2,1.0", "j2,projA,gpu-sm,3,4,1,16,2.0", "j3,projB,gpu,16,0,4,8,0.5"],
+    )
+    details = write_details_csv(tmp_path / "details.csv", ["j1,1,9,0,1", "j1,0,36,0,256"])
+    config = load_config(config_path)
+    built, priced = [], []
+    post_init = JobRequest.__post_init__
+    monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
+    fraction = sumeter.core.node_fraction
+    monkeypatch.setattr(sumeter.core, "node_fraction", lambda u, n: priced.append(u) or fraction(u, n))
+    result = ingest_jobs(jobs, config, details_path=details)
+    assert not result.errors
+    assert len(built) == 3  # one JobRequest per row
+    assert len(priced) == 4  # two detail usages, then one per uniform job
+    assert [r.total_su for r in result.records] == [charge_record(r, config).total_su for r in result.records]
+    assert result.records[0].total_su == 45  # fractions 1 and 1/4 at weight 36 for one hour
+
+
+def test_aggregate_sums_the_charge_each_record_carries(config_path, tmp_path):
+    config = load_config(config_path)
+    result = ingest_jobs(write_jobs_csv(tmp_path / "jobs.csv", ["a,projA,work,1,1,0,2,1.0"]), config)
+    record = dataclasses.replace(result.records[0], total_su=Fraction(7, 3))
+    assert aggregate([record], config)["projA"].by_partition == {"work": Fraction(7, 3)}
+
+
+def test_node_count_is_bounded_before_usages_are_copied(capsys, config_path, tmp_path):
+    huge = 10**19
+    config = load_config(config_path)
+    message = f"job spans {huge} nodes but partition 'work' has 1000"
+    with pytest.raises(CapacityError, match=message):
+        JobRequest.uniform(config.partition("work"), huge, NodeUsage(cores_used=1), 1)
+
+    rows = ["j1,projA,work,1,1,0,2,1.0", f"j2,projA,work,{huge},1,0,2,1.0", "j3,projA,work,1,1,0,2,1.0"]
+    result = ingest_jobs(write_jobs_csv(tmp_path / "jobs.csv", rows), config)
+    assert [(e.line, e.message) for e in result.errors] == [(3, message)]
+    assert [r.job_id for r in result.records] == ["j1", "j3"]
+
+    code = main(
+        ["--config", str(config_path), "estimate", "--partition", "work", "--nodes", str(huge),
+         "--cores-per-node", "1", "--hours", "1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_detail_indices_must_be_exactly_the_job_nodes(config_path, tmp_path):
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,2,1,0,2,1.0", "j2,projA,work,2,1,0,2,1.0"])
+    # j1 has two rows but skips index 1; j2 has an index past its last node
+    details = write_details_csv(tmp_path / "details.csv", ["j1,0,1,0,1", "j1,2,1,0,1", "j2,0,1,0,1", "j2,1,1,0,1", "j2,5,1,0,1"])
+    result = ingest_jobs(jobs, load_config(config_path), details_path=details)
+    assert [e.line for e in result.errors] == [2, 3]
+    assert all("must cover node_index 0..1 exactly" in e.message for e in result.errors)
 
 
 def test_cached_node_values_are_read_only_and_pickle(config_path):

@@ -78,6 +78,27 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match=r"partitions\[0\]\.node\.memory_total_gib: expected a finite number"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "parameters, line",
+        [
+            ({"rates": {"core": "1/0"}}, "model_parameters.rates.core: expected a number, got '1/0'"),
+            ({"rates": {"core": "1e2000000"}}, "model_parameters.rates.core: expected a number, got '1e2000000'"),
+            ({"rates": [1]}, "model_parameters.rates: expected an object of rate name -> number"),
+            ({"rates": {"cpu": 1}}, "model_parameters.rates.cpu: unknown rate (known: core, memory_gib, nvme_gib, gpu)"),
+            ({"rate": {"core": 1}}, "model_parameters.rate: unknown parameter (known: rates, nvme_resource)"),
+            ({"nvme_resource": 3}, "model_parameters.nvme_resource: expected a non-empty string, got 3"),
+            ({"nvme_resource": ""}, "model_parameters.nvme_resource: expected a non-empty string, got ''"),
+        ],
+        ids=["ratio-text", "huge-exponent-text", "rates-list", "unknown-rate", "unknown-key", "nvme-int", "nvme-empty"],
+    )
+    def test_puhti_parameters_are_collected_errors(self, tmp_path, parameters, line):
+        entry = dict(TEST_CONFIG["partitions"][4], model_parameters=parameters)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"partitions": [entry]}), encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).splitlines()[1:] == [f"- partitions[0].{line}"]
+
     def test_duplicate_partition_names(self, tmp_path):
         entry = TEST_CONFIG["partitions"][0]
         path = tmp_path / "dup.json"

@@ -1,26 +1,40 @@
 """Property-based checks of the charging invariants."""
 
+import csv
 import dataclasses
+import io
+import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumeter import (
     MODEL_IDS,
+    AccountingError,
+    CapacityError,
+    JobRecord,
     JobRequest,
     NodeType,
     NodeUsage,
     Partition,
     ProcessorSpec,
+    charge_record,
     decision_threshold,
     get_model,
     gpu_partition_weight,
+    iter_jobs,
     job_cost,
     memory_fraction,
     node_fraction,
+    parse_config,
     puhti_bu,
     titan_node_charge,
 )
+from sumeter.ingest import RowTally
+from conftest import TEST_CONFIG
 
 MAX_NODES = 6
 
@@ -255,3 +269,172 @@ def test_threshold_increases_with_weight(node):
         assert threshold == weight / cpu_only.total_cores
     pairs.sort()
     assert [t for _, t in pairs] == sorted(t for _, t in pairs)
+
+
+EXTRA_NAMES = ("nvme_gib", "scratch")
+
+
+@st.composite
+def kernel_node_types(draw):
+    """Node types with non-integer memory, 0-8 GPUs and extra resources."""
+    node = draw(node_types())
+    memory = draw(st.fractions(min_value=Fraction(1, 8), max_value=2048, max_denominator=1000))
+    extras = draw(
+        st.dictionaries(
+            st.sampled_from(EXTRA_NAMES),
+            st.fractions(min_value=Fraction(1, 100), max_value=4000, max_denominator=100),
+        )
+    )
+    return dataclasses.replace(node, memory_total_gib=memory, extra_resources=extras)
+
+
+def edge_integers(capacity):
+    return st.sampled_from((0, capacity, capacity + 1)) | st.integers(0, capacity + 1)
+
+
+@st.composite
+def edge_usages(draw, node):
+    """Usages on and just past every capacity edge of `node`."""
+    share = node.memory_total_gib / node.total_cores
+    nudge = Fraction(1, 10**6)
+    scale = st.fractions(min_value=0, max_value=Fraction(11, 10), max_denominator=1000)
+    memory = draw(
+        st.one_of(
+            st.just(node.memory_total_gib),
+            st.integers(0, node.total_cores + 1).map(lambda k: k * share),
+            st.integers(1, node.total_cores + 1).map(lambda k: k * share - nudge),
+            st.integers(0, node.total_cores).map(lambda k: k * share + nudge),
+            scale.map(lambda f: f * node.memory_total_gib),
+        )
+    )
+    capacities = dict(node.extra_resources)
+    extras = {}
+    for name in draw(st.lists(st.sampled_from(EXTRA_NAMES + ("bogus",)), unique=True)):
+        capacity = capacities.get(name, Fraction(1))
+        extras[name] = draw(
+            st.one_of(
+                st.just(capacity),
+                st.just(capacity + nudge),
+                scale.map(lambda f, capacity=capacity: f * capacity),
+            )
+        )
+    cores = draw(edge_integers(node.total_cores))
+    if cores == 0 and memory == 0 and not any(extras.values()):
+        cores = 1
+    return NodeUsage(
+        cores_used=cores,
+        gpus_used=draw(edge_integers(node.gpu_count)),
+        memory_used_gib=memory,
+        extra_used=extras,
+    )
+
+
+def rule_fraction(usage, node):
+    """The max-fraction rule in plain Fraction arithmetic, checking cores, GPUs, memory, extras in order."""
+    cores, gpus, memory = node.total_cores, len(node.gpus), node.memory_total_gib
+    if usage.cores_used > cores:
+        raise CapacityError(f"{usage.cores_used} cores requested but node type {node.name!r} has {cores}")
+    if usage.gpus_used > gpus:
+        raise CapacityError(f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {gpus}")
+    if usage.memory_used_gib > memory:
+        raise CapacityError(
+            f"{float(usage.memory_used_gib):g} GiB requested but node type {node.name!r} has {float(memory):g} GiB"
+        )
+    terms = [
+        Fraction(usage.cores_used, cores),
+        Fraction(usage.gpus_used, gpus) if usage.gpus_used else Fraction(0),
+        Fraction(math.ceil(usage.memory_used_gib / (memory / cores)), cores),
+    ]
+    capacities = dict(node.extra_resources)
+    for name, amount in usage.extra_used:
+        if name not in capacities:
+            raise CapacityError(f"node type {node.name!r} has no resource {name!r}")
+        if amount > capacities[name]:
+            raise CapacityError(
+                f"{float(amount):g} of {name!r} requested but node type {node.name!r} has {float(capacities[name]):g}"
+            )
+        terms.append(amount / capacities[name])
+    return max(terms)
+
+
+@settings(max_examples=300)
+@given(kernel_node_types().flatmap(lambda node: st.tuples(st.just(node), edge_usages(node))))
+def test_integer_kernel_equals_the_fraction_rule(case):
+    node, usage = case
+    try:
+        expected = rule_fraction(usage, node)
+    except CapacityError as err:
+        with pytest.raises(CapacityError) as excinfo:
+            node_fraction(usage, node)
+        assert str(excinfo.value) == str(err)
+    else:
+        assert node_fraction(usage, node) == expected
+
+
+def fuzz_config():
+    """One partition per model id, four nodes each, on the test system's GPU nodes."""
+    node_of = {p["model"]: p["node"] for p in TEST_CONFIG["partitions"] if p["name"] != "work"}
+    node_of["peak-perf"] = node_of["energy"]
+    return parse_config(
+        {"partitions": [{"name": m, "model": m, "node_count": 4, "node": node_of[m]} for m in MODEL_IDS]}
+    )
+
+
+FUZZ_CONFIG = fuzz_config()
+# column -> (values a valid row draws from, further values a fuzzed row may draw)
+JOBS_VALUES = {
+    "job_id": (("j0", "j1", "j2", "j3"), ("", " j1 ")),
+    "project": (("pA", "pB"), ("",)),
+    "partition": (MODEL_IDS, ("nowhere", "")),
+    "nodes": (("1", "2", "4"), ("0", "5", str(10**19), "-1", "x", "")),
+    "cores_per_node": (("0", "1", "16"), ("40", "-1", "x")),
+    "gpus_per_node": (("0", "1"), ("4", "5")),
+    "mem_gib_per_node": (("0", "1.5", "1/3", "8"), ("400", "1/0", "1e999", "nan", "-2")),
+    "elapsed_hours": (("0", "1", "2.5"), ("-1", "x", "1e-400", "1e-401")),
+}
+DETAIL_VALUES = {
+    "job_id": (("j0", "j1", "j2", "j3"), ("ghost", "")),
+    "node_index": (("0", "1", "2", "3"), ("4", "-1", "x")),
+    "cores": (("0", "1", "16"), ("40",)),
+    "gpus": (("0", "1"), ("5",)),
+    "mem_gib": (("0", "2", "1/3"), ("400", "x")),
+}
+
+
+@st.composite
+def csv_text(draw, values):
+    """A CSV of valid and fuzzed rows; one in ten headers misses a column."""
+    header = list(values)
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(header)))
+    valid = st.fixed_dictionaries({c: st.sampled_from(values[c][0]) for c in header})
+    fuzzed = st.fixed_dictionaries(
+        {c: st.sampled_from(values[c][0] + values[c][1]) | st.text(max_size=4) for c in header}
+    )
+    rows = draw(st.lists(valid | fuzzed, max_size=8))
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=header)
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_text(JOBS_VALUES), st.none() | csv_text(DETAIL_VALUES))
+def test_ingest_yields_only_records_and_row_errors(jobs_text, details_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = Path(tmp) / "jobs.csv"
+        jobs.write_text(jobs_text, encoding="utf-8")
+        details = None
+        if details_text is not None:
+            details = Path(tmp) / "details.csv"
+            details.write_text(details_text, encoding="utf-8")
+        tally = RowTally()
+        try:
+            records = list(tally.records(iter_jobs(jobs, FUZZ_CONFIG, details)))
+        except AccountingError:
+            return
+    assert all(isinstance(record, JobRecord) for record in records)
+    assert tally.total_rows == tally.charged + len(tally.errors) == len(list(csv.reader(io.StringIO(jobs_text)))) - 1
+    for record in records:
+        assert record.total_su == charge_record(record, FUZZ_CONFIG).total_su
