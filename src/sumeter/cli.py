@@ -21,7 +21,7 @@ from . import tables
 from .analysis import decision_threshold, efficiency_band, write_sweep_csv
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import format_real, format_su, format_threshold, round_half_up
-from .errors import AccountingError, ValidationError
+from .errors import AccountingError, ConfigError, ValidationError
 from .ingest import RowTally, SystemConfig, aggregate, builtin_config, iter_jobs, load_config
 from .models import MODEL_IDS, ChargeModel, get_model
 
@@ -41,6 +41,15 @@ def _load_config_arg(args: argparse.Namespace) -> SystemConfig:
     if path == "builtin":
         return builtin_config()
     return load_config(path)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing `path` as `cannot write <path>: <reason>`."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _models_arg(text: str) -> list[str]:
@@ -188,7 +197,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
             print("efficiency band: empty", file=summary_out)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
             write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
     else:
         write_sweep_csv(models, cpu_node, gpu_node, sys.stdout, args.s_min, args.s_max, args.steps)
@@ -207,9 +216,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(tables.table_text(number, comparisons))
             print()
         if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"table{number}.csv").write_text(tables.table_csv(comparisons), encoding="utf-8")
+            with _writing(args.out):
+                out_dir = Path(args.out)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / f"table{number}.csv").write_text(tables.table_csv(comparisons), encoding="utf-8")
     if not all_match:
         print("error: regenerated values diverge from the published tables", file=sys.stderr)
         return 1
@@ -232,7 +242,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         lines.append(f"{project},ALL,{format_real(project_usage.total_su)}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 1 if tally.errors or tally.orphans else 0

@@ -26,8 +26,8 @@ decimals) and values are rounded only for display.
 from __future__ import annotations
 
 import enum
+import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +50,15 @@ def parse_real(text: str) -> Fraction:
     """Read a decimal or p/q string exactly, refusing oversized text first."""
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
+    # Plain ASCII digits[.digits], the common cell, is read without the regex.
+    # isascii() keeps out digits such as '²' that isdigit() accepts.
+    if text.isascii():
+        whole, point, decimals = text.partition(".")
+        if whole.isdigit():
+            if not point:
+                return Fraction(int(whole))
+            if decimals.isdigit():
+                return Fraction(int(whole + decimals), 10 ** len(decimals))
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
         raise ValidationError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
@@ -239,24 +248,28 @@ class NodeUsage:
     extra_used: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "memory_used_gib", exact(self.memory_used_gib))
-        object.__setattr__(self, "extra_used", _normalize_pairs(self.extra_used, "usage"))
+        # Signs are read off numerators (denominators are positive).
+        memory = self.memory_used_gib
+        if not isinstance(memory, Fraction):
+            memory = exact(memory)
+            object.__setattr__(self, "memory_used_gib", memory)
+        extras = self.extra_used
+        if extras != ():
+            extras = _normalize_pairs(extras, "usage")
+            object.__setattr__(self, "extra_used", extras)
         if self.cores_used < 0 or self.gpus_used < 0:
             raise ValidationError("core and GPU counts must be nonnegative")
-        if self.memory_used_gib < 0:
+        if memory.numerator < 0:
             raise ValidationError("memory_used_gib must be nonnegative")
-        if any(amount < 0 for _, amount in self.extra_used):
+        if any(amount.numerator < 0 for _, amount in extras):
             raise ValidationError("extra resource amounts must be nonnegative")
-        if not self._any_positive():
-            raise ValidationError("a node usage must request at least one resource")
-
-    def _any_positive(self) -> bool:
-        return (
+        if not (
             self.cores_used > 0
             or self.gpus_used > 0
-            or self.memory_used_gib > 0
-            or any(amount > 0 for _, amount in self.extra_used)
-        )
+            or memory.numerator > 0
+            or any(amount.numerator > 0 for _, amount in extras)
+        ):
+            raise ValidationError("a node usage must request at least one resource")
 
 
 # The capacity rules. Each returns the usage's step count as a plain int
@@ -399,23 +412,36 @@ class ChargeModel:
         """Charge a job on its partition's node type under this model.
 
         The fraction is worked out once per distinct usage object; a
-        uniform job repeats one object on every node.
+        uniform job repeats one object on every node. The fractions are
+        summed as integers over their common denominator, and the total
+        is built as one Fraction.
         """
         partition = job.partition
         node = partition.node_type
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
+        hours = job.walltime_hours
         usages = job.per_node_usage
-        distinct = {id(usage): usage for usage in usages}
-        by_id = {key: self.node_fraction(usage, node) for key, usage in distinct.items()}
-        counts = Counter(map(id, usages))
-        units = sum((counts[key] * fraction for key, fraction in by_id.items()), start=Fraction(0))
+        fractions: dict[int, Fraction] = {}
+        for usage in usages:
+            if id(usage) not in fractions:
+                fractions[id(usage)] = self.node_fraction(usage, node)
+        if len(fractions) == 1:  # a uniform job: the node count times its one fraction
+            (fraction,) = fractions.values()
+            per_node = (fraction,) * len(usages)
+            units, denominator = len(usages) * fraction.numerator, fraction.denominator
+        else:
+            per_node = tuple(fractions[id(usage)] for usage in usages)
+            denominator = math.lcm(*(fraction.denominator for fraction in fractions.values()))
+            units = sum(fraction.numerator * (denominator // fraction.denominator) for fraction in per_node)
         return ChargeReport(
             model_id=self.id,
-            total_su=weight * job.walltime_hours * units,
-            per_node_fraction=tuple(map(by_id.__getitem__, map(id, usages))),
+            total_su=Fraction(
+                weight.numerator * hours.numerator * units, weight.denominator * hours.denominator * denominator
+            ),
+            per_node_fraction=per_node,
             weight_used=weight,
-            walltime_hours=job.walltime_hours,
+            walltime_hours=hours,
         )
 
     def parameters(self) -> dict:
@@ -472,7 +498,7 @@ class JobRequest:
         object.__setattr__(self, "walltime_hours", exact(self.walltime_hours))
         if not self.per_node_usage:
             raise ValidationError("a job must span at least one node")
-        if self.walltime_hours < 0:
+        if self.walltime_hours.numerator < 0:
             raise ValidationError("walltime_hours must be nonnegative")
         _check_span(self.partition, len(self.per_node_usage))
 

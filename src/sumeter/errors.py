@@ -18,4 +18,4 @@ class ModelError(AccountingError):
 
 
 class ConfigError(AccountingError):
-    """A configuration or data file cannot be read or parsed."""
+    """A configuration, data or output file cannot be read, parsed or written."""

@@ -17,6 +17,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -50,6 +52,8 @@ DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
 
 _PUHTI_PARAMETERS = tuple(parameter.name for parameter in fields(PuhtiModel))
 _PUHTI_RATE_NAMES = tuple(rate.name for rate in fields(PuhtiRates))
+# A processor entry is copied `count` times into its node type.
+MAX_PROCESSOR_COUNT = 1024
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,15 @@ class SystemConfig:
     partitions: tuple[Partition, ...]
 
     def partition(self, name: str) -> Partition:
-        for partition in self.partitions:
-            if partition.name == name:
-                return partition
-        raise ValidationError(f"unknown partition {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValidationError(f"unknown partition {name!r}") from None
+
+    @cached_property
+    def _by_name(self) -> dict[str, Partition]:
+        # the first partition of a name wins, as in a scan of `partitions`
+        return {partition.name: partition for partition in reversed(self.partitions)}
 
     def model_for(self, partition_name: str) -> ChargeModel:
         return self.partition(partition_name).model
@@ -141,7 +150,7 @@ def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         errors.append(f"{path}: expected a number, got {raw!r}")
         return Fraction(1)
-    if not math.isfinite(raw):
+    if isinstance(raw, float) and not math.isfinite(raw):  # ints are finite, and may be beyond any float
         errors.append(f"{path}: expected a finite number")
         return Fraction(1)
     return Fraction(str(raw))
@@ -161,6 +170,15 @@ def _text(raw, path: str, errors: list[str]) -> str:
     return raw
 
 
+def _list(raw, path: str, errors: list[str]) -> list:
+    if not raw:
+        return []
+    if not isinstance(raw, list):
+        errors.append(f"{path}: expected a list, got {raw!r}")
+        return []
+    return raw
+
+
 def _processor(entry, kind: str, path: str, errors: list[str]) -> tuple[ProcessorSpec | None, int]:
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
@@ -170,6 +188,8 @@ def _processor(entry, kind: str, path: str, errors: list[str]) -> tuple[Processo
     tdp = _decimal(entry.get("tdp_watts"), f"{path}.tdp_watts", errors)
     flops = _decimal(entry.get("peak_flops"), f"{path}.peak_flops", errors)
     count = _integer(entry.get("count", 1), f"{path}.count", errors)
+    if not 1 <= count <= MAX_PROCESSOR_COUNT:
+        errors.append(f"{path}.count: must be between 1 and {MAX_PROCESSOR_COUNT}, got {count}")
     try:
         if kind == "cpu":
             cores = _integer(entry.get("cores"), f"{path}.cores", errors)
@@ -193,12 +213,12 @@ def _node_type(entry, path: str, errors: list[str]) -> NodeType | None:
     name = _text(entry.get("name"), f"{path}.name", errors)
     memory = _decimal(entry.get("memory_total_gib"), f"{path}.memory_total_gib", errors)
     cpus: list[ProcessorSpec] = []
-    for i, cpu_entry in enumerate(entry.get("cpus") or []):
+    for i, cpu_entry in enumerate(_list(entry.get("cpus"), f"{path}.cpus", errors)):
         spec, count = _processor(cpu_entry, "cpu", f"{path}.cpus[{i}]", errors)
         if spec is not None:
             cpus.extend([spec] * count)
     gpus: list[ProcessorSpec] = []
-    for i, gpu_entry in enumerate(entry.get("gpus") or []):
+    for i, gpu_entry in enumerate(_list(entry.get("gpus"), f"{path}.gpus", errors)):
         spec, count = _processor(gpu_entry, "gpu", f"{path}.gpus[{i}]", errors)
         if spec is not None:
             gpus.extend([spec] * count)
@@ -305,11 +325,13 @@ def load_config(path: str | Path) -> SystemConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    except ValueError as err:  # an integer beyond the interpreter's digit limit
+    except (ValueError, RecursionError) as err:  # an integer beyond the digit limit, or too deep a nesting
         raise ConfigError(f"{path}: {err}") from err
     return parse_config(data, source=str(path))
 
@@ -390,8 +412,8 @@ def builtin_config() -> SystemConfig:
     return SystemConfig(partitions=(cpu_partition, gpu_partition))
 
 
-def _row_int(row: dict, column: str, minimum: int) -> int:
-    raw = (row.get(column) or "").strip()
+def _row_int(raw: str, column: str, minimum: int) -> int:
+    raw = raw.strip()
     try:
         value = int(raw)
     except ValueError:
@@ -401,15 +423,60 @@ def _row_int(row: dict, column: str, minimum: int) -> int:
     return value
 
 
-def _row_real(row: dict, column: str) -> Fraction:
-    raw = (row.get(column) or "").strip()
+def _row_real(raw: str, column: str) -> Fraction:
+    raw = raw.strip()
     try:
         value = parse_real(raw)
     except ValidationError as err:
         raise ValidationError(f"{column}: {err}") from None
-    if value < 0:
+    if value.numerator < 0:
         raise ValidationError(f"{column}: must be nonnegative, got {raw}")
     return value
+
+
+def _csv_rows(
+    handle, path: str | Path, columns: Sequence[str], kind: str
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Each non-blank row after the header as (line, its cells in `columns` order).
+
+    Reads as `csv.DictReader` would: blank lines are skipped and not
+    counted (the first row is line 2), a short row reads as blank cells
+    and cells past the header are ignored. A file that is not UTF-8, or a
+    row the csv module refuses, is a ConfigError naming the file and line.
+    """
+    reader = csv.reader(handle)
+    try:
+        header = next(reader, None) or ()
+        index = {name: position for position, name in enumerate(header)}
+        missing = set(columns) - set(index)
+        if missing:
+            raise ConfigError(f"{path}: {kind} missing columns: {', '.join(sorted(missing))}")
+        positions = [index[column] for column in columns]
+        width = max(positions) + 1
+        cells = itemgetter(*positions)
+        line = 1
+        for row in reader:
+            if not row:
+                continue
+            line += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield line, cells(row)
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
+    except csv.Error as err:
+        raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """Number of the first line of `path` that is not UTF-8 (0 when every line is)."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
 
 
 def _load_details(
@@ -424,21 +491,17 @@ def _load_details(
     except OSError as err:
         raise ConfigError(f"cannot read details file {path}: {err}") from err
     with handle:
-        reader = csv.DictReader(handle)
-        missing = set(DETAIL_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"{path}: detail file missing columns: {', '.join(sorted(missing))}")
-        for line, row in enumerate(reader, start=2):
-            job_id = (row.get("job_id") or "").strip()
+        for line, (job_id, index, cores, gpus, memory) in _csv_rows(handle, path, DETAIL_CSV_COLUMNS, "detail file"):
+            job_id = job_id.strip()
             lines.setdefault(job_id, []).append(line)
             if not job_id:
                 continue
             try:
-                index = _row_int(row, "node_index", 0)
+                index = _row_int(index, "node_index", 0)
                 usage = NodeUsage(
-                    cores_used=_row_int(row, "cores", 0),
-                    gpus_used=_row_int(row, "gpus", 0),
-                    memory_used_gib=_row_real(row, "mem_gib"),
+                    cores_used=_row_int(cores, "cores", 0),
+                    gpus_used=_row_int(gpus, "gpus", 0),
+                    memory_used_gib=_row_real(memory, "mem_gib"),
                 )
             except ValidationError as err:
                 poisoned.setdefault(job_id, f"detail line {line}: {err}")
@@ -451,22 +514,24 @@ def _load_details(
 
 
 def _parse_job_row(
-    row: dict,
+    job_id: str,
+    cells: tuple[str, ...],
     config: SystemConfig,
     details: dict[str, dict[int, NodeUsage]],
     poisoned: dict[str, str],
 ) -> JobRecord:
-    job_id = (row.get("job_id") or "").strip()
+    """Build and charge one jobs row; `job_id` is its first cell, stripped."""
+    _, project, partition, nodes, cores, gpus, memory, elapsed = cells
     if not job_id:
         raise ValidationError("job_id: must be non-empty")
     if job_id in poisoned:
         raise ValidationError(poisoned[job_id])
-    project = (row.get("project") or "").strip()
+    project = project.strip()
     if not project:
         raise ValidationError("project: must be non-empty")
-    partition = config.partition((row.get("partition") or "").strip())
-    nodes = _row_int(row, "nodes", 1)
-    elapsed = _row_real(row, "elapsed_hours")
+    partition = config.partition(partition.strip())
+    nodes = _row_int(nodes, "nodes", 1)
+    elapsed = _row_real(elapsed, "elapsed_hours")
     if job_id in details:
         per_node = details[job_id]
         # distinct indices >= 0, so these two cover 0..nodes-1 exactly
@@ -477,9 +542,9 @@ def _parse_job_row(
         job = JobRequest(partition, tuple(per_node[i] for i in range(nodes)), elapsed)
     else:
         usage = NodeUsage(
-            cores_used=_row_int(row, "cores_per_node", 0),
-            gpus_used=_row_int(row, "gpus_per_node", 0),
-            memory_used_gib=_row_real(row, "mem_gib_per_node"),
+            cores_used=_row_int(cores, "cores_per_node", 0),
+            gpus_used=_row_int(gpus, "gpus_per_node", 0),
+            memory_used_gib=_row_real(memory, "mem_gib_per_node"),
         )
         job = JobRequest.uniform(partition, nodes, usage, elapsed)
     # Charging checks every capacity: a row that does not fit raises here.
@@ -498,37 +563,36 @@ def iter_jobs(
 ) -> Iterator[JobRecord | RowError]:
     """Stream a jobs CSV: each row in file order as a record or a row error.
 
-    After the last jobs row come the detail rows that belong to no jobs
-    row (blank job_id, or a job_id no jobs row names, whether that row was
-    charged or rejected), as `DetailRowError`s in detail-file order.
+    A row that repeats the job_id of a charged row is a duplicate and is
+    not parsed; a job_id whose earlier rows were all rejected may still be
+    charged. After the last jobs row come the detail rows that belong to
+    no jobs row (blank job_id, or a job_id no jobs row names, whether that
+    row was charged or rejected), as `DetailRowError`s in detail-file order.
     """
     details: dict[str, dict[int, NodeUsage]] = {}
     poisoned: dict[str, str] = {}
     detail_lines: dict[str, list[int]] = {}
     if details_path is not None:
         details, poisoned, detail_lines = _load_details(details_path)
-    seen_ids: set[str] = set()
+    charged_ids: set[str] = set()
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read jobs file {path}: {err}") from err
     with handle:
-        reader = csv.DictReader(handle)
-        missing = set(JOBS_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"{path}: jobs file missing columns: {', '.join(sorted(missing))}")
-        for line, row in enumerate(reader, start=2):
-            job_id = (row.get("job_id") or "").strip()
+        for line, cells in _csv_rows(handle, path, JOBS_CSV_COLUMNS, "jobs file"):
+            job_id = cells[0].strip()
             if job_id:
                 detail_lines.pop(job_id, None)
+                if job_id in charged_ids:
+                    yield RowError(line=line, message=f"duplicate job_id {job_id!r}")
+                    continue
             try:
-                record = _parse_job_row(row, config, details, poisoned)
-                if record.job_id in seen_ids:
-                    raise ValidationError(f"duplicate job_id {record.job_id!r}")
+                record = _parse_job_row(job_id, cells, config, details, poisoned)
             except (ValidationError, CapacityError) as err:
                 yield RowError(line=line, message=str(err))
             else:
-                seen_ids.add(record.job_id)
+                charged_ids.add(job_id)
                 yield record
     for line, job_id in sorted((line, job_id) for job_id, lines in detail_lines.items() for line in lines):
         message = f"job_id {job_id!r} matches no jobs row" if job_id else "job_id: must be non-empty"

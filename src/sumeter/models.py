@@ -81,12 +81,21 @@ def puhti_bu(
     (core_rate*cores + mem_rate*mem + nvme_rate*nvme + gpu_rate*gpus) * hours,
     with default rates 1 / 0.1 / 0.006 / 60 per hour.
     """
-    quantities = [exact(q) for q in (cores, mem_gib, nvme_gib, gpus, walltime_hours)]
-    if any(q < 0 for q in quantities):
+    return Fraction(*_puhti_bill(rates, cores, mem_gib, nvme_gib, gpus, walltime_hours))
+
+
+def _puhti_bill(rates: PuhtiRates, *quantities: RealLike) -> tuple[int, int]:
+    """The `puhti_bu` rule as an integer numerator over one denominator."""
+    quantities = [q if isinstance(q, (int, Fraction)) else exact(q) for q in quantities]
+    if any(q.numerator < 0 for q in quantities):
         raise ValidationError("billing quantities must be nonnegative")
-    cores_f, mem_f, nvme_f, gpus_f, hours = quantities
-    hourly = rates.core * cores_f + rates.memory_gib * mem_f + rates.nvme_gib * nvme_f + rates.gpu * gpus_f
-    return hourly * hours
+    *amounts, hours = quantities
+    numerator, denominator = 0, 1
+    for rate, amount in zip((rates.core, rates.memory_gib, rates.nvme_gib, rates.gpu), amounts):
+        term_denominator = rate.denominator * amount.denominator
+        numerator = numerator * term_denominator + rate.numerator * amount.numerator * denominator
+        denominator *= term_denominator
+    return numerator * hours.numerator, denominator * hours.denominator
 
 
 def puhti_tdp_equivalence(
@@ -195,11 +204,13 @@ class PuhtiModel(ChargeModel):
     def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
         node_fraction(usage, node)  # capacity validation
         full_node = self._full_node_bill(node)
-        if full_node <= 0:
+        if full_node.numerator <= 0:
             raise ModelError("the configured rates price a whole node at zero")
-        nvme_used = dict(usage.extra_used).get(self.nvme_resource, Fraction(0))
-        hourly = puhti_bu(usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1, self.rates)
-        return hourly / full_node
+        nvme_used = dict(usage.extra_used).get(self.nvme_resource, 0)
+        hourly, denominator = _puhti_bill(
+            self.rates, usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1
+        )
+        return Fraction(hourly * full_node.denominator, denominator * full_node.numerator)
 
     def parameters(self) -> dict:
         return {

@@ -313,3 +313,23 @@ def test_a_closed_stdout_pipe_ends_quietly():
         assert proc.returncode != 0
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     os.close(write_end)
+
+
+def test_duplicate_row_is_refused_before_it_is_priced(monkeypatch, config_path, tmp_path):
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0", "j1,projA,work,2,4,0,8,1.0"])
+    built = []
+    post_init = JobRequest.__post_init__
+    monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
+    result = ingest_jobs(jobs, load_config(config_path))
+    assert len(built) == 1
+    assert [r.job_id for r in result.records] == ["j1"]
+    assert [(e.line, e.message) for e in result.errors] == [(3, "duplicate job_id 'j1'")]
+
+
+def test_only_a_charged_job_id_blocks_a_later_row(config_path, tmp_path):
+    rows = ["j1,projA,work,1,99,0,2,1.0", "j1,projA,work,1,1,0,2,1.0", "j1,projB,work,1,1,0,2,1.0"]
+    result = ingest_jobs(write_jobs_csv(tmp_path / "jobs.csv", rows), load_config(config_path))
+    assert [(r.job_id, r.project) for r in result.records] == [("j1", "projA")]
+    assert [e.line for e in result.errors] == [2, 4]
+    assert result.errors[0].message.startswith("99 cores requested")
+    assert result.errors[1].message == "duplicate job_id 'j1'"

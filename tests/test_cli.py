@@ -290,3 +290,70 @@ class TestIngestCommand:
             for r in csv.DictReader(io.StringIO(ingest_out))
         )[("projA", "gpu")]
         assert estimate_total == ingest_total
+
+
+JOBS_HEADER = b"job_id,project,partition,nodes,cores_per_node,gpus_per_node,mem_gib_per_node,elapsed_hours\n"
+
+
+class TestUnreadableInput:
+    """Bad bytes and oversized cells end the run with `error:` and exit 1, never a traceback."""
+
+    def test_jobs_file_not_utf8(self, capsys, config_path, tmp_path):
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_bytes(JOBS_HEADER + b"j1,projA,work,1,1,0,2,1.0\n\nj2,proj\xff,work,1,1,0,2,1.0\n")
+        code, out, err = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs))
+        assert (code, out) == (1, "")
+        assert err == f"error: {jobs}:4: not UTF-8 text: invalid start byte\n"
+
+    def test_details_file_not_utf8(self, capsys, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
+        details = tmp_path / "details.csv"
+        details.write_bytes(b"job_id,node_index,cores,gpus,mem_gib\nj1,0,1,0,1\xc3\n")
+        code, out, err = run(
+            capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs), "--details", str(details)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {details}:2: not UTF-8 text: invalid continuation byte\n"
+
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "system.json"
+        config.write_bytes(json.dumps(TEST_CONFIG, indent=1).encode("utf-8").replace(b'"work"', b'"w\xffrk"', 1))
+        code, out, err = run(capsys, "--config", str(config), "estimate", "--partition", "work", "--hours", "1")
+        assert (code, out) == (1, "")
+        line = json.dumps(TEST_CONFIG, indent=1).splitlines().index('   "name": "work",') + 1
+        assert err == f"error: {config}:{line}: not UTF-8 text: invalid start byte\n"
+
+    def test_cell_over_the_csv_field_limit(self, capsys, config_path, tmp_path):
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_bytes(JOBS_HEADER + b"j1,projA,work,1,1,0,2,1.0\nj2," + b"p" * 200_000 + b",work,1,1,0,2,1.0\n")
+        code, out, err = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs))
+        assert (code, out) == (1, "")
+        assert err == f"error: {jobs}:3: field larger than field limit (131072)\n"
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is `error: cannot write <path>: <reason>`, exit 1."""
+
+    def test_ingest(self, capsys, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
+        out_path = tmp_path / "missing" / "usage.csv"
+        code, out, err = run(
+            capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs), "--out", str(out_path)
+        )
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: cannot write {out_path}: No such file or directory\n")
+
+    def test_crossover(self, capsys, config_path, tmp_path):
+        out_path = tmp_path / "missing" / "sweep.csv"
+        code, _, err = run(capsys, "--config", str(config_path), "crossover", "--out", str(out_path))
+        assert code == 1
+        assert err == f"error: cannot write {out_path}: No such file or directory\n"
+
+    def test_report(self, capsys, tmp_path):
+        # a missing directory is created, so put the tables under a regular file
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = blocker / "tables"
+        code, _, err = run(capsys, "report", "--out", str(out_dir))
+        assert code == 1
+        assert err == f"error: cannot write {out_dir}: Not a directory\n"

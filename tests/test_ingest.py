@@ -1,9 +1,11 @@
 """Config I/O, jobs CSV ingestion and per-project aggregation."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumeter import (
     ConfigError,
@@ -12,11 +14,13 @@ from sumeter import (
     ValidationError,
     aggregate,
     builtin_config,
+    SystemConfig,
     charge_record,
     config_to_dict,
     ingest_jobs,
     job_cost,
     load_config,
+    parse_config,
     save_config,
 )
 from conftest import TEST_CONFIG, write_jobs_csv
@@ -98,6 +102,28 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as excinfo:
             load_config(path)
         assert str(excinfo.value).splitlines()[1:] == [f"- partitions[0].{line}"]
+
+    @pytest.mark.parametrize("count", [0, -1, 1025, 10**19])
+    def test_processor_count_is_bounded(self, tmp_path, count):
+        entry = copy.deepcopy(TEST_CONFIG["partitions"][0])
+        entry["node"]["cpus"][0]["count"] = count
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [entry]})
+        line = f"- partitions[0].node.cpus[0].count: must be between 1 and 1024, got {count}"
+        assert str(excinfo.value).splitlines()[1:] == [line]
+
+    def test_processor_entries_must_be_a_list(self):
+        entry = copy.deepcopy(TEST_CONFIG["partitions"][1])
+        entry["node"]["gpus"] = 4
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [entry]})
+        assert str(excinfo.value).splitlines()[1:] == ["- partitions[0].node.gpus: expected a list, got 4"]
+
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(ConfigError, match="maximum recursion depth"):
+            load_config(path)
 
     def test_duplicate_partition_names(self, tmp_path):
         entry = TEST_CONFIG["partitions"][0]
@@ -270,3 +296,84 @@ class TestEstimateIngestAgreement:
         )
         estimated = config.model_for("gpu").charge(job).total_su
         assert ingested == estimated == job_cost(job).total_su
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+EDGE_VALUES = (0, -1, 1024, 1025, 10**19, 10**4000, 1e308, 5e-324, "", "1", [], {}, [{}], {"": 1})
+
+
+def value_paths(value, prefix=()):
+    """The key path of every value inside a JSON document."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from value_paths(child, prefix + (key,))
+
+
+CONFIG_PATHS = list(value_paths(TEST_CONFIG))[1:]
+
+
+@st.composite
+def mutated_configs(draw):
+    """The test config with one to three values replaced or deleted."""
+    data = copy.deepcopy(TEST_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(CONFIG_PATHS))
+        owner = data
+        try:
+            for parent in parents:
+                owner = owner[parent]
+            owner[key]
+        except (KeyError, IndexError, TypeError):  # an earlier mutation took it away
+            continue
+        if draw(st.integers(0, 3)) == 0:
+            del owner[key]
+        else:
+            owner[key] = draw(json_values | st.sampled_from(EDGE_VALUES))
+    return data
+
+
+def config_outcome(build):
+    """A SystemConfig, or None for a reported error; any other exception fails the test."""
+    try:
+        config = build()
+    except (ValidationError, ConfigError):
+        return None
+    assert isinstance(config, SystemConfig)
+    assert all(partition.weight > 0 for partition in config.partitions)
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | mutated_configs())
+def test_parse_config_accepts_or_reports_any_json_value(data):
+    config_outcome(lambda: parse_config(data))
+
+
+@st.composite
+def mutated_config_bytes(draw):
+    """A mutated config as JSON bytes, with up to three byte-level edits."""
+    text = bytearray(json.dumps(draw(mutated_configs())).encode("utf-8"))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        new = draw(st.sampled_from((b"\xff", b"\xc3", b"0", b"9", b"-", b".", b"e", b'"', b"{", b"]", b",", b" ")))
+        if edit == "insert":
+            text[at:at] = new
+        elif edit == "replace":
+            text[at:at + 1] = new
+        else:
+            del text[at:at + 1]
+    return bytes(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_config_bytes())
+def test_load_config_accepts_or_reports_any_bytes(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("config") / "system.json"
+    path.write_bytes(raw)
+    config_outcome(lambda: load_config(path))
