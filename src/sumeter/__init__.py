@@ -49,12 +49,10 @@ from .ingest import (
     aggregate,
     builtin_config,
     charge_record,
-    config_to_dict,
     ingest_jobs,
     iter_jobs,
     load_config,
     parse_config,
-    save_config,
 )
 from .models import (
     MODEL_IDS,

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import tables
 from .analysis import decision_threshold, efficiency_band, write_sweep_csv
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
-from .display import format_real, format_su, format_threshold, round_half_up
+from .display import as_float, format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ConfigError, ValidationError
 from .ingest import RowTally, SystemConfig, aggregate, builtin_config, iter_jobs, load_config
 from .models import MODEL_IDS, ChargeModel, get_model
@@ -119,15 +119,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_number(field: str, value: Fraction) -> float:
+    number = as_float(value)
+    if number is None:
+        raise ValidationError(f"{field}: {format_real(value)} is beyond float range; use --format text or csv")
+    return number
+
+
 def _report_json(partition: str, report: ChargeReport, energy_wh: Fraction) -> dict:
     return {
         "partition": partition,
         "model_id": report.model_id,
-        "total_su": float(report.total_su),
-        "weight_used": float(report.weight_used),
-        "walltime_hours": float(report.walltime_hours),
-        "per_node_fraction": [float(f) for f in report.per_node_fraction],
-        "energy_wh": float(energy_wh),
+        "total_su": _json_number("total_su", report.total_su),
+        "weight_used": _json_number("weight_used", report.weight_used),
+        "walltime_hours": _json_number("walltime_hours", report.walltime_hours),
+        "per_node_fraction": [_json_number("per_node_fraction", f) for f in report.per_node_fraction],
+        "energy_wh": _json_number("energy_wh", energy_wh),
     }
 
 

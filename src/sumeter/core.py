@@ -444,10 +444,6 @@ class ChargeModel:
             walltime_hours=hours,
         )
 
-    def parameters(self) -> dict:
-        """Model-specific parameters, serialisable for config round-trips."""
-        return {}
-
 
 @dataclass(frozen=True)
 class EnergyModel(ChargeModel):
@@ -507,8 +503,6 @@ class JobRequest:
         cls, partition: Partition, nodes: int, usage: NodeUsage, walltime_hours: RealLike
     ) -> "JobRequest":
         """Identical usage replicated across `nodes` nodes."""
-        if nodes < 1:
-            raise ValidationError("a job must span at least one node")
         _check_span(partition, nodes)  # before `nodes` copies are made
         return cls(partition, (usage,) * nodes, exact(walltime_hours))
 

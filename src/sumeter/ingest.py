@@ -34,6 +34,7 @@ from .core import (
     job_cost,
     parse_real,
 )
+from .display import as_float, format_real
 from .errors import AccountingError, CapacityError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
 
@@ -147,6 +148,8 @@ class ProjectUsage:
 
 def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     """Parse a JSON number decimally (0.1 becomes exactly 1/10)."""
+    if isinstance(raw, Fraction):  # float text, already read exactly by `load_config`
+        return raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         errors.append(f"{path}: expected a number, got {raw!r}")
         return Fraction(1)
@@ -156,16 +159,24 @@ def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     return Fraction(str(raw))
 
 
+def _shown(raw) -> str:
+    """A config value as an error quotes it; float text (read as a Fraction) as the float it spells."""
+    if not isinstance(raw, Fraction):
+        return repr(raw)
+    number = as_float(raw)
+    return format_real(raw) if number is None else repr(number)
+
+
 def _integer(raw, path: str, errors: list[str]) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        errors.append(f"{path}: expected an integer, got {raw!r}")
+        errors.append(f"{path}: expected an integer, got {_shown(raw)}")
         return 1
     return raw
 
 
 def _text(raw, path: str, errors: list[str]) -> str:
     if not isinstance(raw, str) or not raw:
-        errors.append(f"{path}: expected a non-empty string, got {raw!r}")
+        errors.append(f"{path}: expected a non-empty string, got {_shown(raw)}")
         return "?"
     return raw
 
@@ -174,7 +185,7 @@ def _list(raw, path: str, errors: list[str]) -> list:
     if not raw:
         return []
     if not isinstance(raw, list):
-        errors.append(f"{path}: expected a list, got {raw!r}")
+        errors.append(f"{path}: expected a list, got {_shown(raw)}")
         return []
     return raw
 
@@ -319,7 +330,11 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
 
 
 def load_config(path: str | Path) -> SystemConfig:
-    """Load and validate a partition configuration file."""
+    """Load and validate a partition configuration file.
+
+    Every number is read exactly: float text such as `0.1` or `1.5e12`
+    goes through `parse_real`, under its length and exponent bound.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -328,81 +343,13 @@ def load_config(path: str | Path) -> SystemConfig:
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=parse_real)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    except (ValueError, RecursionError) as err:  # an integer beyond the digit limit, or too deep a nesting
+    # an integer beyond the digit limit, float text beyond the number bound, or too deep a nesting
+    except (ValueError, ValidationError, RecursionError) as err:
         raise ConfigError(f"{path}: {err}") from err
     return parse_config(data, source=str(path))
-
-
-def _number_out(value: Fraction):
-    return int(value) if value.denominator == 1 else float(value)
-
-
-def config_to_dict(config: SystemConfig) -> dict:
-    """Serialisable form of a config; load_config(parse) round-trips weights."""
-    out_partitions = []
-    for partition in config.partitions:
-        node = partition.node_type
-        cpus = _grouped_processors(node.cpus, "cpu")
-        gpus = _grouped_processors(node.gpus, "gpu")
-        entry = {
-            "name": partition.name,
-            "model": partition.model.id,
-            "node_count": partition.node_count,
-            "node": {
-                "name": node.name,
-                "memory_total_gib": _number_out(node.memory_total_gib),
-                "cpus": cpus,
-                "gpus": gpus,
-            },
-        }
-        if node.extra_resources:
-            entry["node"]["extra_resources"] = {
-                resource: _number_out(capacity) for resource, capacity in node.extra_resources
-            }
-        parameters = partition.model.parameters()
-        if parameters:
-            entry["model_parameters"] = _serialise_parameters(parameters)
-        out_partitions.append(entry)
-    return {"partitions": out_partitions}
-
-
-def _serialise_parameters(parameters: dict) -> dict:
-    out = {}
-    for key, value in parameters.items():
-        if isinstance(value, dict):
-            out[key] = _serialise_parameters(value)
-        elif isinstance(value, Fraction):
-            out[key] = _number_out(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _grouped_processors(specs: Sequence[ProcessorSpec], kind: str) -> list[dict]:
-    groups: list[dict] = []
-    for spec in specs:
-        entry = {
-            "name": spec.name,
-            "tdp_watts": _number_out(spec.tdp_watts),
-            "peak_flops": _number_out(spec.peak_flops),
-            "count": 1,
-        }
-        if kind == "cpu":
-            entry["cores"] = spec.cores
-        else:
-            entry["streaming_multiprocessors"] = spec.streaming_multiprocessors
-        if groups and {**groups[-1], "count": 1} == entry:
-            groups[-1]["count"] += 1
-        else:
-            groups.append(entry)
-    return groups
-
-
-def save_config(config: SystemConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def builtin_config() -> SystemConfig:
@@ -439,10 +386,11 @@ def _csv_rows(
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Each non-blank row after the header as (line, its cells in `columns` order).
 
-    Reads as `csv.DictReader` would: blank lines are skipped and not
-    counted (the first row is line 2), a short row reads as blank cells
-    and cells past the header are ignored. A file that is not UTF-8, or a
-    row the csv module refuses, is a ConfigError naming the file and line.
+    `line` is the physical line where the row starts. Reads as
+    `csv.DictReader` would: blank lines are skipped, a short row reads as
+    blank cells and cells past the header are ignored. A file that is not
+    UTF-8, or a row the csv module refuses, is a ConfigError naming the
+    file and line.
     """
     reader = csv.reader(handle)
     try:
@@ -454,14 +402,13 @@ def _csv_rows(
         positions = [index[column] for column in columns]
         width = max(positions) + 1
         cells = itemgetter(*positions)
-        line = 1
+        line = reader.line_num + 1  # where the next row starts
         for row in reader:
-            if not row:
-                continue
-            line += 1
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            yield line, cells(row)
+            if row:
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                yield line, cells(row)
+            line = reader.line_num + 1
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
     except csv.Error as err:

@@ -4,8 +4,8 @@ Every model supplies a node-hour weight and may replace the per-node
 fraction; `ChargeModel.charge` (in `core`, with `EnergyModel`) turns
 those into a charge the same way for all of them. `energy` prices a GPU
 node by the TDP ratio of its GPUs to its CPUs; `sm` by the
-streaming-multiprocessor count; `peak-perf` by the ratio of peak FLOPs
-against a reference CPU node; `titan` charges cores plus SMs for whole
+streaming-multiprocessor count; `peak-perf` by the ratio of its GPUs' peak
+FLOPs to its own CPUs'; `titan` charges cores plus SMs for whole
 nodes (exclusive access); `puhti` bills each resource linearly at
 per-hour rates.
 """
@@ -141,18 +141,17 @@ class SmModel(ChargeModel):
 
 @dataclass(frozen=True)
 class PeakPerfModel(ChargeModel):
-    """Peak-FLOPs-ratio GPU weighting against a reference CPU node.
+    """Peak-FLOPs-ratio GPU weighting against the node's own CPUs.
 
-    Without an explicit reference the node's own CPU complement is used,
-    which matches systems whose CPU and GPU nodes share a CPU layout.
+    A GPU node weighs its GPU peak FLOPs over its own CPU peak FLOPs, times
+    its core count: `peak_perf_weight(node, node)`. That matches systems
+    whose CPU and GPU nodes share a CPU layout, as the reference system's do.
     """
-
-    reference: NodeType | None = None
 
     id = "peak-perf"
 
     def gpu_node_weight(self, node: NodeType) -> Fraction:
-        return peak_perf_weight(node, self.reference if self.reference is not None else node)
+        return peak_perf_weight(node, node)
 
 
 @dataclass(frozen=True)
@@ -212,17 +211,6 @@ class PuhtiModel(ChargeModel):
         )
         return Fraction(hourly * full_node.denominator, denominator * full_node.numerator)
 
-    def parameters(self) -> dict:
-        return {
-            "rates": {
-                "core": self.rates.core,
-                "memory_gib": self.rates.memory_gib,
-                "nvme_gib": self.rates.nvme_gib,
-                "gpu": self.rates.gpu,
-            },
-            "nvme_resource": self.nvme_resource,
-        }
-
 
 _MODEL_CLASSES = {
     EnergyModel.id: EnergyModel,
@@ -235,14 +223,11 @@ _MODEL_CLASSES = {
 MODEL_IDS = tuple(_MODEL_CLASSES)
 
 
-def get_model(model_id: str, **params) -> ChargeModel:
-    """Instantiate a charge model by its id string."""
+def get_model(model_id: str) -> ChargeModel:
+    """A charge model with its default parameters, by its id string."""
     try:
         model_class = _MODEL_CLASSES[model_id]
     except KeyError:
         known = ", ".join(sorted(_MODEL_CLASSES))
         raise ValidationError(f"unknown charge model {model_id!r} (known: {known})") from None
-    try:
-        return model_class(**params)
-    except TypeError as err:
-        raise ValidationError(f"bad parameters for model {model_id!r}: {err}") from None
+    return model_class()

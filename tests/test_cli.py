@@ -5,6 +5,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from sumeter.cli import main
 from conftest import TEST_CONFIG, write_jobs_csv
 
@@ -357,3 +359,60 @@ class TestUnwritableOut:
         code, _, err = run(capsys, "report", "--out", str(out_dir))
         assert code == 1
         assert err == f"error: cannot write {out_dir}: Not a directory\n"
+
+
+class TestBeyondFloatRange:
+    """A CPU TDP of 400 nines: energies beyond float range, GPU weights too small for one."""
+
+    @pytest.fixture
+    def huge_config(self, tmp_path):
+        config = copy.deepcopy(TEST_CONFIG)
+        for partition in config["partitions"][:2]:  # work and gpu
+            partition["node"]["cpus"][0]["tdp_watts"] = int("9" * 400)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    def test_text(self, capsys, huge_config):
+        code, out, _ = run(
+            capsys, "--config", huge_config, "estimate", "--partition", "work", "--cores-per-node", "1", "--hours", "1"
+        )
+        assert code == 0
+        assert "estimated energy: 5.55556e+398 Wh\ntotal: 1 SU\n" in out
+
+    def test_csv(self, capsys, huge_config):
+        code, out, _ = run(
+            capsys, "--config", huge_config,
+            "estimate", "--partition", "gpu", "--gpus-per-node", "1", "--hours", "1", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "energy,7.2e-397,2.88e-396,1,0,0.25"
+
+    def test_ingest(self, capsys, huge_config, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,pA,gpu,1,0,4,0,1", "j2,pA,work,1,36,0,0,1"])
+        code, out, _ = run(capsys, "--config", huge_config, "ingest", "--jobs", str(jobs))
+        assert code == 0
+        assert out == "project,partition,total_su\npA,gpu,2.88e-396\npA,work,36\npA,ALL,36\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_json_names_the_field(self, capsys, huge_config, command):
+        code, out, err = run(
+            capsys, "--config", huge_config,
+            command, "--partition", "gpu", "--gpus-per-node", "1", "--hours", "1", "--format", "json",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: total_su: 7.2e-397 is beyond float range; use --format text or csv\n"
+
+    def test_crossover(self, capsys, tmp_path):
+        config = copy.deepcopy(TEST_CONFIG)
+        config["partitions"][1]["node"]["gpus"][0]["tdp_watts"] = 10**400
+        path = tmp_path / "huge-gpu.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run(capsys, "--config", str(path), "crossover", "--models", "energy,sm", "--steps", "2")
+        assert code == 0
+        # the energy weight is 4 * 10**400 / 300 * 36, so the threshold is 4/3 * 10**398
+        assert f", decision threshold s = {4 * 10**398 // 3}.33\n" in err
+        assert out.splitlines()[1:] == [
+            "1,36,4.8e+399,cpu,300,36,432,cpu,300",
+            "20,36,2.4e+398,cpu,300,36,21.6,gpu,2e+399",
+        ]

@@ -252,6 +252,11 @@ class TestJobCost:
         job = JobRequest.uniform(cpu_partition, 1, NodeUsage(cores_used=1), 0)
         assert job_cost(job).total_su == 0
 
+    @pytest.mark.parametrize("nodes", [0, -1])
+    def test_uniform_job_needs_a_node(self, cpu_partition, nodes):
+        with pytest.raises(ValidationError, match="a job must span at least one node"):
+            JobRequest.uniform(cpu_partition, nodes, NodeUsage(cores_used=1), 1)
+
     def test_more_nodes_than_partition_has(self, cpu_partition):
         with pytest.raises(CapacityError):
             JobRequest.uniform(cpu_partition, 1001, NodeUsage(cores_used=1), 1)

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from sumeter import (
     MODEL_IDS,
     AccountingError,
+    DetailRowError,
     JobRequest,
     NodeType,
     NodeUsage,
@@ -28,6 +29,7 @@ from sumeter import (
     ProcessorSpec,
     PuhtiModel,
     PuhtiRates,
+    RowError,
     ValidationError,
     get_model,
     iter_jobs,
@@ -219,11 +221,33 @@ def ingest_items(directory, jobs_text, details_text):
         return type(err), str(err).replace(str(directory), "")
 
 
+def record_lines(text):
+    """The physical line of each non-blank row after the header; no cell here spans lines."""
+    if text is None:
+        return []
+    lines = re.split(r"\r\n|\n", text)
+    return [number for number, line in enumerate(lines, start=1) if number > 1 and line]
+
+
+def on_ragged_lines(items, jobs_text, details_text):
+    """Items read from the plain texts (row k on line k + 1), renumbered to the ragged texts' lines."""
+    if not isinstance(items, list):
+        return items
+    jobs_lines, detail_lines = record_lines(jobs_text), record_lines(details_text)
+
+    def moved(item):
+        lines = detail_lines if isinstance(item, DetailRowError) else jobs_lines
+        message = re.sub(r"detail line (\d+)", lambda m: f"detail line {detail_lines[int(m[1]) - 2]}", item.message)
+        return type(item)(line=lines[item.line - 2], message=message)
+
+    return [moved(item) if isinstance(item, RowError) else item for item in items]
+
+
 @settings(max_examples=200, deadline=None)
 @given(ragged_csv(JOBS_VALUES), st.none() | ragged_csv(DETAIL_VALUES))
 def test_csv_rows_read_as_dictreader_reads_them(jobs_text, details_text):
     with tempfile.TemporaryDirectory() as tmp:
         ragged = ingest_items(Path(tmp) / "ragged", jobs_text, details_text)
         plain_details = None if details_text is None else dictreader_csv(details_text)
-        expected = ingest_items(Path(tmp) / "plain", dictreader_csv(jobs_text), plain_details)
-    assert ragged == expected
+        plain = ingest_items(Path(tmp) / "plain", dictreader_csv(jobs_text), plain_details)
+    assert ragged == on_ragged_lines(plain, jobs_text, details_text)

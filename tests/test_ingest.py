@@ -1,4 +1,4 @@
-"""Config I/O, jobs CSV ingestion and per-project aggregation."""
+"""Config loading, jobs CSV ingestion and per-project aggregation."""
 
 import copy
 import json
@@ -16,12 +16,10 @@ from sumeter import (
     builtin_config,
     SystemConfig,
     charge_record,
-    config_to_dict,
     ingest_jobs,
     job_cost,
     load_config,
     parse_config,
-    save_config,
 )
 from conftest import TEST_CONFIG, write_jobs_csv
 
@@ -125,6 +123,38 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="maximum recursion depth"):
             load_config(path)
 
+    def test_float_text_is_read_exactly(self, tmp_path):
+        text = json.dumps(TEST_CONFIG).replace('"tdp_watts": 150,', '"tdp_watts": 150.00000000000000000001,', 1)
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        cpu = load_config(path).partition("work").node_type.cpus[0]
+        assert cpu.tdp_watts == Fraction("150.00000000000000000001")
+        assert cpu.peak_flops == 1500000000000  # written 1.5e12
+
+    def test_float_text_is_quoted_as_written_in_type_errors(self, tmp_path):
+        text = json.dumps(TEST_CONFIG).replace('"count": 2}', '"count": 2.0}', 1)
+        text = text.replace('"cores": 18,', '"cores": 1e400,', 1)
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).splitlines()[1:] == [
+            "- partitions[0].node.cpus[0].count: expected an integer, got 2.0",
+            "- partitions[0].node.cpus[0].cores: expected an integer, got 1e+400",
+        ]
+
+    @pytest.mark.parametrize(
+        "number, reason",
+        [("1." + "0" * 99, "number longer than 100 characters"), ("1e401", "decimal exponent beyond")],
+    )
+    def test_float_text_beyond_the_bound_is_a_config_error(self, tmp_path, number, reason):
+        text = json.dumps(TEST_CONFIG).replace('"tdp_watts": 150,', f'"tdp_watts": {number},', 1)
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=reason) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_duplicate_partition_names(self, tmp_path):
         entry = TEST_CONFIG["partitions"][0]
         path = tmp_path / "dup.json"
@@ -134,25 +164,6 @@ class TestLoadConfig:
 
 
 class TestConfigRoundTrip:
-    def test_weights_survive(self, config_path, tmp_path):
-        config = load_config(config_path)
-        out = tmp_path / "saved.json"
-        save_config(config, out)
-        reloaded = load_config(out)
-        assert [p.name for p in reloaded.partitions] == [p.name for p in config.partitions]
-        for original, again in zip(config.partitions, reloaded.partitions):
-            assert again.weight == original.weight
-            assert again.node_type == original.node_type
-            assert again.node_count == original.node_count
-
-    def test_dict_form_groups_processor_counts(self, config_path):
-        config = load_config(config_path)
-        data = config_to_dict(config)
-        work = data["partitions"][0]
-        assert work["node"]["cpus"] == [
-            {"name": "Xeon Gold 6240", "tdp_watts": 150, "peak_flops": 1500000000000, "count": 2, "cores": 18}
-        ]
-
     def test_builtin_config(self):
         config = builtin_config()
         assert config.partition("cpu").weight == 36
@@ -212,6 +223,17 @@ class TestIngestJobs:
         path.write_bytes((header + "\r\nj1,projA,work,1,1,0,2,1.0\r\n").encode())
         result = ingest_jobs(path, config)
         assert len(result.records) == 1 and not result.errors
+
+    def test_row_errors_name_the_physical_line(self, config_path, tmp_path):
+        config = load_config(config_path)
+        header = "job_id,project,partition,nodes,cores_per_node,gpus_per_node,mem_gib_per_node,elapsed_hours"
+        rows = ["", "", "j1,projA,work,1,99,0,2,1.0", 'j2,"proj\nA",work,1,1,0,2,1.0', "", "j3,projA,work,1,x,0,2,1.0"]
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        result = ingest_jobs(path, config)
+        # j2's quoted cell spans lines 5 and 6, and line 7 is blank
+        assert [(error.line, error.message[:10]) for error in result.errors] == [(4, "99 cores r"), (8, "cores_per_")]
+        assert len(result.records) == 1
 
     def test_heterogeneous_details(self, config_path, tmp_path):
         config = load_config(config_path)
@@ -330,10 +352,13 @@ def mutated_configs(draw):
             owner[key]
         except (KeyError, IndexError, TypeError):  # an earlier mutation took it away
             continue
+        if not isinstance(owner, (dict, list)):  # an earlier mutation made it a string
+            continue
         if draw(st.integers(0, 3)) == 0:
             del owner[key]
         else:
-            owner[key] = draw(json_values | st.sampled_from(EDGE_VALUES))
+            # a copy, so that a later mutation cannot nest a shared EDGE_VALUES list in itself
+            owner[key] = copy.deepcopy(draw(json_values | st.sampled_from(EDGE_VALUES)))
     return data
 
 
