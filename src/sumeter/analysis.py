@@ -12,26 +12,24 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .core import NodeType, RealLike, exact
+from .core import NodeType, RealLike, Value, exact
 from .display import format_real
 from .errors import ModelError, ValidationError
 from .models import ChargeModel
 
 
-@dataclass(frozen=True)
-class ApplicationBenchmark:
+class ApplicationBenchmark(Value):
     """An application and how many CPU nodes match one GPU node for it."""
 
-    name: str
-    perf_ratio: int
+    __slots__ = _fields = ("name", "perf_ratio")
 
-    def __post_init__(self) -> None:
-        if self.perf_ratio < 1:
-            raise ValidationError(f"benchmark {self.name!r}: perf_ratio must be at least 1")
+    def __init__(self, name: str, perf_ratio: int) -> None:
+        if perf_ratio < 1:
+            raise ValidationError(f"benchmark {name!r}: perf_ratio must be at least 1")
+        self._init(name, perf_ratio)
 
 
 class NodeChoice(enum.Enum):
@@ -39,15 +37,15 @@ class NodeChoice(enum.Enum):
     GPU = "gpu"
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
+class DecisionPoint(Value):
     """Outcome at one speedup: both prices, the pick, and its energy in Wh."""
 
-    speedup: Fraction
-    su_cpu: Fraction
-    su_gpu: Fraction
-    chosen: NodeChoice
-    ec_total_wh: Fraction
+    __slots__ = _fields = ("speedup", "su_cpu", "su_gpu", "chosen", "ec_total_wh")
+
+    def __init__(
+        self, speedup: Fraction, su_cpu: Fraction, su_gpu: Fraction, chosen: NodeChoice, ec_total_wh: Fraction
+    ) -> None:
+        self._init(speedup, su_cpu, su_gpu, chosen, ec_total_wh)
 
 
 def speedup_from_time(gpu_hours: RealLike) -> Fraction:

@@ -112,7 +112,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         print(f"partition: {args.partition}")
         print(f"model: {report.model_id}")
-        print(f"node-hour weight: {round_half_up(report.weight_used):,}")
+        print(f"node-hour weight: {format_su(round_half_up(report.weight_used))}")
         _print_fractions(report)
         print(f"estimated energy: {format_real(_energy_wh(job))} Wh")
         print(f"total: {format_su(report.total_su)} SU")
@@ -155,7 +155,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         print(f"{'model':<12} {'node-hour weight':>16} {'total SU':>14}")
         for model_id, report in reports:
-            print(f"{model_id:<12} {round_half_up(report.weight_used):>16,} {format_su(report.total_su):>14}")
+            print(f"{model_id:<12} {format_su(round_half_up(report.weight_used)):>16} {format_su(report.total_su):>14}")
     return 0
 
 
@@ -180,15 +180,15 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     summary_out = sys.stdout if args.out else sys.stderr
     cpu_weights = [model.node_weight(cpu_node) for model in models]
     if len(set(cpu_weights)) == 1:
-        print(f"cpu node-hour weight: {round_half_up(cpu_weights[0]):,}", file=summary_out)
+        print(f"cpu node-hour weight: {format_su(round_half_up(cpu_weights[0]))}", file=summary_out)
     else:
         for model, weight in zip(models, cpu_weights):
-            print(f"model {model.id}: cpu node-hour weight {round_half_up(weight):,}", file=summary_out)
+            print(f"model {model.id}: cpu node-hour weight {format_su(round_half_up(weight))}", file=summary_out)
     for model in models:
         weight = model.node_weight(gpu_node)
         threshold = decision_threshold(model, cpu_node, gpu_node)
         print(
-            f"model {model.id}: gpu node-hour weight {round_half_up(weight):,}, "
+            f"model {model.id}: gpu node-hour weight {format_su(round_half_up(weight))}, "
             f"decision threshold s = {format_threshold(threshold)}",
             file=summary_out,
         )

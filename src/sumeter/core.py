@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -85,43 +84,87 @@ def exact(value: RealLike) -> Fraction:
         raise ValidationError(f"not a number: {value!r}") from err
 
 
+# Sets a field while a value is built; a built value refuses assignment.
+set_field = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value types.
+
+    A subclass names its fields in `_fields` (also its `__slots__`, unless it
+    caches derived values in an instance dict) and sets them in its own
+    `__init__`. Values compare and hash by their fields, within one class
+    only. Copies and pickles are rebuilt through the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class ProcessorKind(enum.Enum):
     CPU = "cpu"
     GPU = "gpu"
 
 
-@dataclass(frozen=True)
-class ProcessorSpec:
+class ProcessorSpec(Value):
     """One CPU or GPU model: compute units, TDP and peak 64-bit FMA FLOP/s.
 
     CPUs carry a core count, GPUs a streaming-multiprocessor count; the
     other field must stay zero. TDP and peak FLOPs must be positive.
     """
 
-    name: str
-    kind: ProcessorKind
-    tdp_watts: Fraction
-    peak_flops: Fraction
-    cores: int = 0
-    streaming_multiprocessors: int = 0
+    __slots__ = _fields = ("name", "kind", "tdp_watts", "peak_flops", "cores", "streaming_multiprocessors")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tdp_watts", exact(self.tdp_watts))
-        object.__setattr__(self, "peak_flops", exact(self.peak_flops))
-        if self.tdp_watts <= 0:
-            raise ValidationError(f"processor {self.name!r}: tdp_watts must be positive")
-        if self.peak_flops <= 0:
-            raise ValidationError(f"processor {self.name!r}: peak_flops must be positive")
-        if self.kind is ProcessorKind.CPU:
-            if self.cores < 1:
-                raise ValidationError(f"CPU {self.name!r} needs at least one core")
-            if self.streaming_multiprocessors != 0:
-                raise ValidationError(f"CPU {self.name!r} must not declare streaming multiprocessors")
+    def __init__(
+        self,
+        name: str,
+        kind: ProcessorKind,
+        tdp_watts: RealLike,
+        peak_flops: RealLike,
+        cores: int = 0,
+        streaming_multiprocessors: int = 0,
+    ) -> None:
+        tdp_watts, peak_flops = exact(tdp_watts), exact(peak_flops)
+        if tdp_watts <= 0:
+            raise ValidationError(f"processor {name!r}: tdp_watts must be positive")
+        if peak_flops <= 0:
+            raise ValidationError(f"processor {name!r}: peak_flops must be positive")
+        if kind is ProcessorKind.CPU:
+            if cores < 1:
+                raise ValidationError(f"CPU {name!r} needs at least one core")
+            if streaming_multiprocessors != 0:
+                raise ValidationError(f"CPU {name!r} must not declare streaming multiprocessors")
         else:
-            if self.streaming_multiprocessors < 1:
-                raise ValidationError(f"GPU {self.name!r} needs at least one streaming multiprocessor")
-            if self.cores != 0:
-                raise ValidationError(f"GPU {self.name!r} must not declare CPU cores")
+            if streaming_multiprocessors < 1:
+                raise ValidationError(f"GPU {name!r} needs at least one streaming multiprocessor")
+            if cores != 0:
+                raise ValidationError(f"GPU {name!r} must not declare CPU cores")
+        self._init(name, kind, tdp_watts, peak_flops, cores, streaming_multiprocessors)
 
     @classmethod
     def cpu(cls, name: str, cores: int, tdp_watts: RealLike, peak_flops: RealLike) -> "ProcessorSpec":
@@ -155,8 +198,7 @@ def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class NodeType:
+class NodeType(Value):
     """Inventory of one compute-node flavour.
 
     `extra_resources` lists additional per-node consumables (for example
@@ -164,38 +206,35 @@ class NodeType:
     argument to the per-node max when a job requests it.
     """
 
-    name: str
-    cpus: tuple[ProcessorSpec, ...]
-    memory_total_gib: Fraction
-    gpus: tuple[ProcessorSpec, ...] = ()
-    extra_resources: tuple[tuple[str, Fraction], ...] = ()
+    # No __slots__: derived values are worked out once per node type and
+    # cached in the instance __dict__, outside the fields, so equality and
+    # hashing still use the fields only, and copies and pickles leave them behind.
+    _fields = ("name", "cpus", "memory_total_gib", "gpus", "extra_resources")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cpus", tuple(self.cpus))
-        object.__setattr__(self, "gpus", tuple(self.gpus))
-        object.__setattr__(self, "memory_total_gib", exact(self.memory_total_gib))
-        object.__setattr__(
-            self, "extra_resources", _normalize_pairs(self.extra_resources, f"node type {self.name!r}")
-        )
-        if not self.cpus:
-            raise ValidationError(f"node type {self.name!r} needs at least one CPU")
-        for spec in self.cpus:
+    def __init__(
+        self,
+        name: str,
+        cpus: Sequence[ProcessorSpec],
+        memory_total_gib: RealLike,
+        gpus: Sequence[ProcessorSpec] = (),
+        extra_resources: Mapping[str, RealLike] | Sequence[tuple[str, RealLike]] = (),
+    ) -> None:
+        cpus, gpus, memory_total_gib = tuple(cpus), tuple(gpus), exact(memory_total_gib)
+        extra_resources = _normalize_pairs(extra_resources, f"node type {name!r}")
+        if not cpus:
+            raise ValidationError(f"node type {name!r} needs at least one CPU")
+        for spec in cpus:
             if spec.kind is not ProcessorKind.CPU:
-                raise ValidationError(f"node type {self.name!r}: {spec.name!r} listed under cpus is not a CPU")
-        for spec in self.gpus:
+                raise ValidationError(f"node type {name!r}: {spec.name!r} listed under cpus is not a CPU")
+        for spec in gpus:
             if spec.kind is not ProcessorKind.GPU:
-                raise ValidationError(f"node type {self.name!r}: {spec.name!r} listed under gpus is not a GPU")
-        if self.memory_total_gib <= 0:
-            raise ValidationError(f"node type {self.name!r}: memory_total_gib must be positive")
-        for resource, capacity in self.extra_resources:
+                raise ValidationError(f"node type {name!r}: {spec.name!r} listed under gpus is not a GPU")
+        if memory_total_gib <= 0:
+            raise ValidationError(f"node type {name!r}: memory_total_gib must be positive")
+        for resource, capacity in extra_resources:
             if capacity <= 0:
-                raise ValidationError(f"node type {self.name!r}: capacity of {resource!r} must be positive")
-
-    # Derived values are worked out once per node type. The cache lives in
-    # the instance __dict__, outside the fields, so equality and hashing
-    # still use the fields only, and copies and pickles leave it behind.
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+                raise ValidationError(f"node type {name!r}: capacity of {resource!r} must be positive")
+        self._init(name, cpus, memory_total_gib, gpus, extra_resources)
 
     @cached_property
     def total_cores(self) -> int:
@@ -238,25 +277,37 @@ class NodeType:
         return MappingProxyType(dict(self.extra_resources))
 
 
-@dataclass(frozen=True)
-class NodeUsage:
+class NodeUsage(Value):
     """Resources requested on a single node. At least one quantity > 0."""
 
-    cores_used: int = 0
-    gpus_used: int = 0
-    memory_used_gib: Fraction = Fraction(0)
-    extra_used: tuple[tuple[str, Fraction], ...] = ()
+    __slots__ = _fields = ("cores_used", "gpus_used", "memory_used_gib", "extra_used")
+
+    # Built once per row or node, so each field is set by name, which is faster
+    # than `_init`. Validation stays in `__post_init__`, as in `JobRequest`:
+    # `bench/spans.py` wraps that method to count and time it.
+    def __init__(
+        self,
+        cores_used: int = 0,
+        gpus_used: int = 0,
+        memory_used_gib: RealLike = Fraction(0),
+        extra_used: Mapping[str, RealLike] | Sequence[tuple[str, RealLike]] = (),
+    ) -> None:
+        set_field(self, "cores_used", cores_used)
+        set_field(self, "gpus_used", gpus_used)
+        set_field(self, "memory_used_gib", memory_used_gib)
+        set_field(self, "extra_used", extra_used)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Signs are read off numerators (denominators are positive).
         memory = self.memory_used_gib
         if not isinstance(memory, Fraction):
             memory = exact(memory)
-            object.__setattr__(self, "memory_used_gib", memory)
+            set_field(self, "memory_used_gib", memory)
         extras = self.extra_used
         if extras != ():
             extras = _normalize_pairs(extras, "usage")
-            object.__setattr__(self, "extra_used", extras)
+            set_field(self, "extra_used", extras)
         if self.cores_used < 0 or self.gpus_used < 0:
             raise ValidationError("core and GPU counts must be nonnegative")
         if memory.numerator < 0:
@@ -383,7 +434,7 @@ def gpu_partition_weight(node: NodeType) -> Fraction:
     return node.gpu_tdp_watts / node.cpu_tdp_watts * node.total_cores
 
 
-class ChargeModel:
+class ChargeModel(Value):
     """A deterministic pricing scheme: a node-hour weight and a per-node fraction.
 
     Every model charges a job the same way, weight * hours * sum of the
@@ -445,7 +496,6 @@ class ChargeModel:
         )
 
 
-@dataclass(frozen=True)
 class EnergyModel(ChargeModel):
     """TDP-ratio GPU weighting; CPU nodes weigh their core count."""
 
@@ -455,43 +505,44 @@ class EnergyModel(ChargeModel):
         return gpu_partition_weight(node)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A named set of identical nodes billed under one charge model.
 
     `weight` is derived from the model once, at construction.
     """
 
-    name: str
-    node_type: NodeType
-    node_count: int = 1
-    model: ChargeModel = EnergyModel()
-    weight: Fraction = field(init=False)
+    __slots__ = _fields = ("name", "node_type", "node_count", "model", "weight")
 
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValidationError(f"partition {self.name!r}: node_count must be at least 1")
-        weight = self.model.node_weight(self.node_type)
+    def __init__(self, name: str, node_type: NodeType, node_count: int = 1, model: ChargeModel = EnergyModel()) -> None:
+        if node_count < 1:
+            raise ValidationError(f"partition {name!r}: node_count must be at least 1")
+        weight = model.node_weight(node_type)
         if weight <= 0:
-            raise ValidationError(f"partition {self.name!r}: weight must be positive")
-        object.__setattr__(self, "weight", weight)
+            raise ValidationError(f"partition {name!r}: weight must be positive")
+        self._init(name, node_type, node_count, model, weight)
+
+    def __reduce__(self):
+        return Partition, self._values()[:-1]  # the constructor derives the weight again
 
 
-@dataclass(frozen=True)
-class JobRequest:
+class JobRequest(Value):
     """A charging request: one partition, one usage entry per node, hours.
 
     Jobs may be heterogeneous (different usage on different nodes) but
     bind to a single partition.
     """
 
-    partition: Partition
-    per_node_usage: tuple[NodeUsage, ...]
-    walltime_hours: Fraction
+    __slots__ = _fields = ("partition", "per_node_usage", "walltime_hours")
+
+    def __init__(self, partition: Partition, per_node_usage: Sequence[NodeUsage], walltime_hours: RealLike) -> None:
+        set_field(self, "partition", partition)
+        set_field(self, "per_node_usage", per_node_usage)
+        set_field(self, "walltime_hours", walltime_hours)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_node_usage", tuple(self.per_node_usage))
-        object.__setattr__(self, "walltime_hours", exact(self.walltime_hours))
+        set_field(self, "per_node_usage", tuple(self.per_node_usage))
+        set_field(self, "walltime_hours", exact(self.walltime_hours))
         if not self.per_node_usage:
             raise ValidationError("a job must span at least one node")
         if self.walltime_hours.numerator < 0:
@@ -514,15 +565,24 @@ def _check_span(partition: Partition, nodes: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ChargeReport:
+class ChargeReport(Value):
     """Outcome of charging one job: total SU plus the per-node breakdown."""
 
-    model_id: str
-    total_su: Fraction
-    per_node_fraction: tuple[Fraction, ...]
-    weight_used: Fraction
-    walltime_hours: Fraction
+    __slots__ = _fields = ("model_id", "total_su", "per_node_fraction", "weight_used", "walltime_hours")
+
+    def __init__(
+        self,
+        model_id: str,
+        total_su: Fraction,
+        per_node_fraction: tuple[Fraction, ...],
+        weight_used: Fraction,
+        walltime_hours: Fraction,
+    ) -> None:
+        set_field(self, "model_id", model_id)
+        set_field(self, "total_su", total_su)
+        set_field(self, "per_node_fraction", per_node_fraction)
+        set_field(self, "weight_used", weight_used)
+        set_field(self, "walltime_hours", walltime_hours)
 
 
 def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fraction) -> Fraction:

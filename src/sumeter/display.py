@@ -3,7 +3,8 @@
 Values a float holds are formatted through `float`. A value beyond float
 range, or a nonzero value that would underflow to zero, is rounded from
 its numerator and denominator instead, to the same text `float` would give
-if its range were wide enough.
+if its range were wide enough. Integers are printed digit for digit at any
+size through `integer_text`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,26 @@ from fractions import Fraction
 from .core import RealLike, exact
 
 
+# `str` refuses integers past 4,300 digits, so longer ones are cut into chunks first.
+_DIGIT_CHUNK = 10**1000
+
+
 def round_half_up(value: RealLike) -> int:
     """Nearest integer, halves up; how node-hour weights are displayed."""
     return int(math.floor(exact(value) + Fraction(1, 2)))
+
+
+def integer_text(value: int, grouped: bool = False) -> str:
+    """All the decimal digits of `value`, with thousands separators when `grouped`."""
+    magnitude, chunks = abs(value), []
+    while magnitude >= _DIGIT_CHUNK:
+        magnitude, chunk = divmod(magnitude, _DIGIT_CHUNK)
+        chunks.append(f"{chunk:01000d}")
+    digits = str(magnitude) + "".join(reversed(chunks))
+    if grouped:
+        head = len(digits) % 3 or 3
+        digits = ",".join([digits[:head], *(digits[i : i + 3] for i in range(head, len(digits), 3))])
+    return "-" * (value < 0) + digits
 
 
 def as_float(value: Fraction) -> float | None:
@@ -49,7 +67,7 @@ def format_su(value: RealLike) -> str:
     """Service units for humans: thousands separators, 6 significant digits."""
     quantity = exact(value)
     if quantity.denominator == 1:
-        return f"{int(quantity):,}"
+        return integer_text(quantity.numerator, grouped=True)
     number = as_float(quantity)
     return _scientific(quantity, 6) if number is None else f"{number:,.6g}"
 
@@ -69,7 +87,7 @@ def format_threshold(value: RealLike) -> str:
         hundredths = round(quantity * 100)  # halves to even, as float formatting
         sign = "-" if hundredths < 0 else ""
         whole, cents = divmod(abs(hundredths), 100)
-        text = f"{sign}{whole}.{cents:02d}"
+        text = f"{sign}{integer_text(whole)}.{cents:02d}"
     else:
         text = f"{number:.2f}"
     return text.rstrip("0").rstrip(".")

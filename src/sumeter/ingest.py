@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -31,8 +30,10 @@ from .core import (
     NodeUsage,
     Partition,
     ProcessorSpec,
+    Value,
     job_cost,
     parse_real,
+    set_field,
 )
 from .display import as_float, format_real
 from .errors import AccountingError, CapacityError, ConfigError, ValidationError
@@ -51,17 +52,19 @@ JOBS_CSV_COLUMNS = (
 
 DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
 
-_PUHTI_PARAMETERS = tuple(parameter.name for parameter in fields(PuhtiModel))
-_PUHTI_RATE_NAMES = tuple(rate.name for rate in fields(PuhtiRates))
+_PUHTI_PARAMETERS = PuhtiModel._fields
+_PUHTI_RATE_NAMES = PuhtiRates._fields
 # A processor entry is copied `count` times into its node type.
 MAX_PROCESSOR_COUNT = 1024
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Value):
     """Validated partitions, each carrying the charge model it bills under."""
 
-    partitions: tuple[Partition, ...]
+    _fields = ("partitions",)  # no __slots__: `_by_name` is cached in the instance __dict__
+
+    def __init__(self, partitions: tuple[Partition, ...]) -> None:
+        self._init(partitions)
 
     def partition(self, name: str) -> Partition:
         try:
@@ -84,36 +87,52 @@ class SystemConfig:
         return None
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(Value):
     """One accounted job: who ran it, where, with what, for how long, and its charge."""
 
-    job_id: str
-    project: str
-    partition: str
-    node_usages: tuple[NodeUsage, ...]
-    elapsed_hours: Fraction
-    total_su: Fraction
+    __slots__ = _fields = ("job_id", "project", "partition", "node_usages", "elapsed_hours", "total_su")
+
+    def __init__(
+        self,
+        job_id: str,
+        project: str,
+        partition: str,
+        node_usages: tuple[NodeUsage, ...],
+        elapsed_hours: Fraction,
+        total_su: Fraction,
+    ) -> None:
+        set_field(self, "job_id", job_id)
+        set_field(self, "project", project)
+        set_field(self, "partition", partition)
+        set_field(self, "node_usages", node_usages)
+        set_field(self, "elapsed_hours", elapsed_hours)
+        set_field(self, "total_su", total_su)
 
 
-@dataclass(frozen=True)
-class RowError:
-    line: int
-    message: str
+class RowError(Value):
+    __slots__ = _fields = ("line", "message")
+
+    def __init__(self, line: int, message: str) -> None:
+        self._init(line, message)
 
 
 class DetailRowError(RowError):
     """A detail-file row that belongs to no jobs-file row; `line` is in the detail file."""
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(Value):
     """Records and errors of the jobs rows (`total_rows` counts both), plus orphan detail rows."""
 
-    records: tuple[JobRecord, ...]
-    errors: tuple[RowError, ...]
-    total_rows: int
-    orphans: tuple[DetailRowError, ...] = ()
+    __slots__ = _fields = ("records", "errors", "total_rows", "orphans")
+
+    def __init__(
+        self,
+        records: tuple[JobRecord, ...],
+        errors: tuple[RowError, ...],
+        total_rows: int,
+        orphans: tuple[DetailRowError, ...] = (),
+    ) -> None:
+        self._init(records, errors, total_rows, orphans)
 
 
 class RowTally:
@@ -140,16 +159,28 @@ class RowTally:
                 self.errors.append(item)
 
 
-@dataclass(frozen=True)
-class ProjectUsage:
-    total_su: Fraction
-    by_partition: dict[str, Fraction] = field(default_factory=dict)
+class ProjectUsage(Value):
+    __slots__ = _fields = ("total_su", "by_partition")
+
+    def __init__(self, total_su: Fraction, by_partition: dict[str, Fraction] | None = None) -> None:
+        self._init(total_su, {} if by_partition is None else by_partition)
+
+
+class _FloatText(Fraction):
+    """Config float text, read exactly by `parse_real`. Its repr, which errors
+    quote at any depth of a value, is the float the text spells."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        number = as_float(self)
+        return format_real(self) if number is None else repr(number)
 
 
 def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     """Parse a JSON number decimally (0.1 becomes exactly 1/10)."""
     if isinstance(raw, Fraction):  # float text, already read exactly by `load_config`
-        return raw
+        return Fraction(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         errors.append(f"{path}: expected a number, got {raw!r}")
         return Fraction(1)
@@ -159,24 +190,16 @@ def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     return Fraction(str(raw))
 
 
-def _shown(raw) -> str:
-    """A config value as an error quotes it; float text (read as a Fraction) as the float it spells."""
-    if not isinstance(raw, Fraction):
-        return repr(raw)
-    number = as_float(raw)
-    return format_real(raw) if number is None else repr(number)
-
-
 def _integer(raw, path: str, errors: list[str]) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        errors.append(f"{path}: expected an integer, got {_shown(raw)}")
+        errors.append(f"{path}: expected an integer, got {raw!r}")
         return 1
     return raw
 
 
 def _text(raw, path: str, errors: list[str]) -> str:
     if not isinstance(raw, str) or not raw:
-        errors.append(f"{path}: expected a non-empty string, got {_shown(raw)}")
+        errors.append(f"{path}: expected a non-empty string, got {raw!r}")
         return "?"
     return raw
 
@@ -185,7 +208,7 @@ def _list(raw, path: str, errors: list[str]) -> list:
     if not raw:
         return []
     if not isinstance(raw, list):
-        errors.append(f"{path}: expected a list, got {_shown(raw)}")
+        errors.append(f"{path}: expected a list, got {raw!r}")
         return []
     return raw
 
@@ -343,7 +366,7 @@ def load_config(path: str | Path) -> SystemConfig:
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
     try:
-        data = json.loads(text, parse_float=parse_real)
+        data = json.loads(text, parse_float=lambda number: _FloatText(parse_real(number)))
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     # an integer beyond the digit limit, float text beyond the number bound, or too deep a nesting

@@ -12,10 +12,9 @@ per-hour rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, exact, node_fraction
+from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, exact, node_fraction, set_field
 from .errors import ModelError, ValidationError
 
 
@@ -48,21 +47,23 @@ def titan_node_charge(cpu_cores: int, gpu_sms: int) -> int:
     return cpu_cores + gpu_sms
 
 
-@dataclass(frozen=True)
-class PuhtiRates:
+class PuhtiRates(Value):
     """Per-hour billing-unit rates, one per consumable resource."""
 
-    core: Fraction = Fraction(1)
-    memory_gib: Fraction = Fraction(1, 10)
-    nvme_gib: Fraction = Fraction(6, 1000)
-    gpu: Fraction = Fraction(60)
+    __slots__ = _fields = ("core", "memory_gib", "nvme_gib", "gpu")
 
-    def __post_init__(self) -> None:
-        for name in ("core", "memory_gib", "nvme_gib", "gpu"):
-            value = exact(getattr(self, name))
+    def __init__(
+        self,
+        core: RealLike = Fraction(1),
+        memory_gib: RealLike = Fraction(1, 10),
+        nvme_gib: RealLike = Fraction(6, 1000),
+        gpu: RealLike = Fraction(60),
+    ) -> None:
+        for name, value in zip(self._fields, (core, memory_gib, nvme_gib, gpu)):
+            value = exact(value)
             if value < 0:
                 raise ValidationError(f"rate {name!r} must be nonnegative")
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
 
 
 DEFAULT_PUHTI_RATES = PuhtiRates()
@@ -129,7 +130,6 @@ def puhti_tdp_core_ratio(
     return puhti_tdp_equivalence(gpu_tdp_watts, cpu_tdp_watts_per_socket, sockets, node_share) / per_core
 
 
-@dataclass(frozen=True)
 class SmModel(ChargeModel):
     """Streaming-multiprocessor GPU weighting; CPU nodes weigh their core count."""
 
@@ -139,7 +139,6 @@ class SmModel(ChargeModel):
         return sm_based_weight(node)
 
 
-@dataclass(frozen=True)
 class PeakPerfModel(ChargeModel):
     """Peak-FLOPs-ratio GPU weighting against the node's own CPUs.
 
@@ -154,7 +153,6 @@ class PeakPerfModel(ChargeModel):
         return peak_perf_weight(node, node)
 
 
-@dataclass(frozen=True)
 class TitanModel(ChargeModel):
     """Cores-plus-SMs weighting with exclusive-node semantics.
 
@@ -173,7 +171,6 @@ class TitanModel(ChargeModel):
         return Fraction(1)
 
 
-@dataclass(frozen=True)
 class PuhtiModel(ChargeModel):
     """Linear billing units per reserved core, GiB, NVMe GiB and GPU.
 
@@ -183,10 +180,11 @@ class PuhtiModel(ChargeModel):
     so reports keep the total = weight * hours * sum(fractions) identity.
     """
 
-    rates: PuhtiRates = field(default_factory=PuhtiRates)
-    nvme_resource: str = "nvme_gib"
-
+    _fields = ("rates", "nvme_resource")
     id = "puhti"
+
+    def __init__(self, rates: PuhtiRates = DEFAULT_PUHTI_RATES, nvme_resource: str = "nvme_gib") -> None:
+        self._init(rates, nvme_resource)
 
     def node_weight(self, node: NodeType) -> Fraction:
         nvme_capacity = node.extra_capacities.get(self.nvme_resource, Fraction(0))
@@ -197,7 +195,7 @@ class PuhtiModel(ChargeModel):
         last = self.__dict__.get("_last_full_node")
         if last is None or last[0] is not node:
             last = (node, self.node_weight(node))
-            object.__setattr__(self, "_last_full_node", last)
+            set_field(self, "_last_full_node", last)
         return last[1]
 
     def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:

@@ -10,11 +10,10 @@ deltas instead of normalising them away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import ApplicationBenchmark
-from .core import NodeType, ProcessorSpec, RealLike, exact
+from .core import NodeType, ProcessorSpec, RealLike, Value, exact
 from .display import format_real, format_su, round_half_up
 from .errors import ValidationError
 from .models import ChargeModel, get_model
@@ -60,13 +59,13 @@ def reference_gpu_node(memory_total_gib: RealLike = 256) -> NodeType:
     )
 
 
-@dataclass(frozen=True)
-class BenchmarkTableRow:
-    application: str
-    perf_ratio: int
-    cpu_charge: Fraction
-    gpu_charge: Fraction
-    cost_ratio: Fraction
+class BenchmarkTableRow(Value):
+    __slots__ = _fields = ("application", "perf_ratio", "cpu_charge", "gpu_charge", "cost_ratio")
+
+    def __init__(
+        self, application: str, perf_ratio: int, cpu_charge: Fraction, gpu_charge: Fraction, cost_ratio: Fraction
+    ) -> None:
+        self._init(application, perf_ratio, cpu_charge, gpu_charge, cost_ratio)
 
 
 def build_table(
@@ -92,14 +91,15 @@ def build_table(
     ]
 
 
-@dataclass(frozen=True)
-class PublishedTable:
+class PublishedTable(Value):
     """A published table kept verbatim: charges and printed cost ratios."""
 
-    number: int
-    model_id: str
-    gpu_charge: int
-    rows: tuple[tuple[str, int, int, str], ...]  # application, perf ratio, cpu charge, printed ratio
+    __slots__ = _fields = ("number", "model_id", "gpu_charge", "rows")
+
+    def __init__(
+        self, number: int, model_id: str, gpu_charge: int, rows: tuple[tuple[str, int, int, str], ...]
+    ) -> None:
+        self._init(number, model_id, gpu_charge, rows)  # a row: application, perf ratio, cpu charge, printed ratio
 
 
 PUBLISHED_TABLES: dict[int, PublishedTable] = {
@@ -185,18 +185,41 @@ def printed_ratio_matches(computed: RealLike, printed: str, tolerance: Fraction 
     return min(abs(truncated - target), abs(half_up - target)) <= tolerance
 
 
-@dataclass(frozen=True)
-class RowComparison:
+class RowComparison(Value):
     """A regenerated row against its published counterpart."""
 
-    row: BenchmarkTableRow
-    published_cpu_charge: int
-    published_gpu_charge: int
-    published_ratio: str
-    cpu_charge_matches: bool
-    gpu_charge_matches: bool
-    ratio_delta: Fraction
-    ratio_matches: bool
+    __slots__ = _fields = (
+        "row",
+        "published_cpu_charge",
+        "published_gpu_charge",
+        "published_ratio",
+        "cpu_charge_matches",
+        "gpu_charge_matches",
+        "ratio_delta",
+        "ratio_matches",
+    )
+
+    def __init__(
+        self,
+        row: BenchmarkTableRow,
+        published_cpu_charge: int,
+        published_gpu_charge: int,
+        published_ratio: str,
+        cpu_charge_matches: bool,
+        gpu_charge_matches: bool,
+        ratio_delta: Fraction,
+        ratio_matches: bool,
+    ) -> None:
+        self._init(
+            row,
+            published_cpu_charge,
+            published_gpu_charge,
+            published_ratio,
+            cpu_charge_matches,
+            gpu_charge_matches,
+            ratio_delta,
+            ratio_matches,
+        )
 
     @property
     def matches(self) -> bool:
@@ -251,7 +274,7 @@ def table_text(table_number: int, comparisons: list[RowComparison]) -> str:
         row = comparison.row
         lines.append(
             f"{row.application:<18} {row.perf_ratio:>10} {format_su(row.cpu_charge):>11} "
-            f"{round_half_up(row.gpu_charge):>11,} {format_real(row.cost_ratio):>10} "
+            f"{format_su(round_half_up(row.gpu_charge)):>11} {format_real(row.cost_ratio):>10} "
             f"{comparison.published_ratio:>9} {float(comparison.ratio_delta):>+8.4f}"
         )
     matching = sum(1 for c in comparisons if c.matches)

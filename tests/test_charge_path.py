@@ -11,7 +11,6 @@ parsed, orphan detail rows, the number-size and node-count guards,
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -26,6 +25,7 @@ import pytest
 import sumeter.core
 from sumeter import (
     CapacityError,
+    JobRecord,
     JobRequest,
     NodeUsage,
     aggregate,
@@ -207,7 +207,10 @@ def test_ingest_charges_each_row_once_while_parsing(monkeypatch, config_path, tm
 def test_aggregate_sums_the_charge_each_record_carries(config_path, tmp_path):
     config = load_config(config_path)
     result = ingest_jobs(write_jobs_csv(tmp_path / "jobs.csv", ["a,projA,work,1,1,0,2,1.0"]), config)
-    record = dataclasses.replace(result.records[0], total_su=Fraction(7, 3))
+    charged = result.records[0]
+    record = JobRecord(
+        charged.job_id, charged.project, charged.partition, charged.node_usages, charged.elapsed_hours, Fraction(7, 3)
+    )
     assert aggregate([record], config)["projA"].by_partition == {"work": Fraction(7, 3)}
 
 
@@ -278,6 +281,26 @@ def test_a_config_integer_beyond_the_digit_limit_is_a_config_error(tmp_path):
     path.write_text('{"partitions": [{"name": "p", "node_count": ' + "1" * 5000 + "}]}", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_weights_past_the_str_digit_limit_print_every_digit(capsys, tmp_path):
+    """A 4,201-digit GPU TDP over a 1e-300 CPU TDP gives a weight of 72 * 10**4500."""
+    data = copy.deepcopy(TEST_CONFIG)
+    data["partitions"][1]["node"]["cpus"][0]["tdp_watts"] = "CPU_TDP"
+    data["partitions"][1]["node"]["gpus"][0]["tdp_watts"] = "GPU_TDP"
+    text = json.dumps(data).replace('"CPU_TDP"', "1e-300").replace('"GPU_TDP"', "1" + "0" * 4200)
+    path = tmp_path / "giant.json"
+    path.write_text(text, encoding="utf-8")
+    weight = "72" + ",000" * 1500  # 4 GPUs over 2 CPUs, times 36 cores
+    job = ["--partition", "gpu", "--gpus-per-node", "1", "--hours", "1"]
+    assert main(["--config", str(path), "estimate", *job]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"node-hour weight: {weight}"
+    assert lines[-1] == "total: 18" + ",000" * 1500 + " SU"  # one GPU of four
+    assert main(["--config", str(path), "compare", "--models", "energy", *job]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[1] == weight
+    assert main(["--config", str(path), "crossover", "--models", "energy,sm", "--steps", "2"]) == 0
+    assert f"model energy: gpu node-hour weight {weight}, " in capsys.readouterr().err
 
 
 def crossover_summary(capsys, models):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sumeter.display import format_real, format_su, format_threshold
+from sumeter.display import format_real, format_su, format_threshold, integer_text
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 
@@ -51,3 +51,26 @@ def test_values_a_float_holds_print_as_before(number):
     assert format_threshold(value) == f"{number:.2f}".rstrip("0").rstrip(".")
     if value.denominator != 1:
         assert format_su(value) == f"{number:,.6g}"
+
+
+@given(st.integers(-(10**30), 10**30))
+def test_integers_print_as_str_and_format_do(number):
+    assert integer_text(number) == str(number)
+    assert integer_text(number, grouped=True) == f"{number:,}" == format_su(number)
+
+
+@pytest.mark.parametrize(
+    "number", [10**1000 - 1, 10**1000, 10**1000 + 7, -(10**2000) - 1, 10**3000 + 10**1000 + 1, 123 * 10**4000]
+)
+def test_integers_across_digit_chunks(number):
+    assert integer_text(number) == str(number)
+    assert integer_text(number, grouped=True) == f"{number:,}"
+
+
+def test_integers_past_the_str_digit_limit_print_every_digit():
+    huge = 36 * 10**4500  # str() refuses it: more than 4,300 digits
+    assert integer_text(huge) == "36" + "0" * 4500
+    grouped = format_su(huge)
+    assert grouped == "36" + ",000" * 1500
+    assert format_su(-huge) == "-" + grouped
+    assert format_threshold(Fraction(10**5000) + Fraction(1, 4)) == "1" + "0" * 5000 + ".25"

@@ -7,8 +7,8 @@ and exponent bounds, `weight * hours * sum(node_fraction)` in Fraction
 arithmetic, and `csv.DictReader`.
 """
 
+import copy
 import csv
-import dataclasses
 import io
 import re
 import tempfile
@@ -135,7 +135,7 @@ def priced_jobs(draw):
         if kind == "same":
             per_node.append(shared)
         elif kind == "copy":
-            per_node.append(dataclasses.replace(shared))
+            per_node.append(copy.copy(shared))
         else:
             per_node.append(draw(nvme_usages(node)))
     return JobRequest(partition, tuple(per_node), draw(st.fractions(min_value=0, max_value=100, max_denominator=1000)))

@@ -143,6 +143,25 @@ class TestLoadConfig:
             "- partitions[0].node.cpus[0].cores: expected an integer, got 1e+400",
         ]
 
+    def test_nested_float_text_is_quoted_as_written_in_type_errors(self, tmp_path):
+        text = json.dumps(TEST_CONFIG).replace('"gpus": []', '"gpus": {"a": 1.5, "b": [[2.5e400]]}', 1)
+        text = text.replace('"cores": 18,', '"cores": [{"x": 0.1}],', 1)
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).splitlines()[1:] == [
+            "- partitions[0].node.cpus[0].cores: expected an integer, got [{'x': 0.1}]",
+            "- partitions[0].node.gpus: expected a list, got {'a': 1.5, 'b': [[2.5e+400]]}",
+        ]
+
+    def test_float_text_is_read_as_a_plain_fraction(self, tmp_path):
+        text = json.dumps(TEST_CONFIG).replace('"tdp_watts": 150,', '"tdp_watts": 150.5,', 1)
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        cpu = load_config(path).partition("work").node_type.cpus[0]
+        assert type(cpu.tdp_watts) is Fraction and repr(cpu.tdp_watts) == "Fraction(301, 2)"
+
     @pytest.mark.parametrize(
         "number, reason",
         [("1." + "0" * 99, "number longer than 100 characters"), ("1e401", "decimal exponent beyond")],

@@ -1,7 +1,7 @@
 """Property-based checks of the charging invariants."""
 
+import copy
 import csv
-import dataclasses
 import io
 import math
 import tempfile
@@ -99,7 +99,7 @@ def mixed_usage_jobs(draw, model_id):
         if kind == "same":
             per_node.append(shared)
         elif kind == "copy":
-            per_node.append(dataclasses.replace(shared))
+            per_node.append(copy.copy(shared))
         else:
             per_node.append(draw(usages(node)))
     walltime = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
@@ -117,8 +117,8 @@ def test_charge_equals_the_naive_per_node_sum(job):
 
 @given(node_types(), st.dictionaries(st.sampled_from(("nvme_gib", "scratch")), st.integers(1, 4000)))
 def test_cached_node_values_equal_their_sums(node, extras):
-    node = dataclasses.replace(node, extra_resources=extras)
-    fresh = dataclasses.replace(node)
+    node = NodeType(node.name, node.cpus, node.memory_total_gib, node.gpus, extras)
+    fresh = copy.copy(node)
     expected = {
         "total_cores": sum(c.cores for c in node.cpus),
         "gpu_count": len(node.gpus),
@@ -285,7 +285,7 @@ def kernel_node_types(draw):
             st.fractions(min_value=Fraction(1, 100), max_value=4000, max_denominator=100),
         )
     )
-    return dataclasses.replace(node, memory_total_gib=memory, extra_resources=extras)
+    return NodeType(node.name, node.cpus, memory, node.gpus, extras)
 
 
 def edge_integers(capacity):
