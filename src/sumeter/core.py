@@ -16,11 +16,12 @@ energy-efficient hardware for their job.
 
 That is the default `energy` model. Each partition carries a
 `ChargeModel`, which supplies the weight and may replace the per-node
-fraction; `sumeter.models` holds the rival models.
+share; `sumeter.models` holds the rival models.
 
 All arithmetic is exact. Inputs are converted to `fractions.Fraction` on
 entry (floats keep their binary value; strings such as "0.1" are read as
-decimals) and values are rounded only for display.
+decimals); a charge is summed in integers, its per-node shares being
+ints over the core or GPU count, and values are rounded only for display.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import enum
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -94,24 +96,27 @@ class Value:
     A subclass names its fields in `_fields` (also its `__slots__`, unless it
     caches derived values in an instance dict) and sets them in its own
     `__init__`. Values compare and hash by their fields, within one class
-    only. Copies and pickles are rebuilt through the constructor.
+    only, read as a tuple by `_values`, one getter built per class. Copies
+    and pickles are rebuilt through the constructor.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields  # `attrgetter` of one name gives the bare value, not a tuple
+        get = attrgetter(*fields) if len(fields) > 1 else lambda value: tuple([getattr(value, f) for f in fields])
+        cls._values = staticmethod(get)
+
     def _init(self, *values) -> None:
         for name, value in zip(self._fields, values):
             set_field(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
@@ -123,7 +128,7 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class ProcessorKind(enum.Enum):
@@ -328,28 +333,25 @@ class NodeUsage(Value):
 # building a Fraction per resource.
 def _cores_used(usage: NodeUsage, node: NodeType) -> int:
     if usage.cores_used > node.total_cores:
-        raise CapacityError(
-            f"{usage.cores_used} cores requested but node type {node.name!r} has {node.total_cores}"
-        )
+        raise CapacityError(f"{usage.cores_used} cores requested but node type {node.name!r} has {node.total_cores}")
     return usage.cores_used
 
 
 def _gpus_used(usage: NodeUsage, node: NodeType) -> int:
     if usage.gpus_used > node.gpu_count:
-        raise CapacityError(
-            f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {node.gpu_count}"
-        )
+        raise CapacityError(f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {node.gpu_count}")
     return usage.gpus_used
 
 
-def _memory_shares(usage: NodeUsage, node: NodeType) -> int:
-    """Whole per-core memory shares the request occupies: ceil(used * C / M)."""
+def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
+    """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M)."""
     used = usage.memory_used_gib
     used_num, used_den = used.numerator, used.denominator
     total = node.memory_total_gib
     if used_num * total.denominator > total.numerator * used_den:
+        from .display import format_real  # exact for any size; display imports this module
         raise CapacityError(
-            f"{float(used):g} GiB requested but node type {node.name!r} has {float(total):g} GiB"
+            f"{format_real(used)} GiB requested but node type {node.name!r} has {format_real(total)} GiB"
         )
     share = node.memory_per_core_gib
     return -(-(used_num * share.denominator) // (used_den * share.numerator))
@@ -375,16 +377,11 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     node charges the whole node: it leaves nothing for anyone else even if
     a single core was asked for. Zero requested memory charges zero.
     """
-    return Fraction(_memory_shares(usage, node), node.total_cores)
+    return Fraction(core_equivalent(usage, node), node.total_cores)
 
 
-def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
-    """Number of cores the memory request is charged as (0 when no memory)."""
-    return _memory_shares(usage, node)
-
-
-def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Largest fraction of any single resource the request occupies.
+def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
+    """Largest fraction of any single resource the request occupies, as (numerator, denominator).
 
     Extra resources named in the usage must exist on the node type and add
     amount/capacity terms to the max. Raises CapacityError whenever any
@@ -393,25 +390,41 @@ def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     """
     cores = _cores_used(usage, node)
     gpus = _gpus_used(usage, node)
-    steps = max(cores, _memory_shares(usage, node))  # over C, the core count
+    steps = max(cores, core_equivalent(usage, node))  # over C, the core count
     # gpus / G against steps / C, cross-multiplied; gpus > 0 implies G > 0
     if gpus * node.total_cores > steps * node.gpu_count:
-        best = Fraction(gpus, node.gpu_count)
+        numerator, denominator = gpus, node.gpu_count
     else:
-        best = Fraction(steps, node.total_cores)
-    if usage.extra_used:
-        capacities = node.extra_capacities
-        for resource, amount in usage.extra_used:
-            if resource not in capacities:
-                raise CapacityError(f"node type {node.name!r} has no resource {resource!r}")
-            if amount > capacities[resource]:
-                raise CapacityError(
-                    f"{float(amount):g} of {resource!r} requested but node type {node.name!r} "
-                    f"has {float(capacities[resource]):g}"
-                )
-            if amount > 0:
-                best = max(best, amount / capacities[resource])
-    return best
+        numerator, denominator = steps, node.total_cores
+    capacities = node.extra_capacities
+    for resource, amount in usage.extra_used:
+        if resource not in capacities:
+            raise CapacityError(f"node type {node.name!r} has no resource {resource!r}")
+        capacity = capacities[resource]
+        term = amount.numerator * capacity.denominator, amount.denominator * capacity.numerator
+        if term[0] > term[1]:
+            from .display import format_real  # exact for any size; display imports this module
+            raise CapacityError(
+                f"{format_real(amount)} of {resource!r} requested but node type {node.name!r} "
+                f"has {format_real(capacity)}"
+            )
+        if term[0] * denominator > numerator * term[1]:  # the larger term, cross-multiplied
+            numerator, denominator = term
+    return numerator, denominator
+
+
+def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
+    """`node_share` as a Fraction: the max-fraction rule."""
+    return Fraction(*node_share(usage, node))
+
+
+def add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y for two (numerator, denominator) pairs, combined over the gcd and not reduced."""
+    (a, b), (c, d) = x, y
+    if b == d:
+        return a + c, b
+    common = math.gcd(b, d)
+    return a * (d // common) + c * (b // common), b * (d // common)
 
 
 def watt_to_su_rate(cpu: ProcessorSpec) -> Fraction:
@@ -435,12 +448,12 @@ def gpu_partition_weight(node: NodeType) -> Fraction:
 
 
 class ChargeModel(Value):
-    """A deterministic pricing scheme: a node-hour weight and a per-node fraction.
+    """A deterministic pricing scheme: a node-hour weight and a per-node share.
 
     Every model charges a job the same way, weight * hours * sum of the
-    per-node fractions; a model supplies the weight and may replace the
-    fraction. A CPU-only node weighs its core count unless the model
-    overrides `node_weight` itself.
+    per-node shares, summed in integers; a model supplies the weight and
+    may replace `node_share`. A CPU-only node weighs its core count unless
+    the model overrides `node_weight` itself.
     """
 
     id: str
@@ -455,45 +468,38 @@ class ChargeModel(Value):
         """Node-hour weight of a node that has GPUs."""
         raise NotImplementedError
 
+    def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
+        """Share of one node the usage is charged for, as (numerator, denominator): the max rule."""
+        return node_share(usage, node)
+
     def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
-        """Share of one node the usage is charged for: the max-fraction rule."""
-        return node_fraction(usage, node)
+        """`node_share` as a Fraction."""
+        return Fraction(*self.node_share(usage, node))
+
+    def total(self, job: JobRequest) -> tuple[int, int]:
+        """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
+        return self._priced(job)[0]
 
     def charge(self, job: JobRequest) -> ChargeReport:
-        """Charge a job on its partition's node type under this model.
+        """Charge a job on its partition's node type under this model."""
+        total, shares, repeat, weight = self._priced(job)
+        per_node = tuple([Fraction(*share) for share in shares]) * repeat
+        return ChargeReport(self.id, Fraction(*total), per_node, weight, job.walltime_hours)
 
-        The fraction is worked out once per distinct usage object; a
-        uniform job repeats one object on every node. The fractions are
-        summed as integers over their common denominator, and the total
-        is built as one Fraction.
-        """
-        partition = job.partition
-        node = partition.node_type
+    def _priced(self, job: JobRequest):
+        """The total, the node shares (`repeat` times over) and the weight; a uniform job is priced once."""
+        partition, usages = job.partition, job.per_node_usage
+        node, first = partition.node_type, usages[0]
+        if usages[-1] is first and usages.count(first) == len(usages):
+            shares, repeat = [self.node_share(first, node)], len(usages)
+        else:
+            shares, repeat = [self.node_share(usage, node) for usage in usages], 1
+        units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
         hours = job.walltime_hours
-        usages = job.per_node_usage
-        fractions: dict[int, Fraction] = {}
-        for usage in usages:
-            if id(usage) not in fractions:
-                fractions[id(usage)] = self.node_fraction(usage, node)
-        if len(fractions) == 1:  # a uniform job: the node count times its one fraction
-            (fraction,) = fractions.values()
-            per_node = (fraction,) * len(usages)
-            units, denominator = len(usages) * fraction.numerator, fraction.denominator
-        else:
-            per_node = tuple(fractions[id(usage)] for usage in usages)
-            denominator = math.lcm(*(fraction.denominator for fraction in fractions.values()))
-            units = sum(fraction.numerator * (denominator // fraction.denominator) for fraction in per_node)
-        return ChargeReport(
-            model_id=self.id,
-            total_su=Fraction(
-                weight.numerator * hours.numerator * units, weight.denominator * hours.denominator * denominator
-            ),
-            per_node_fraction=per_node,
-            weight_used=weight,
-            walltime_hours=hours,
-        )
+        numerator = weight.numerator * hours.numerator * units * repeat
+        return (numerator, weight.denominator * hours.denominator * denominator), shares, repeat, weight
 
 
 class EnergyModel(ChargeModel):
@@ -522,7 +528,7 @@ class Partition(Value):
         self._init(name, node_type, node_count, model, weight)
 
     def __reduce__(self):
-        return Partition, self._values()[:-1]  # the constructor derives the weight again
+        return Partition, self._values(self)[:-1]  # the constructor derives the weight again
 
 
 class JobRequest(Value):
@@ -578,11 +584,7 @@ class ChargeReport(Value):
         weight_used: Fraction,
         walltime_hours: Fraction,
     ) -> None:
-        set_field(self, "model_id", model_id)
-        set_field(self, "total_su", total_su)
-        set_field(self, "per_node_fraction", per_node_fraction)
-        set_field(self, "weight_used", weight_used)
-        set_field(self, "walltime_hours", walltime_hours)
+        self._init(model_id, total_su, per_node_fraction, weight_used, walltime_hours)
 
 
 def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fraction) -> Fraction:

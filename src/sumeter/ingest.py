@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +31,7 @@ from .core import (
     Partition,
     ProcessorSpec,
     Value,
+    add_ratios,
     job_cost,
     parse_real,
     set_field,
@@ -517,15 +518,9 @@ def _parse_job_row(
             memory_used_gib=_row_real(memory, "mem_gib_per_node"),
         )
         job = JobRequest.uniform(partition, nodes, usage, elapsed)
-    # Charging checks every capacity: a row that does not fit raises here.
-    return JobRecord(
-        job_id=job_id,
-        project=project,
-        partition=partition.name,
-        node_usages=job.per_node_usage,
-        elapsed_hours=elapsed,
-        total_su=job_cost(job).total_su,
-    )
+    # Pricing checks every capacity: a row that does not fit raises here.
+    total_su = Fraction(*partition.model.total(job))
+    return JobRecord(job_id, project, partition.name, job.per_node_usage, elapsed, total_su)
 
 
 def iter_jobs(
@@ -590,16 +585,18 @@ def aggregate(records: Iterable[JobRecord], config: SystemConfig) -> dict[str, P
     """Per-project totals with per-partition subtotals, summed exactly.
 
     Sums the charge each record carries from ingestion; `config` is not read.
+    Each sum is an integer numerator over a running denominator, built as
+    one Fraction at the end.
     """
-    subtotals: dict[str, dict[str, Fraction]] = {}
+    sums: dict[str, dict[str, tuple[int, int]]] = {}
     for record in records:
-        su = record.total_su
-        per_partition = subtotals.setdefault(record.project, {})
-        per_partition[record.partition] = per_partition.get(record.partition, Fraction(0)) + su
+        su, per_partition = record.total_su, sums.setdefault(record.project, {})
+        running = per_partition.get(record.partition, (0, 1))
+        per_partition[record.partition] = add_ratios(running, (su.numerator, su.denominator))
     return {
         project: ProjectUsage(
-            total_su=sum(parts.values(), start=Fraction(0)),
-            by_partition=dict(sorted(parts.items())),
+            total_su=Fraction(*reduce(add_ratios, parts.values())),
+            by_partition={partition: Fraction(*parts[partition]) for partition in sorted(parts)},
         )
-        for project, parts in sorted(subtotals.items())
+        for project, parts in sorted(sums.items())
     }

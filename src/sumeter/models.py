@@ -1,7 +1,8 @@
 """Pluggable charge models behind one interface.
 
 Every model supplies a node-hour weight and may replace the per-node
-fraction; `ChargeModel.charge` (in `core`, with `EnergyModel`) turns
+share, `node_share`, an integer (numerator, denominator) pair;
+`ChargeModel.total` and `charge` (in `core`, with `EnergyModel`) turn
 those into a charge the same way for all of them. `energy` prices a GPU
 node by the TDP ratio of its GPUs to its CPUs; `sm` by the
 streaming-multiprocessor count; `peak-perf` by the ratio of its GPUs' peak
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, exact, node_fraction, set_field
+from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, exact, node_share, set_field
 from .errors import ModelError, ValidationError
 
 
@@ -166,9 +167,9 @@ class TitanModel(ChargeModel):
     def gpu_node_weight(self, node: NodeType) -> Fraction:
         return Fraction(titan_node_charge(node.total_cores, node.total_streaming_multiprocessors))
 
-    def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
-        node_fraction(usage, node)  # capacity validation only
-        return Fraction(1)
+    def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
+        node_share(usage, node)  # capacity validation only
+        return 1, 1
 
 
 class PuhtiModel(ChargeModel):
@@ -176,8 +177,8 @@ class PuhtiModel(ChargeModel):
 
     NVMe usage and capacity are read from the extra resource named by
     `nvme_resource`. The node-hour weight is the hourly cost of a whole
-    node, and per-node fractions are each node's hourly bill over that,
-    so reports keep the total = weight * hours * sum(fractions) identity.
+    node, and per-node shares are each node's hourly bill over that, so
+    reports keep the total = weight * hours * sum(fractions) identity.
     """
 
     _fields = ("rates", "nvme_resource")
@@ -198,8 +199,8 @@ class PuhtiModel(ChargeModel):
             set_field(self, "_last_full_node", last)
         return last[1]
 
-    def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
-        node_fraction(usage, node)  # capacity validation
+    def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
+        node_share(usage, node)  # capacity validation
         full_node = self._full_node_bill(node)
         if full_node.numerator <= 0:
             raise ModelError("the configured rates price a whole node at zero")
@@ -207,7 +208,7 @@ class PuhtiModel(ChargeModel):
         hourly, denominator = _puhti_bill(
             self.rates, usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1
         )
-        return Fraction(hourly * full_node.denominator, denominator * full_node.numerator)
+        return hourly * full_node.denominator, denominator * full_node.numerator
 
 
 _MODEL_CLASSES = {

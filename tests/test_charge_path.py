@@ -22,9 +22,9 @@ from pathlib import Path
 
 import pytest
 
-import sumeter.core
 from sumeter import (
     CapacityError,
+    ChargeModel,
     JobRecord,
     JobRequest,
     NodeUsage,
@@ -176,8 +176,8 @@ def test_uniform_job_prices_its_usage_once(monkeypatch, config_path):
     partition = load_config(config_path).partition("work")
     model = partition.model
     calls = []
-    original = type(model).node_fraction
-    monkeypatch.setattr(type(model), "node_fraction", lambda self, u, n: calls.append(u) or original(self, u, n))
+    original = type(model).node_share
+    monkeypatch.setattr(type(model), "node_share", lambda self, u, n: calls.append(u) or original(self, u, n))
     report = model.charge(JobRequest.uniform(partition, 64, NodeUsage(cores_used=9), 2))
     assert len(calls) == 1
     assert report.per_node_fraction == (Fraction(1, 4),) * 64
@@ -191,15 +191,17 @@ def test_ingest_charges_each_row_once_while_parsing(monkeypatch, config_path, tm
     )
     details = write_details_csv(tmp_path / "details.csv", ["j1,1,9,0,1", "j1,0,36,0,256"])
     config = load_config(config_path)
-    built, priced = [], []
+    built, priced, totals = [], [], []
     post_init = JobRequest.__post_init__
     monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
-    fraction = sumeter.core.node_fraction
-    monkeypatch.setattr(sumeter.core, "node_fraction", lambda u, n: priced.append(u) or fraction(u, n))
+    share, total = ChargeModel.node_share, ChargeModel.total
+    monkeypatch.setattr(ChargeModel, "node_share", lambda self, u, n: priced.append(u) or share(self, u, n))
+    monkeypatch.setattr(ChargeModel, "total", lambda self, job: totals.append(job) or total(self, job))
     result = ingest_jobs(jobs, config, details_path=details)
     assert not result.errors
     assert len(built) == 3  # one JobRequest per row
     assert len(priced) == 4  # two detail usages, then one per uniform job
+    assert totals == built  # one total per row, of the row's own JobRequest
     assert [r.total_su for r in result.records] == [charge_record(r, config).total_su for r in result.records]
     assert result.records[0].total_su == 45  # fractions 1 and 1/4 at weight 36 for one hour
 

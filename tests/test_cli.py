@@ -416,3 +416,33 @@ class TestBeyondFloatRange:
             "1,36,4.8e+399,cpu,300,36,432,cpu,300",
             "20,36,2.4e+398,cpu,300,36,21.6,gpu,2e+399",
         ]
+
+
+class TestCapacityBeyondFloatRange:
+    """An over-capacity amount beyond float range is a clean error, not an OverflowError traceback."""
+
+    MESSAGE = "1e+400 GiB requested but node type 'dual-xeon-6240' has 256 GiB"
+
+    def test_jobs_row(self, capsys, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,pA,work,1,1,0,1e400,1", "j2,pA,work,1,36,0,0,1"])
+        code, out, err = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs))
+        assert code == 1
+        assert out == "project,partition,total_su\npA,work,36\npA,ALL,36\n"
+        assert err == f"{jobs}:2: {self.MESSAGE}\n2 rows: 1 charged, 1 rejected\n"
+
+    def test_detail_row(self, capsys, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,pA,work,2,0,0,0,1"])
+        details = tmp_path / "details.csv"
+        details.write_text("job_id,node_index,cores,gpus,mem_gib\nj1,0,1,0,1\nj1,1,1,0,1e400\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs), "--details", str(details)
+        )
+        assert code == 1
+        assert err == f"{jobs}:2: {self.MESSAGE}\n1 rows: 0 charged, 1 rejected\n"
+
+    def test_estimate(self, capsys, config_path):
+        code, out, err = run(
+            capsys, "--config", str(config_path),
+            "estimate", "--partition", "work", "--mem-gib-per-node", "1e400", "--hours", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: {self.MESSAGE}\n")

@@ -1,15 +1,17 @@
 """The integer-rational kernel against the plain forms it replaces.
 
-Numbers are parsed, charged and read from CSV on plain integers, with one
-normalised Fraction built per value. Each property here compares that
-kernel with the straightforward form: `Fraction(text)` behind the length
-and exponent bounds, `weight * hours * sum(node_fraction)` in Fraction
-arithmetic, and `csv.DictReader`.
+Numbers are parsed, charged, summed and read from CSV on plain integers,
+with one normalised Fraction built per value. Each property here compares
+that kernel with the straightforward form: `Fraction(text)` behind the
+length and exponent bounds, each model's per-node rule and
+`weight * hours * sum(node_fraction)` in Fraction arithmetic, per-project
+sums of Fractions, and `csv.DictReader`.
 """
 
 import copy
 import csv
 import io
+import math
 import re
 import tempfile
 from fractions import Fraction
@@ -21,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 from sumeter import (
     MODEL_IDS,
     AccountingError,
+    CapacityError,
     DetailRowError,
+    JobRecord,
     JobRequest,
     NodeType,
     NodeUsage,
@@ -31,12 +35,15 @@ from sumeter import (
     PuhtiRates,
     RowError,
     ValidationError,
+    aggregate,
     get_model,
     iter_jobs,
     parse_real,
 )
 from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH
-from test_properties import DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES
+from test_properties import (
+    DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, kernel_node_types, rule_fraction
+)
 
 # ---------------------------------------------------------------- parse_real
 
@@ -152,6 +159,33 @@ def plain_puhti_fraction(model, usage, node):
     return hourly / whole
 
 
+def plain_model_fraction(model, usage, node):
+    """A model's per-node rule in plain Fraction arithmetic, after the same capacity checks."""
+    fraction = rule_fraction(usage, node)
+    if model.id == "titan":
+        return Fraction(1)
+    if model.id == "puhti":
+        return plain_puhti_fraction(model, usage, node)
+    return fraction
+
+
+@settings(max_examples=300)
+@given(models, kernel_node_types().flatmap(lambda node: st.tuples(st.just(node), edge_usages(node))))
+def test_node_share_equals_the_plain_rule(model, case):
+    node, usage = case
+    try:
+        expected = plain_model_fraction(model, usage, node)
+    except CapacityError as err:
+        for price in (model.node_share, model.node_fraction):
+            with pytest.raises(CapacityError) as excinfo:
+                price(usage, node)
+            assert str(excinfo.value) == str(err)
+    else:
+        numerator, denominator = model.node_share(usage, node)
+        assert type(numerator) is int and type(denominator) is int and denominator > 0
+        assert Fraction(numerator, denominator) == expected == model.node_fraction(usage, node)
+
+
 @settings(max_examples=300)
 @given(priced_jobs())
 def test_integer_charge_equals_the_naive_fraction_sum(job):
@@ -162,8 +196,45 @@ def test_integer_charge_equals_the_naive_fraction_sum(job):
     report = model.charge(job)
     assert report.per_node_fraction == naive
     expected = model.node_weight(node) * job.walltime_hours * sum(naive)
+    assert Fraction(*model.total(job)) == expected
     assert type(report.total_su) is Fraction
     assert (report.total_su.numerator, report.total_su.denominator) == (expected.numerator, expected.denominator)
+
+
+# ----------------------------------------------------------------- aggregate
+
+WEIGHTS = (Fraction(1), Fraction(36), Fraction(2328, 5), Fraction(192), Fraction(1490, 3), Fraction(62, 7))
+
+
+@st.composite
+def charged_records(draw):
+    """Records whose charges are weight * hours * shares, hours over 1, 10 and 100."""
+    records = []
+    for i in range(draw(st.integers(0, 40))):
+        hours = Fraction(draw(st.integers(0, 10**5)), draw(st.sampled_from((1, 10, 100))))
+        shares = Fraction(draw(st.integers(1, 256)), draw(st.sampled_from((1, 4, 36, 40, 64))))
+        charge = draw(st.sampled_from(WEIGHTS)) * hours * shares
+        project, partition = draw(st.sampled_from(("p1", "p2", "p3"))), draw(st.sampled_from(("cpu", "gpu", "x")))
+        records.append(JobRecord(f"j{i}", project, partition, (), hours, charge))
+    return records
+
+
+@settings(max_examples=200)
+@given(charged_records())
+def test_integer_aggregate_equals_plain_fraction_sums(records):
+    expected = {}
+    for record in records:
+        per_partition = expected.setdefault(record.project, {})
+        per_partition[record.partition] = per_partition.get(record.partition, 0) + record.total_su
+    usage = aggregate(records, FUZZ_CONFIG)
+    assert list(usage) == sorted(expected)
+    for project, project_usage in usage.items():
+        assert list(project_usage.by_partition) == sorted(expected[project])
+        assert project_usage.by_partition == expected[project]
+        assert project_usage.total_su == sum(expected[project].values())
+        for value in (project_usage.total_su, *project_usage.by_partition.values()):
+            assert type(value) is Fraction
+            assert math.gcd(value.numerator, value.denominator) == 1
 
 
 # ---------------------------------------------------------------- csv reader

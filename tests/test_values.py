@@ -134,8 +134,8 @@ def test_equal_values_are_equal_and_hash_alike(cls, make, fields):
     if cls is ProjectUsage:  # a dict field makes it unhashable, as a frozen dataclass with one was
         with pytest.raises(TypeError):
             hash(first)
-    else:
-        assert hash(first) == hash(second)
+    else:  # the hash of the field tuple, one-field and field-less classes too
+        assert hash(first) == hash(second) == hash(tuple(getattr(first, name) for name in fields))
     assert first != object() and first != tuple(getattr(first, name) for name in fields)
 
 
