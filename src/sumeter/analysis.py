@@ -29,7 +29,7 @@ class ApplicationBenchmark(Value):
     def __init__(self, name: str, perf_ratio: int) -> None:
         if perf_ratio < 1:
             raise ValidationError(f"benchmark {name!r}: perf_ratio must be at least 1")
-        self._init(name, perf_ratio)
+        super().__init__(name, perf_ratio)
 
 
 class NodeChoice(enum.Enum):
@@ -41,11 +41,6 @@ class DecisionPoint(Value):
     """Outcome at one speedup: both prices, the pick, and its energy in Wh."""
 
     __slots__ = _fields = ("speedup", "su_cpu", "su_gpu", "chosen", "ec_total_wh")
-
-    def __init__(
-        self, speedup: Fraction, su_cpu: Fraction, su_gpu: Fraction, chosen: NodeChoice, ec_total_wh: Fraction
-    ) -> None:
-        self._init(speedup, su_cpu, su_gpu, chosen, ec_total_wh)
 
 
 def speedup_from_time(gpu_hours: RealLike) -> Fraction:
@@ -84,12 +79,15 @@ def decide_and_energy(
     else:
         chosen = NodeChoice.GPU
         energy = hours / s * gpu_node.gpu_tdp_watts
-    return DecisionPoint(speedup=s, su_cpu=su_cpu, su_gpu=su_gpu, chosen=chosen, ec_total_wh=energy)
+    return DecisionPoint(s, su_cpu, su_gpu, chosen, energy)
 
 
 def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeType) -> Fraction:
     """Speedup above which the model prices the GPU node cheaper: w_gpu / w_cpu."""
-    return model.node_weight(gpu_node) / model.node_weight(cpu_node)
+    cpu_weight = model.node_weight(cpu_node)
+    if cpu_weight == 0:
+        raise ModelError(f"model {model.id!r} prices CPU node type {cpu_node.name!r} at zero; no decision threshold")
+    return model.node_weight(gpu_node) / cpu_weight
 
 
 def crossover_sweep(
@@ -99,7 +97,6 @@ def crossover_sweep(
     s_min: RealLike = 1,
     s_max: RealLike = 20,
     steps: int = 96,
-    baseline_hours: RealLike = 1,
 ) -> list[DecisionPoint]:
     """Decision points at `steps` evenly spaced speedups over [s_min, s_max].
 
@@ -113,7 +110,7 @@ def crossover_sweep(
         raise ValidationError("need at least 2 sweep steps")
     span = high - low
     return [
-        decide_and_energy(low + span * i / (steps - 1), model, cpu_node, gpu_node, baseline_hours)
+        decide_and_energy(low + span * i / (steps - 1), model, cpu_node, gpu_node)
         for i in range(steps)
     ]
 
@@ -148,10 +145,9 @@ def write_sweep_csv(
     s_min: RealLike = 1,
     s_max: RealLike = 20,
     steps: int = 96,
-    baseline_hours: RealLike = 1,
 ) -> None:
     """Emit plot data, one row per speedup and one column group per model."""
-    sweeps = [crossover_sweep(m, cpu_node, gpu_node, s_min, s_max, steps, baseline_hours) for m in models]
+    sweeps = [crossover_sweep(m, cpu_node, gpu_node, s_min, s_max, steps) for m in models]
     writer = csv.writer(out, lineterminator="\n")
     header = ["speedup"]
     for model in models:

@@ -70,17 +70,14 @@ def _model_for(partition: Partition, override: str | None) -> ChargeModel:
     return get_model(override)
 
 
-def _usage_from_args(args: argparse.Namespace) -> NodeUsage:
-    return NodeUsage(
+def _job_from_args(config: SystemConfig, args: argparse.Namespace) -> JobRequest:
+    partition = config.partition(args.partition)
+    usage = NodeUsage(
         cores_used=args.cores_per_node,
         gpus_used=args.gpus_per_node,
         memory_used_gib=args.mem_gib_per_node,
     )
-
-
-def _job_from_args(config: SystemConfig, args: argparse.Namespace) -> JobRequest:
-    partition = config.partition(args.partition)
-    return JobRequest.uniform(partition, args.nodes, _usage_from_args(args), args.hours)
+    return JobRequest.uniform(partition, args.nodes, usage, args.hours)
 
 
 def _energy_wh(job: JobRequest) -> Fraction:
@@ -141,21 +138,19 @@ def _report_json(partition: str, report: ChargeReport, energy_wh: Fraction) -> d
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     job = _job_from_args(config, args)
-    reports = [
-        (model_id, _model_for(job.partition, model_id).charge(job))
-        for model_id in _models_arg(args.models)
-    ]
+    reports = [_model_for(job.partition, model_id).charge(job) for model_id in _models_arg(args.models)]
     if args.format == "json":
         energy_wh = _energy_wh(job)
-        print(json.dumps([{**_report_json(args.partition, r, energy_wh), "model_id": m} for m, r in reports]))
+        print(json.dumps([_report_json(args.partition, report, energy_wh) for report in reports]))
     elif args.format == "csv":
         print("model_id,total_su,weight_used")
-        for model_id, report in reports:
-            print(f"{model_id},{format_real(report.total_su)},{format_real(report.weight_used)}")
+        for report in reports:
+            print(f"{report.model_id},{format_real(report.total_su)},{format_real(report.weight_used)}")
     else:
         print(f"{'model':<12} {'node-hour weight':>16} {'total SU':>14}")
-        for model_id, report in reports:
-            print(f"{model_id:<12} {format_su(round_half_up(report.weight_used)):>16} {format_su(report.total_su):>14}")
+        for report in reports:
+            weight = format_su(round_half_up(report.weight_used))
+            print(f"{report.model_id:<12} {weight:>16} {format_su(report.total_su):>14}")
     return 0
 
 

@@ -35,6 +35,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
+from .display import format_real
 from .errors import CapacityError, ModelError, ValidationError
 
 RealLike = Union[int, float, Fraction, str]
@@ -93,11 +94,14 @@ set_field = object.__setattr__
 class Value:
     """Base of the immutable value types.
 
-    A subclass names its fields in `_fields` (also its `__slots__`, unless it
-    caches derived values in an instance dict) and sets them in its own
-    `__init__`. Values compare and hash by their fields, within one class
-    only, read as a tuple by `_values`, one getter built per class. Copies
-    and pickles are rebuilt through the constructor.
+    A subclass names its fields in `_fields`, each of them a slot (its
+    `__slots__` adds `__dict__` where it caches derived values). The base
+    constructor takes the fields by position or by name and sets each one
+    through its slot; a subclass that validates its input or has defaults
+    defines its own `__init__` and passes the fields on to `super().__init__`.
+    Values compare and hash by their fields, within one class only, read as
+    a tuple by `_values`, one getter built per class. Copies and pickles are
+    rebuilt through the constructor.
     """
 
     __slots__ = ()
@@ -107,10 +111,22 @@ class Value:
         fields = cls._fields  # `attrgetter` of one name gives the bare value, not a tuple
         get = attrgetter(*fields) if len(fields) > 1 else lambda value: tuple([getattr(value, f) for f in fields])
         cls._values = staticmethod(get)
+        cls._setters = tuple([getattr(cls, name).__set__ for name in fields])
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            set_field(self, name, value)
+    def __init__(self, *values, **named) -> None:
+        setters = self._setters
+        if named or len(values) != len(setters):
+            title, fields = type(self).__name__, self._fields
+            if len(values) > len(fields):
+                raise TypeError(f"{title} takes {len(fields)} fields {fields}, got {len(values)} values")
+            rest = fields[len(values) :]  # the fields that must come by name
+            for name in (*named, *rest):  # unknown or repeated names first, then missing ones
+                if (name in named) != (name in rest):
+                    problem = "missing" if name in rest else "repeated" if name in fields else "unknown"
+                    raise TypeError(f"{title}: {problem} field {name!r}")
+            values += tuple([named[name] for name in rest])
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def __eq__(self, other):
         return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
@@ -169,11 +185,11 @@ class ProcessorSpec(Value):
                 raise ValidationError(f"GPU {name!r} needs at least one streaming multiprocessor")
             if cores != 0:
                 raise ValidationError(f"GPU {name!r} must not declare CPU cores")
-        self._init(name, kind, tdp_watts, peak_flops, cores, streaming_multiprocessors)
+        super().__init__(name, kind, tdp_watts, peak_flops, cores, streaming_multiprocessors)
 
     @classmethod
     def cpu(cls, name: str, cores: int, tdp_watts: RealLike, peak_flops: RealLike) -> "ProcessorSpec":
-        return cls(name, ProcessorKind.CPU, exact(tdp_watts), exact(peak_flops), cores=cores)
+        return cls(name, ProcessorKind.CPU, tdp_watts, peak_flops, cores=cores)
 
     @classmethod
     def gpu(
@@ -182,8 +198,8 @@ class ProcessorSpec(Value):
         return cls(
             name,
             ProcessorKind.GPU,
-            exact(tdp_watts),
-            exact(peak_flops),
+            tdp_watts,
+            peak_flops,
             streaming_multiprocessors=streaming_multiprocessors,
         )
 
@@ -211,10 +227,11 @@ class NodeType(Value):
     argument to the per-node max when a job requests it.
     """
 
-    # No __slots__: derived values are worked out once per node type and
-    # cached in the instance __dict__, outside the fields, so equality and
-    # hashing still use the fields only, and copies and pickles leave them behind.
+    # Derived values are worked out once per node type and cached in the
+    # instance __dict__, outside the fields, so equality and hashing still use
+    # the fields only, and copies and pickles leave them behind.
     _fields = ("name", "cpus", "memory_total_gib", "gpus", "extra_resources")
+    __slots__ = (*_fields, "__dict__")
 
     def __init__(
         self,
@@ -239,7 +256,7 @@ class NodeType(Value):
         for resource, capacity in extra_resources:
             if capacity <= 0:
                 raise ValidationError(f"node type {name!r}: capacity of {resource!r} must be positive")
-        self._init(name, cpus, memory_total_gib, gpus, extra_resources)
+        super().__init__(name, cpus, memory_total_gib, gpus, extra_resources)
 
     @cached_property
     def total_cores(self) -> int:
@@ -288,7 +305,7 @@ class NodeUsage(Value):
     __slots__ = _fields = ("cores_used", "gpus_used", "memory_used_gib", "extra_used")
 
     # Built once per row or node, so each field is set by name, which is faster
-    # than `_init`. Validation stays in `__post_init__`, as in `JobRequest`:
+    # than the base constructor. Validation stays in `__post_init__`, as in `JobRequest`:
     # `bench/spans.py` wraps that method to count and time it.
     def __init__(
         self,
@@ -349,7 +366,6 @@ def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     used_num, used_den = used.numerator, used.denominator
     total = node.memory_total_gib
     if used_num * total.denominator > total.numerator * used_den:
-        from .display import format_real  # exact for any size; display imports this module
         raise CapacityError(
             f"{format_real(used)} GiB requested but node type {node.name!r} has {format_real(total)} GiB"
         )
@@ -403,7 +419,6 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
         capacity = capacities[resource]
         term = amount.numerator * capacity.denominator, amount.denominator * capacity.numerator
         if term[0] > term[1]:
-            from .display import format_real  # exact for any size; display imports this module
             raise CapacityError(
                 f"{format_real(amount)} of {resource!r} requested but node type {node.name!r} "
                 f"has {format_real(capacity)}"
@@ -525,7 +540,7 @@ class Partition(Value):
         weight = model.node_weight(node_type)
         if weight <= 0:
             raise ValidationError(f"partition {name!r}: weight must be positive")
-        self._init(name, node_type, node_count, model, weight)
+        super().__init__(name, node_type, node_count, model, weight)
 
     def __reduce__(self):
         return Partition, self._values(self)[:-1]  # the constructor derives the weight again
@@ -561,7 +576,7 @@ class JobRequest(Value):
     ) -> "JobRequest":
         """Identical usage replicated across `nodes` nodes."""
         _check_span(partition, nodes)  # before `nodes` copies are made
-        return cls(partition, (usage,) * nodes, exact(walltime_hours))
+        return cls(partition, (usage,) * nodes, walltime_hours)
 
 
 def _check_span(partition: Partition, nodes: int) -> None:
@@ -575,16 +590,6 @@ class ChargeReport(Value):
     """Outcome of charging one job: total SU plus the per-node breakdown."""
 
     __slots__ = _fields = ("model_id", "total_su", "per_node_fraction", "weight_used", "walltime_hours")
-
-    def __init__(
-        self,
-        model_id: str,
-        total_su: Fraction,
-        per_node_fraction: tuple[Fraction, ...],
-        weight_used: Fraction,
-        walltime_hours: Fraction,
-    ) -> None:
-        self._init(model_id, total_su, per_node_fraction, weight_used, walltime_hours)
 
 
 def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fraction) -> Fraction:

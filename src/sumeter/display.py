@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import RealLike, exact
-
 
 # `str` refuses integers past 4,300 digits, so longer ones are cut into chunks first.
 _DIGIT_CHUNK = 10**1000
 
 
-def round_half_up(value: RealLike) -> int:
+def round_half_up(value: int | Fraction) -> int:
     """Nearest integer, halves up; how node-hour weights are displayed."""
-    return int(math.floor(exact(value) + Fraction(1, 2)))
+    return int(math.floor(Fraction(value) + Fraction(1, 2)))
 
 
 def integer_text(value: int, grouped: bool = False) -> str:
@@ -63,25 +61,25 @@ def _scientific(value: Fraction, digits: int) -> str:
     return f"{sign}{lead}{'.' if rest else ''}{rest}e{exponent:+03d}"
 
 
-def format_su(value: RealLike) -> str:
+def format_su(value: int | Fraction) -> str:
     """Service units for humans: thousands separators, 6 significant digits."""
-    quantity = exact(value)
+    quantity = Fraction(value)
     if quantity.denominator == 1:
         return integer_text(quantity.numerator, grouped=True)
     number = as_float(quantity)
     return _scientific(quantity, 6) if number is None else f"{number:,.6g}"
 
 
-def format_real(value: RealLike) -> str:
+def format_real(value: int | Fraction) -> str:
     """Machine-readable real: dot-decimal, 6 significant digits."""
-    quantity = exact(value)
+    quantity = Fraction(value)
     number = as_float(quantity)
     return _scientific(quantity, 6) if number is None else f"{number:.6g}"
 
 
-def format_threshold(value: RealLike) -> str:
+def format_threshold(value: int | Fraction) -> str:
     """A speedup threshold at two decimals, trailing zeros trimmed."""
-    quantity = exact(value)
+    quantity = Fraction(value)
     number = as_float(quantity)
     if number is None:
         hundredths = round(quantity * 100)  # halves to even, as float formatting

@@ -62,10 +62,8 @@ MAX_PROCESSOR_COUNT = 1024
 class SystemConfig(Value):
     """Validated partitions, each carrying the charge model it bills under."""
 
-    _fields = ("partitions",)  # no __slots__: `_by_name` is cached in the instance __dict__
-
-    def __init__(self, partitions: tuple[Partition, ...]) -> None:
-        self._init(partitions)
+    _fields = ("partitions",)
+    __slots__ = (*_fields, "__dict__")  # `_by_name` is cached in the instance __dict__
 
     def partition(self, name: str) -> Partition:
         try:
@@ -113,9 +111,6 @@ class JobRecord(Value):
 class RowError(Value):
     __slots__ = _fields = ("line", "message")
 
-    def __init__(self, line: int, message: str) -> None:
-        self._init(line, message)
-
 
 class DetailRowError(RowError):
     """A detail-file row that belongs to no jobs-file row; `line` is in the detail file."""
@@ -133,7 +128,7 @@ class IngestResult(Value):
         total_rows: int,
         orphans: tuple[DetailRowError, ...] = (),
     ) -> None:
-        self._init(records, errors, total_rows, orphans)
+        super().__init__(records, errors, total_rows, orphans)
 
 
 class RowTally:
@@ -162,9 +157,6 @@ class RowTally:
 
 class ProjectUsage(Value):
     __slots__ = _fields = ("total_su", "by_partition")
-
-    def __init__(self, total_su: Fraction, by_partition: dict[str, Fraction] | None = None) -> None:
-        self._init(total_su, {} if by_partition is None else by_partition)
 
 
 class _FloatText(Fraction):
@@ -550,18 +542,18 @@ def iter_jobs(
             if job_id:
                 detail_lines.pop(job_id, None)
                 if job_id in charged_ids:
-                    yield RowError(line=line, message=f"duplicate job_id {job_id!r}")
+                    yield RowError(line, f"duplicate job_id {job_id!r}")
                     continue
             try:
                 record = _parse_job_row(job_id, cells, config, details, poisoned)
             except (ValidationError, CapacityError) as err:
-                yield RowError(line=line, message=str(err))
+                yield RowError(line, str(err))
             else:
                 charged_ids.add(job_id)
                 yield record
     for line, job_id in sorted((line, job_id) for job_id, lines in detail_lines.items() for line in lines):
         message = f"job_id {job_id!r} matches no jobs row" if job_id else "job_id: must be non-empty"
-        yield DetailRowError(line=line, message=message)
+        yield DetailRowError(line, message)
 
 
 def ingest_jobs(

@@ -181,11 +181,11 @@ class PuhtiModel(ChargeModel):
     reports keep the total = weight * hours * sum(fractions) identity.
     """
 
-    _fields = ("rates", "nvme_resource")
+    __slots__ = _fields = ("rates", "nvme_resource")
     id = "puhti"
 
     def __init__(self, rates: PuhtiRates = DEFAULT_PUHTI_RATES, nvme_resource: str = "nvme_gib") -> None:
-        self._init(rates, nvme_resource)
+        super().__init__(rates, nvme_resource)
 
     def node_weight(self, node: NodeType) -> Fraction:
         nvme_capacity = node.extra_capacities.get(self.nvme_resource, Fraction(0))

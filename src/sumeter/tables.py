@@ -44,28 +44,23 @@ def embedded_fixture() -> tuple[ProcessorSpec, ProcessorSpec, tuple[ApplicationB
     return REFERENCE_CPU, REFERENCE_GPU, apps
 
 
-def reference_cpu_node(memory_total_gib: RealLike = 256) -> NodeType:
-    """Dual-socket reference CPU node: 36 cores, 300 W, 3 TFLOPs."""
-    return NodeType("dual-xeon-6240", cpus=(REFERENCE_CPU,) * 2, memory_total_gib=exact(memory_total_gib))
+def reference_cpu_node() -> NodeType:
+    """Dual-socket reference CPU node: 36 cores, 300 W, 3 TFLOPs, 256 GiB."""
+    return NodeType("dual-xeon-6240", cpus=(REFERENCE_CPU,) * 2, memory_total_gib=256)
 
 
-def reference_gpu_node(memory_total_gib: RealLike = 256) -> NodeType:
-    """Reference GPU node: same CPU complement plus four A100s."""
+def reference_gpu_node() -> NodeType:
+    """Reference GPU node: same CPU complement and memory plus four A100s."""
     return NodeType(
         "quad-a100",
         cpus=(REFERENCE_CPU,) * 2,
-        memory_total_gib=exact(memory_total_gib),
+        memory_total_gib=256,
         gpus=(REFERENCE_GPU,) * 4,
     )
 
 
 class BenchmarkTableRow(Value):
     __slots__ = _fields = ("application", "perf_ratio", "cpu_charge", "gpu_charge", "cost_ratio")
-
-    def __init__(
-        self, application: str, perf_ratio: int, cpu_charge: Fraction, gpu_charge: Fraction, cost_ratio: Fraction
-    ) -> None:
-        self._init(application, perf_ratio, cpu_charge, gpu_charge, cost_ratio)
 
 
 def build_table(
@@ -94,12 +89,8 @@ def build_table(
 class PublishedTable(Value):
     """A published table kept verbatim: charges and printed cost ratios."""
 
+    # a row: application, perf ratio, cpu charge, printed ratio
     __slots__ = _fields = ("number", "model_id", "gpu_charge", "rows")
-
-    def __init__(
-        self, number: int, model_id: str, gpu_charge: int, rows: tuple[tuple[str, int, int, str], ...]
-    ) -> None:
-        self._init(number, model_id, gpu_charge, rows)  # a row: application, perf ratio, cpu charge, printed ratio
 
 
 PUBLISHED_TABLES: dict[int, PublishedTable] = {
@@ -168,13 +159,13 @@ PUBLISHED_TABLES: dict[int, PublishedTable] = {
 RATIO_TOLERANCE = Fraction(1, 100)
 
 
-def printed_ratio_matches(computed: RealLike, printed: str, tolerance: Fraction = RATIO_TOLERANCE) -> bool:
+def printed_ratio_matches(computed: RealLike, printed: str) -> bool:
     """Whether a computed ratio agrees with a printed one at its precision.
 
     The published ratios mix truncation and half-up rounding (and one table
     quotes a rounded weight), so the computed value is quantised to the
     printed number of decimals under both conventions and the closer one
-    must land within the tolerance.
+    must land within `RATIO_TOLERANCE`.
     """
     value = exact(computed)
     target = Fraction(printed)
@@ -182,7 +173,7 @@ def printed_ratio_matches(computed: RealLike, printed: str, tolerance: Fraction 
     quantum = Fraction(10) ** decimals
     truncated = Fraction(math.floor(value * quantum), 1) / quantum
     half_up = Fraction(math.floor(value * quantum + Fraction(1, 2)), 1) / quantum
-    return min(abs(truncated - target), abs(half_up - target)) <= tolerance
+    return min(abs(truncated - target), abs(half_up - target)) <= RATIO_TOLERANCE
 
 
 class RowComparison(Value):
@@ -199,39 +190,13 @@ class RowComparison(Value):
         "ratio_matches",
     )
 
-    def __init__(
-        self,
-        row: BenchmarkTableRow,
-        published_cpu_charge: int,
-        published_gpu_charge: int,
-        published_ratio: str,
-        cpu_charge_matches: bool,
-        gpu_charge_matches: bool,
-        ratio_delta: Fraction,
-        ratio_matches: bool,
-    ) -> None:
-        self._init(
-            row,
-            published_cpu_charge,
-            published_gpu_charge,
-            published_ratio,
-            cpu_charge_matches,
-            gpu_charge_matches,
-            ratio_delta,
-            ratio_matches,
-        )
-
     @property
     def matches(self) -> bool:
         return self.cpu_charge_matches and self.gpu_charge_matches and self.ratio_matches
 
 
-def compare_with_published(
-    table_number: int,
-    cpu_node: NodeType | None = None,
-    gpu_node: NodeType | None = None,
-) -> list[RowComparison]:
-    """Regenerate a published table and report per-row deltas.
+def compare_with_published(table_number: int) -> list[RowComparison]:
+    """Regenerate a published table on the reference nodes and report per-row deltas.
 
     CPU and GPU charges must match exactly (the GPU weight after display
     rounding); cost ratios must agree at the printed precision.
@@ -240,10 +205,8 @@ def compare_with_published(
         published = PUBLISHED_TABLES[table_number]
     except KeyError:
         raise ValidationError(f"no published table {table_number}; have {sorted(PUBLISHED_TABLES)}") from None
-    cpu_node = cpu_node if cpu_node is not None else reference_cpu_node()
-    gpu_node = gpu_node if gpu_node is not None else reference_gpu_node()
     _, _, apps = embedded_fixture()
-    rows = build_table(get_model(published.model_id), apps, cpu_node, gpu_node)
+    rows = build_table(get_model(published.model_id), apps, reference_cpu_node(), reference_gpu_node())
     comparisons = []
     for row, (app, _, cpu_charge, printed_ratio) in zip(rows, published.rows):
         assert row.application == app

@@ -9,6 +9,8 @@ from sumeter import (
     ApplicationBenchmark,
     ModelError,
     NodeChoice,
+    PuhtiModel,
+    PuhtiRates,
     ValidationError,
     crossover_sweep,
     decide_and_energy,
@@ -86,6 +88,14 @@ class TestThresholds:
             just_above = decide_and_energy(threshold * Fraction(1001, 1000), model, cpu_node, gpu_node)
             assert just_below.chosen is NodeChoice.CPU
             assert just_above.chosen is NodeChoice.GPU
+
+    def test_a_cpu_node_priced_at_zero_is_a_model_error(self, cpu_node, gpu_node):
+        gpu_only = PuhtiModel(PuhtiRates(core=0, memory_gib=0, nvme_gib=0, gpu=60))
+        assert gpu_only.node_weight(cpu_node) == 0 and gpu_only.node_weight(gpu_node) == 240
+        with pytest.raises(ModelError, match="model 'puhti' prices CPU node type 'dual-xeon-6240' at zero"):
+            decision_threshold(gpu_only, cpu_node, gpu_node)
+        with pytest.raises(ModelError, match="model 'puhti'"):
+            efficiency_band([ENERGY, gpu_only], cpu_node, gpu_node)
 
 
 class TestCrossoverSweep:

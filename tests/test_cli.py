@@ -202,6 +202,22 @@ class TestCrossover:
         # 40 cores at 2 + 38.4 GiB-rate + 8.94 NVMe-rate + 4 GPUs at 60; the default rates give 327
         assert "model puhti: gpu node-hour weight 367," in err
 
+    def test_a_model_pricing_the_cpu_node_at_zero_is_an_error(self, capsys, tmp_path):
+        data = copy.deepcopy(TEST_CONFIG)
+        data["partitions"][4]["model_parameters"] = {"rates": {"core": 0, "memory_gib": 0, "nvme_gib": 0, "gpu": 60}}
+        config_path = tmp_path / "system.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "--config", str(config_path),
+            "crossover", "--models", "puhti", "--cpu-partition", "work", "--gpu-partition", "shared",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "cpu node-hour weight: 0",
+            "error: model 'puhti' prices CPU node type 'dual-xeon-6240' at zero; no decision threshold",
+        ]
+
     def test_csv_to_stdout_keeps_summary_on_stderr(self, capsys, config_path):
         code, out, err = run(capsys, "--config", str(config_path), "crossover", "--steps", "5")
         assert code == 0

@@ -1,11 +1,15 @@
 """Display formatting of exact values, inside and beyond float range."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sumeter.display import format_real, format_su, format_threshold, integer_text
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sumeter"
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 
@@ -74,3 +78,14 @@ def test_integers_past_the_str_digit_limit_print_every_digit():
     assert grouped == "36" + ",000" * 1500
     assert format_su(-huge) == "-" + grouped
     assert format_threshold(Fraction(10**5000) + Fraction(1, 4)) == "1" + "0" * 5000 + ".25"
+
+
+def test_display_is_a_leaf_module_and_no_function_imports():
+    """`display` imports nothing from the package, so every module imports at its top."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                imports = [node for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not imports, f"{path.name}: an import inside a function at line {imports[0].lineno}"
+    display = ast.parse((PACKAGE / "display.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(display) if isinstance(node, ast.ImportFrom) and node.level > 0]

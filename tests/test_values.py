@@ -166,6 +166,29 @@ def test_copies_and_pickles_are_equal_values(cls, make, fields):
             assert getattr(clone, name) == getattr(value, name)
 
 
+NAMED = [entry for entry in VALUES if entry[0] is not Partition]  # a partition derives its weight
+
+
+@pytest.mark.parametrize("cls, make, fields", NAMED, ids=[cls.__name__ for cls, _, _ in NAMED])
+def test_fields_can_be_passed_by_name(cls, make, fields):
+    value = make()
+    assert cls(**{name: getattr(value, name) for name in fields}) == value
+
+
+@pytest.mark.parametrize(
+    "values, named, problem",
+    [
+        ((3,), {}, "RowError: missing field 'message'"),
+        ((3, "x", 4), {}, r"RowError takes 2 fields \('line', 'message'\), got 3 values"),
+        ((3,), {"line": 4}, "RowError: repeated field 'line'"),
+        ((3,), {"msg": "x"}, "RowError: unknown field 'msg'"),
+    ],
+)
+def test_a_missing_extra_or_repeated_field_is_a_type_error(values, named, problem):
+    with pytest.raises(TypeError, match=problem):
+        RowError(*values, **named)
+
+
 def test_values_of_different_classes_are_unequal():
     assert RowError(1, "x") != DetailRowError(1, "x")
     assert DetailRowError(1, "x") != RowError(1, "x")
