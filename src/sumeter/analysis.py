@@ -20,6 +20,9 @@ from .display import format_real
 from .errors import ModelError, ValidationError
 from .models import ChargeModel
 
+# A sweep holds every point of every model in memory before it is written.
+MAX_SWEEP_STEPS = 10_000
+
 
 class ApplicationBenchmark(Value):
     """An application and how many CPU nodes match one GPU node for it."""
@@ -108,6 +111,8 @@ def crossover_sweep(
         raise ValidationError("need 0 < s_min < s_max")
     if steps < 2:
         raise ValidationError("need at least 2 sweep steps")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValidationError(f"at most {MAX_SWEEP_STEPS} sweep steps, got {steps}")
     span = high - low
     return [
         decide_and_energy(low + span * i / (steps - 1), model, cpu_node, gpu_node)

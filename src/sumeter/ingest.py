@@ -29,6 +29,7 @@ from .core import (
     NodeType,
     NodeUsage,
     Partition,
+    ProcessorKind,
     ProcessorSpec,
     Value,
     add_ratios,
@@ -121,15 +122,6 @@ class IngestResult(Value):
 
     __slots__ = _fields = ("records", "errors", "total_rows", "orphans")
 
-    def __init__(
-        self,
-        records: tuple[JobRecord, ...],
-        errors: tuple[RowError, ...],
-        total_rows: int,
-        orphans: tuple[DetailRowError, ...] = (),
-    ) -> None:
-        super().__init__(records, errors, total_rows, orphans)
-
 
 class RowTally:
     """Row outcomes of one ingest pass, kept while its records stream past."""
@@ -198,7 +190,7 @@ def _text(raw, path: str, errors: list[str]) -> str:
 
 
 def _list(raw, path: str, errors: list[str]) -> list:
-    if not raw:
+    if raw is None:
         return []
     if not isinstance(raw, list):
         errors.append(f"{path}: expected a list, got {raw!r}")
@@ -206,7 +198,7 @@ def _list(raw, path: str, errors: list[str]) -> list:
     return raw
 
 
-def _processor(entry, kind: str, path: str, errors: list[str]) -> tuple[ProcessorSpec | None, int]:
+def _processor(entry, kind: ProcessorKind, path: str, errors: list[str]) -> tuple[ProcessorSpec | None, int]:
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
         return None, 0
@@ -217,16 +209,12 @@ def _processor(entry, kind: str, path: str, errors: list[str]) -> tuple[Processo
     count = _integer(entry.get("count", 1), f"{path}.count", errors)
     if not 1 <= count <= MAX_PROCESSOR_COUNT:
         errors.append(f"{path}.count: must be between 1 and {MAX_PROCESSOR_COUNT}, got {count}")
+    unit = "cores" if kind is ProcessorKind.CPU else "streaming_multiprocessors"
+    units = _integer(entry.get(unit), f"{path}.{unit}", errors)
+    if len(errors) > before:
+        return None, 0
     try:
-        if kind == "cpu":
-            cores = _integer(entry.get("cores"), f"{path}.cores", errors)
-            if len(errors) > before:
-                return None, 0
-            return ProcessorSpec.cpu(name, cores, tdp, flops), count
-        sms = _integer(entry.get("streaming_multiprocessors"), f"{path}.streaming_multiprocessors", errors)
-        if len(errors) > before:
-            return None, 0
-        return ProcessorSpec.gpu(name, sms, tdp, flops), count
+        return ProcessorSpec(name, kind, tdp, flops, **{unit: units}), count
     except ValidationError as err:
         errors.append(f"{path}: {err}")
         return None, 0
@@ -240,18 +228,17 @@ def _node_type(entry, path: str, errors: list[str]) -> NodeType | None:
     name = _text(entry.get("name"), f"{path}.name", errors)
     memory = _decimal(entry.get("memory_total_gib"), f"{path}.memory_total_gib", errors)
     cpus: list[ProcessorSpec] = []
-    for i, cpu_entry in enumerate(_list(entry.get("cpus"), f"{path}.cpus", errors)):
-        spec, count = _processor(cpu_entry, "cpu", f"{path}.cpus[{i}]", errors)
-        if spec is not None:
-            cpus.extend([spec] * count)
     gpus: list[ProcessorSpec] = []
-    for i, gpu_entry in enumerate(_list(entry.get("gpus"), f"{path}.gpus", errors)):
-        spec, count = _processor(gpu_entry, "gpu", f"{path}.gpus[{i}]", errors)
-        if spec is not None:
-            gpus.extend([spec] * count)
+    for key, kind, specs in (("cpus", ProcessorKind.CPU, cpus), ("gpus", ProcessorKind.GPU, gpus)):
+        for i, raw in enumerate(_list(entry.get(key), f"{path}.{key}", errors)):
+            spec, count = _processor(raw, kind, f"{path}.{key}[{i}]", errors)
+            if spec is not None:
+                specs.extend([spec] * count)
     extras = {}
-    raw_extras = entry.get("extra_resources") or {}
-    if not isinstance(raw_extras, dict):
+    raw_extras = entry.get("extra_resources")
+    if raw_extras is None:
+        raw_extras = {}
+    elif not isinstance(raw_extras, dict):
         errors.append(f"{path}.extra_resources: expected an object of name -> capacity")
         raw_extras = {}
     for resource, capacity in raw_extras.items():
@@ -269,8 +256,9 @@ def _model_from_entry(model_id: str, parameters, path: str, errors: list[str]) -
     if model_id not in MODEL_IDS:
         errors.append(f"{path}.model: unknown model {model_id!r} (known: {', '.join(MODEL_IDS)})")
         return None
-    parameters = parameters or {}
-    if not isinstance(parameters, dict):
+    if parameters is None:
+        parameters = {}
+    elif not isinstance(parameters, dict):
         errors.append(f"{path}.model_parameters: expected an object")
         return None
     if model_id == "puhti":
@@ -318,21 +306,18 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     seen_names: set[str] = set()
     for i, entry in enumerate(raw_partitions):
         path = f"partitions[{i}]"
-        local: list[str] = []
         if not isinstance(entry, dict):
             errors.append(f"{path}: expected an object")
             continue
-        name = _text(entry.get("name"), f"{path}.name", local)
+        before = len(errors)
+        name = _text(entry.get("name"), f"{path}.name", errors)
         if name in seen_names:
-            local.append(f"{path}.name: duplicate partition {name!r}")
-        model_id = _text(entry.get("model", "energy"), f"{path}.model", local)
-        node_count = _integer(entry.get("node_count", 1), f"{path}.node_count", local)
-        node = _node_type(entry.get("node"), f"{path}.node", local)
-        model = None
-        if node is not None:
-            model = _model_from_entry(model_id, entry.get("model_parameters"), path, local)
-        if local or node is None or model is None:
-            errors.extend(local)
+            errors.append(f"{path}.name: duplicate partition {name!r}")
+        model_id = _text(entry.get("model", "energy"), f"{path}.model", errors)
+        node_count = _integer(entry.get("node_count", 1), f"{path}.node_count", errors)
+        node = _node_type(entry.get("node"), f"{path}.node", errors)
+        model = None if node is None else _model_from_entry(model_id, entry.get("model_parameters"), path, errors)
+        if len(errors) > before:  # a None node or model has appended its error
             continue
         try:
             partitions.append(Partition(name, node, node_count, model=model))
@@ -353,7 +338,7 @@ def load_config(path: str | Path) -> SystemConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except UnicodeDecodeError as err:
@@ -442,61 +427,49 @@ def _undecodable_line(path: str | Path) -> int:
     return 0
 
 
-def _load_details(
-    path: str | Path,
-) -> tuple[dict[str, dict[int, NodeUsage]], dict[str, str], dict[str, list[int]]]:
-    """Per-node usage keyed by job id, per-job parse failures, and each job id's lines ("" for blank)."""
-    details: dict[str, dict[int, NodeUsage]] = {}
-    poisoned: dict[str, str] = {}
-    lines: dict[str, list[int]] = {}
+def _load_details(path: str | Path) -> dict[str, list[tuple[int, int | str, NodeUsage | None]]]:
+    """Each job id's detail rows in file order ("" for a blank id): `(line, node_index,
+    usage)`, or `(line, message, None)` for a row whose cells do not parse."""
+    details: dict[str, list[tuple[int, int | str, NodeUsage | None]]] = {}
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise ConfigError(f"cannot read details file {path}: {err}") from err
     with handle:
         for line, (job_id, index, cores, gpus, memory) in _csv_rows(handle, path, DETAIL_CSV_COLUMNS, "detail file"):
-            job_id = job_id.strip()
-            lines.setdefault(job_id, []).append(line)
-            if not job_id:
-                continue
             try:
                 index = _row_int(index, "node_index", 0)
-                usage = NodeUsage(
-                    cores_used=_row_int(cores, "cores", 0),
-                    gpus_used=_row_int(gpus, "gpus", 0),
-                    memory_used_gib=_row_real(memory, "mem_gib"),
-                )
+                usage = NodeUsage(_row_int(cores, "cores", 0), _row_int(gpus, "gpus", 0), _row_real(memory, "mem_gib"))
             except ValidationError as err:
-                poisoned.setdefault(job_id, f"detail line {line}: {err}")
-                continue
-            per_job = details.setdefault(job_id, {})
-            if index in per_job:
-                poisoned.setdefault(job_id, f"detail line {line}: duplicate node_index {index}")
-            per_job[index] = usage
-    return details, poisoned, lines
+                index, usage = str(err), None
+            details.setdefault(job_id.strip(), []).append((line, index, usage))
+    return details
 
 
 def _parse_job_row(
     job_id: str,
     cells: tuple[str, ...],
     config: SystemConfig,
-    details: dict[str, dict[int, NodeUsage]],
-    poisoned: dict[str, str],
+    detail_rows: Sequence[tuple[int, int | str, NodeUsage | None]],
 ) -> JobRecord:
     """Build and charge one jobs row; `job_id` is its first cell, stripped."""
     _, project, partition, nodes, cores, gpus, memory, elapsed = cells
     if not job_id:
         raise ValidationError("job_id: must be non-empty")
-    if job_id in poisoned:
-        raise ValidationError(poisoned[job_id])
+    per_node: dict[int, NodeUsage] = {}
+    for line, index, usage in detail_rows:  # the first bad or repeated row fails the job
+        if usage is None:
+            raise ValidationError(f"detail line {line}: {index}")
+        if index in per_node:
+            raise ValidationError(f"detail line {line}: duplicate node_index {index}")
+        per_node[index] = usage
     project = project.strip()
     if not project:
         raise ValidationError("project: must be non-empty")
     partition = config.partition(partition.strip())
     nodes = _row_int(nodes, "nodes", 1)
     elapsed = _row_real(elapsed, "elapsed_hours")
-    if job_id in details:
-        per_node = details[job_id]
+    if per_node:
         # distinct indices >= 0, so these two cover 0..nodes-1 exactly
         if len(per_node) != nodes or max(per_node) >= nodes:
             raise ValidationError(
@@ -522,36 +495,37 @@ def iter_jobs(
 
     A row that repeats the job_id of a charged row is a duplicate and is
     not parsed; a job_id whose earlier rows were all rejected may still be
-    charged. After the last jobs row come the detail rows that belong to
-    no jobs row (blank job_id, or a job_id no jobs row names, whether that
-    row was charged or rejected), as `DetailRowError`s in detail-file order.
+    charged. A job's detail rows replace its uniform usage, and the first
+    of them that does not parse or repeats a node_index rejects the row.
+    After the last jobs row come the detail rows that belong to no jobs
+    row (blank job_id, or a job_id no jobs row names, whether that row was
+    charged or rejected), as `DetailRowError`s in detail-file order.
     """
-    details: dict[str, dict[int, NodeUsage]] = {}
-    poisoned: dict[str, str] = {}
-    detail_lines: dict[str, list[int]] = {}
-    if details_path is not None:
-        details, poisoned, detail_lines = _load_details(details_path)
+    details = {} if details_path is None else _load_details(details_path)
     charged_ids: set[str] = set()
+    rejected_ids: set[str] = set()
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise ConfigError(f"cannot read jobs file {path}: {err}") from err
     with handle:
         for line, cells in _csv_rows(handle, path, JOBS_CSV_COLUMNS, "jobs file"):
             job_id = cells[0].strip()
-            if job_id:
-                detail_lines.pop(job_id, None)
-                if job_id in charged_ids:
-                    yield RowError(line, f"duplicate job_id {job_id!r}")
-                    continue
+            if job_id in charged_ids:
+                yield RowError(line, f"duplicate job_id {job_id!r}")
+                continue
             try:
-                record = _parse_job_row(job_id, cells, config, details, poisoned)
+                record = _parse_job_row(job_id, cells, config, details.get(job_id, ()))
             except (ValidationError, CapacityError) as err:
+                rejected_ids.add(job_id)
                 yield RowError(line, str(err))
             else:
+                details.pop(job_id, None)  # a charged job's detail rows are done with
                 charged_ids.add(job_id)
                 yield record
-    for line, job_id in sorted((line, job_id) for job_id, lines in detail_lines.items() for line in lines):
+    # what is left belongs to a blank job_id, to rejected rows, or to no row
+    left = ((job_id, rows) for job_id, rows in details.items() if not job_id or job_id not in rejected_ids)
+    for line, job_id in sorted((row[0], job_id) for job_id, rows in left for row in rows):
         message = f"job_id {job_id!r} matches no jobs row" if job_id else "job_id: must be non-empty"
         yield DetailRowError(line, message)
 

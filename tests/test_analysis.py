@@ -20,6 +20,7 @@ from sumeter import (
     speedup_from_time,
     write_sweep_csv,
 )
+from sumeter.analysis import MAX_SWEEP_STEPS
 
 ENERGY = get_model("energy")
 SM = get_model("sm")
@@ -112,6 +113,10 @@ class TestCrossoverSweep:
             crossover_sweep(ENERGY, cpu_node, gpu_node, 1, 1, 10)
         with pytest.raises(ValidationError):
             crossover_sweep(ENERGY, cpu_node, gpu_node, 2, 20, 1)
+
+    def test_steps_are_bounded(self, cpu_node, gpu_node):
+        with pytest.raises(ValidationError, match=f"at most {MAX_SWEEP_STEPS} sweep steps, got {MAX_SWEEP_STEPS + 1}"):
+            crossover_sweep(ENERGY, cpu_node, gpu_node, 1, 20, MAX_SWEEP_STEPS + 1)
 
     def test_energy_non_increasing_once_on_gpu(self, cpu_node, gpu_node):
         points = crossover_sweep(ENERGY, cpu_node, gpu_node, 1, 20, 96)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from sumeter.analysis import MAX_SWEEP_STEPS
 from sumeter.cli import main
 from conftest import TEST_CONFIG, write_jobs_csv
 
@@ -177,6 +178,13 @@ class TestCrossover:
         )
         assert code == 1
         assert "s_min" in err
+
+    def test_steps_are_bounded(self, capsys, config_path):
+        code, out, err = run(
+            capsys, "--config", str(config_path), "crossover", "--steps", str(MAX_SWEEP_STEPS + 1)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"error: at most {MAX_SWEEP_STEPS} sweep steps, got {MAX_SWEEP_STEPS + 1}"
 
     def test_gpu_partition_must_have_gpus(self, capsys, config_path):
         code, _, err = run(

@@ -1,7 +1,9 @@
 """Config loading, jobs CSV ingestion and per-project aggregation."""
 
 import copy
+import csv
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,22 @@ from sumeter import (
     load_config,
     parse_config,
 )
+from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS
 from conftest import TEST_CONFIG, write_jobs_csv
+
+
+def with_value(entry, path, value=None, delete=False):
+    """A copy of a partition entry with the value at a dotted key path replaced or deleted."""
+    entry = copy.deepcopy(entry)
+    *parents, key = path.split(".")
+    owner = entry
+    for parent in parents:
+        owner = owner[parent]
+    if delete:
+        owner.pop(key, None)
+    else:
+        owner[key] = value
+    return entry
 
 
 class TestLoadConfig:
@@ -116,6 +133,32 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as excinfo:
             parse_config({"partitions": [entry]})
         assert str(excinfo.value).splitlines()[1:] == ["- partitions[0].node.gpus: expected a list, got 4"]
+
+    @pytest.mark.parametrize(
+        "index, path, wrong, line, empty",
+        [
+            (0, "node.gpus", 0, "node.gpus: expected a list, got 0", []),
+            (0, "node.gpus", False, "node.gpus: expected a list, got False", []),
+            (0, "node.extra_resources", [], "node.extra_resources: expected an object of name -> capacity", {}),
+            (0, "model_parameters", [], "model_parameters: expected an object", {}),
+            (4, "model_parameters", [], "model_parameters: expected an object", {}),
+        ],
+        ids=["gpus-zero", "gpus-false", "extras-list", "energy-parameters-list", "puhti-parameters-list"],
+    )
+    def test_a_falsy_value_of_the_wrong_type_is_an_error(self, index, path, wrong, line, empty):
+        entry = TEST_CONFIG["partitions"][index]
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [with_value(entry, path, wrong)]})
+        assert str(excinfo.value).splitlines()[1:] == [f"- partitions[0].{line}"]
+        # the empty value of the right type, and null, still mean no entries, as an absent key does
+        absent = parse_config({"partitions": [with_value(entry, path, delete=True)]})
+        for value in (empty, None):
+            assert parse_config({"partitions": [with_value(entry, path, value)]}) == absent
+
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(TEST_CONFIG).encode("utf-8"))
+        assert load_config(path) == parse_config(TEST_CONFIG)
 
     def test_deeply_nested_json_is_a_config_error(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -242,6 +285,26 @@ class TestIngestJobs:
         path.write_bytes((header + "\r\nj1,projA,work,1,1,0,2,1.0\r\n").encode())
         result = ingest_jobs(path, config)
         assert len(result.records) == 1 and not result.errors
+
+    def test_a_byte_order_mark_is_ignored(self, config_path, tmp_path):
+        config = load_config(config_path)
+        rows = ["j1,projA,work,1,1,0,2,1.0", "j2,projA,work,1,x,0,2,1.0"]
+        plain = ingest_jobs(write_jobs_csv(tmp_path / "plain.csv", rows), config)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        result = ingest_jobs(path, config)
+        assert result == plain
+        assert [error.line for error in result.errors] == [3]
+
+    def test_a_detail_file_byte_order_mark_is_ignored(self, config_path, tmp_path):
+        config = load_config(config_path)
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,2,1,0,2,1.0"])
+        details = tmp_path / "details.csv"
+        rows = "job_id,node_index,cores,gpus,mem_gib\nj1,0,36,0,256\nj1,1,9,0,1\nj9,0,1,0,1\n"
+        details.write_bytes(b"\xef\xbb\xbf" + rows.encode("utf-8"))
+        result = ingest_jobs(jobs, config, details_path=details)
+        assert [record.total_su for record in result.records] == [45]
+        assert [(orphan.line, orphan.message) for orphan in result.orphans] == [(4, "job_id 'j9' matches no jobs row")]
 
     def test_row_errors_name_the_physical_line(self, config_path, tmp_path):
         config = load_config(config_path)
@@ -421,3 +484,108 @@ def test_load_config_accepts_or_reports_any_bytes(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("config") / "system.json"
     path.write_bytes(raw)
     config_outcome(lambda: load_config(path))
+
+
+# The detail join on the `work` partition (36 cores, 256 GiB, energy model).
+# Memory cells are always 1 GiB, one per-core share, so a node with `c`
+# cores charges max(c, 1) SU for the one hour every row runs.
+DETAIL_IDS = ("a", "b", "c", " a ", "", " ", "zz")
+JOIN_CONFIG = parse_config({"partitions": [TEST_CONFIG["partitions"][0]]})
+
+
+@st.composite
+def detail_joins(draw):
+    """Jobs rows and detail rows over a few shared, blank, padded and unknown ids.
+
+    Some jobs get a full set of node rows, so that jobs charged from their
+    detail rows are common; the other detail rows are drawn at random.
+    """
+    jobs = draw(st.lists(
+        st.tuples(st.sampled_from(DETAIL_IDS[:-1]), st.sampled_from(("p", "")), st.sampled_from("0123x")),
+        max_size=6,
+    ))
+    details = []
+    for job_id, _, nodes in jobs:
+        if nodes.isdigit() and draw(st.booleans()):
+            details += [(job_id, str(index), draw(st.sampled_from("012"))) for index in range(int(nodes))]
+    indices = st.sampled_from(("0", "1", "2", "3", "-1", "x"))
+    details += draw(st.lists(st.tuples(st.sampled_from(DETAIL_IDS), indices, st.sampled_from("012x")), max_size=6))
+    return jobs, draw(st.permutations(details))
+
+
+def reference_join(jobs, details):
+    """Records, row errors and orphan lines as the README states the rules.
+
+    Rows start on line 2 of both files. A row error is (line, rule, detail line or None).
+    """
+    records, errors, charged = [], [], set()
+    by_id = {}
+    for line, (job_id, index, cores) in enumerate(details, start=2):
+        by_id.setdefault(job_id.strip(), []).append((line, index, cores))
+    for line, (job_id, project, nodes) in enumerate(jobs, start=2):
+        job_id = job_id.strip()
+        if job_id in charged:
+            errors.append((line, "duplicate job_id", None))
+            continue
+        if not job_id:
+            errors.append((line, "blank job_id", None))
+            continue
+        usages, bad = {}, None
+        for detail_line, index, cores in by_id.get(job_id, ()):
+            if not (index.isdigit() and cores.isdigit()):
+                bad = (line, "bad detail cell", detail_line)
+            elif int(index) in usages:
+                bad = (line, "duplicate node_index", detail_line)
+            else:
+                usages[int(index)] = int(cores)
+                continue
+            break
+        if bad or not project or not nodes.isdigit() or nodes == "0":
+            errors.append(bad or (line, "project" if not project else "nodes", None))
+        elif usages and sorted(usages) != list(range(int(nodes))):
+            errors.append((line, "coverage", None))
+        else:
+            charged.add(job_id)
+            records.append((job_id, sum(max(cores, 1) for cores in usages.values()) if usages else int(nodes)))
+    named = {job_id.strip() for job_id, _, _ in jobs} - {""}
+    orphans = [line for line, (job_id, _, _) in enumerate(details, start=2) if job_id.strip() not in named]
+    return records, errors, orphans
+
+
+def error_rule(message):
+    """The rule a row error names, and the detail line it quotes."""
+    detail = re.match(r"detail line (\d+): ", message)
+    if detail:
+        rule = "duplicate node_index" if "duplicate node_index" in message else "bad detail cell"
+        return rule, int(detail.group(1))
+    for prefix, rule in (
+        ("duplicate job_id", "duplicate job_id"),
+        ("job_id: must be non-empty", "blank job_id"),
+        ("project:", "project"),
+        ("nodes:", "nodes"),
+        ("detail rows for job", "coverage"),
+    ):
+        if message.startswith(prefix):
+            return rule, None
+    raise AssertionError(f"unexpected row error {message!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(detail_joins())
+def test_the_detail_join_follows_the_stated_rules(tmp_path_factory, join):
+    jobs, details = join
+    folder = tmp_path_factory.mktemp("join")
+    with open(folder / "jobs.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(JOBS_CSV_COLUMNS)
+        writer.writerows((job_id, project, "work", nodes, 1, 0, 1, 1) for job_id, project, nodes in jobs)
+    with open(folder / "details.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(DETAIL_CSV_COLUMNS)
+        writer.writerows((job_id, index, cores, 0, 1) for job_id, index, cores in details)
+    result = ingest_jobs(folder / "jobs.csv", JOIN_CONFIG, details_path=folder / "details.csv")
+    assert (
+        [(record.job_id, record.total_su) for record in result.records],
+        [(error.line, *error_rule(error.message)) for error in result.errors],
+        [orphan.line for orphan in result.orphans],
+    ) == reference_join(jobs, details)

@@ -96,7 +96,7 @@ VALUES = [
     (DetailRowError, lambda: DetailRowError(4, "orphan"), ("line", "message")),
     (
         IngestResult,
-        lambda: IngestResult((record(),), (RowError(3, "x"),), 2),
+        lambda: IngestResult((record(),), (RowError(3, "x"),), 2, ()),
         ("records", "errors", "total_rows", "orphans"),
     ),
     (ProjectUsage, lambda: ProjectUsage(Fraction(7, 3), {"p": Fraction(7, 3)}), ("total_su", "by_partition")),
