@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence, TextIO
 
 from .core import NodeType, RealLike, Value, exact
-from .display import format_real
+from .display import exact_text
 from .errors import ModelError, ValidationError
 from .models import ChargeModel
 
@@ -159,13 +159,13 @@ def write_sweep_csv(
         header += [f"su_cpu_{model.id}", f"su_gpu_{model.id}", f"chosen_{model.id}", f"ec_wh_{model.id}"]
     writer.writerow(header)
     for i in range(steps):
-        row = [format_real(sweeps[0][i].speedup)]
+        row = [exact_text(sweeps[0][i].speedup)]
         for sweep in sweeps:
             point = sweep[i]
             row += [
-                format_real(point.su_cpu),
-                format_real(point.su_gpu),
+                exact_text(point.su_cpu),
+                exact_text(point.su_gpu),
                 point.chosen.value,
-                format_real(point.ec_total_wh),
+                exact_text(point.ec_total_wh),
             ]
         writer.writerow(row)

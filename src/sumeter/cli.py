@@ -15,12 +15,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import tables
 from .analysis import decision_threshold, efficiency_band, write_sweep_csv
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
-from .display import as_float, format_real, format_su, format_threshold, round_half_up
+from .display import exact_text, format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ConfigError, ValidationError
 from .ingest import RowTally, SystemConfig, aggregate, builtin_config, iter_jobs, load_config
 from .models import MODEL_IDS, ChargeModel, get_model
@@ -44,12 +43,22 @@ def _load_config_arg(args: argparse.Namespace) -> SystemConfig:
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Report an OSError raised while writing `path` as `cannot write <path>: <reason>`."""
+def _writing(out: str, name: str = ""):
+    """A handle on a temporary file that replaces `out`, or the file `name` in the directory
+    `out`, only when the block succeeds. An OSError is `cannot write <out>: <reason>`."""
+    path = os.path.join(out, name) if name else out
+    temp, handle = f"{path}.{os.getpid()}.tmp", None
     try:
-        yield
+        if name:
+            os.makedirs(out, exist_ok=True)
+        with open(temp, "x", encoding="utf-8") as handle:  # "x" never opens an existing file
+            yield handle
+        os.replace(temp, path)
     except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
+        raise ConfigError(f"cannot write {out}: {err.strerror or err}") from None
+    finally:
+        if handle is not None and os.path.exists(temp):  # this run made the temporary file
+            os.remove(temp)
 
 
 def _models_arg(text: str) -> list[str]:
@@ -103,8 +112,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print("model_id,total_su,weight_used,walltime_hours,node_index,node_fraction")
         for i, fraction in enumerate(report.per_node_fraction):
             print(
-                f"{report.model_id},{format_real(report.total_su)},{format_real(report.weight_used)},"
-                f"{format_real(report.walltime_hours)},{i},{format_real(fraction)}"
+                f"{report.model_id},{exact_text(report.total_su)},{exact_text(report.weight_used)},"
+                f"{exact_text(report.walltime_hours)},{i},{exact_text(fraction)}"
             )
     else:
         print(f"partition: {args.partition}")
@@ -117,10 +126,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _json_number(field: str, value: Fraction) -> float:
-    number = as_float(value)
-    if number is None:
-        raise ValidationError(f"{field}: {format_real(value)} is beyond float range; use --format text or csv")
-    return number
+    with contextlib.suppress(OverflowError):
+        number = float(value)
+        if number or not value:  # a nonzero value that no float holds reads as 0.0
+            return number
+    raise ValidationError(f"{field}: {format_real(value)} is beyond float range; use --format text or csv")
 
 
 def _report_json(partition: str, report: ChargeReport, energy_wh: Fraction) -> dict:
@@ -145,7 +155,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print("model_id,total_su,weight_used")
         for report in reports:
-            print(f"{report.model_id},{format_real(report.total_su)},{format_real(report.weight_used)}")
+            print(f"{report.model_id},{exact_text(report.total_su)},{exact_text(report.weight_used)}")
     else:
         print(f"{'model':<12} {'node-hour weight':>16} {'total SU':>14}")
         for report in reports:
@@ -199,7 +209,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
             print("efficiency band: empty", file=summary_out)
 
     if args.out:
-        with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
+        with _writing(args.out) as handle:
             write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
     else:
         write_sweep_csv(models, cpu_node, gpu_node, sys.stdout, args.s_min, args.s_max, args.steps)
@@ -218,10 +228,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(tables.table_text(number, comparisons))
             print()
         if args.out:
-            with _writing(args.out):
-                out_dir = Path(args.out)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / f"table{number}.csv").write_text(tables.table_csv(comparisons), encoding="utf-8")
+            with _writing(args.out, f"table{number}.csv") as handle:
+                handle.write(tables.table_csv(comparisons))
     if not all_match:
         print("error: regenerated values diverge from the published tables", file=sys.stderr)
         return 1
@@ -240,12 +248,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     lines = ["project,partition,total_su"]
     for project, project_usage in usage.items():
         for partition, subtotal in project_usage.by_partition.items():
-            lines.append(f"{project},{partition},{format_real(subtotal)}")
-        lines.append(f"{project},ALL,{format_real(project_usage.total_su)}")
+            lines.append(f"{project},{partition},{exact_text(subtotal)}")
+        lines.append(f"{project},ALL,{exact_text(project_usage.total_su)}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     return 1 if tally.errors or tally.orphans else 0

@@ -35,7 +35,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .display import format_real
+from .display import exact_text
 from .errors import CapacityError, ModelError, ValidationError
 
 RealLike = Union[int, float, Fraction, str]
@@ -367,7 +367,7 @@ def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     total = node.memory_total_gib
     if used_num * total.denominator > total.numerator * used_den:
         raise CapacityError(
-            f"{format_real(used)} GiB requested but node type {node.name!r} has {format_real(total)} GiB"
+            f"{exact_text(used)} GiB requested but node type {node.name!r} has {exact_text(total)} GiB"
         )
     share = node.memory_per_core_gib
     return -(-(used_num * share.denominator) // (used_den * share.numerator))
@@ -420,8 +420,8 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
         term = amount.numerator * capacity.denominator, amount.denominator * capacity.numerator
         if term[0] > term[1]:
             raise CapacityError(
-                f"{format_real(amount)} of {resource!r} requested but node type {node.name!r} "
-                f"has {format_real(capacity)}"
+                f"{exact_text(amount)} of {resource!r} requested but node type {node.name!r} "
+                f"has {exact_text(capacity)}"
             )
         if term[0] * denominator > numerator * term[1]:  # the larger term, cross-multiplied
             numerator, denominator = term

@@ -37,7 +37,6 @@ from .core import (
     parse_real,
     set_field,
 )
-from .display import as_float, format_real
 from .errors import AccountingError, CapacityError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
 
@@ -153,13 +152,17 @@ class ProjectUsage(Value):
 
 class _FloatText(Fraction):
     """Config float text, read exactly by `parse_real`. Its repr, which errors
-    quote at any depth of a value, is the float the text spells."""
+    quote at any depth of a value, is the text as written."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str) -> "_FloatText":
+        self = super().__new__(cls, parse_real(text))
+        self._text = text
+        return self
 
     def __repr__(self) -> str:
-        number = as_float(self)
-        return format_real(self) if number is None else repr(number)
+        return self._text
 
 
 def _decimal(raw, path: str, errors: list[str]) -> Fraction:
@@ -344,7 +347,7 @@ def load_config(path: str | Path) -> SystemConfig:
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
     try:
-        data = json.loads(text, parse_float=lambda number: _FloatText(parse_real(number)))
+        data = json.loads(text, parse_float=_FloatText)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     # an integer beyond the digit limit, float text beyond the number bound, or too deep a nesting

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .analysis import ApplicationBenchmark
 from .core import NodeType, ProcessorSpec, RealLike, Value, exact
-from .display import format_real, format_su, round_half_up
+from .display import exact_text, format_fixed, format_real, format_su, round_half_up
 from .errors import ValidationError
 from .models import ChargeModel, get_model
 
@@ -238,7 +238,7 @@ def table_text(table_number: int, comparisons: list[RowComparison]) -> str:
         lines.append(
             f"{row.application:<18} {row.perf_ratio:>10} {format_su(row.cpu_charge):>11} "
             f"{format_su(round_half_up(row.gpu_charge)):>11} {format_real(row.cost_ratio):>10} "
-            f"{comparison.published_ratio:>9} {float(comparison.ratio_delta):>+8.4f}"
+            f"{comparison.published_ratio:>9} {format_fixed(comparison.ratio_delta, 4, '+'):>8}"
         )
     matching = sum(1 for c in comparisons if c.matches)
     lines.append(
@@ -257,10 +257,10 @@ def table_csv(comparisons: list[RowComparison]) -> str:
     for comparison in comparisons:
         row = comparison.row
         lines.append(
-            f"{row.application},{row.perf_ratio},{format_real(row.cpu_charge)},"
-            f"{format_real(row.gpu_charge)},{format_real(row.cost_ratio)},"
+            f"{row.application},{row.perf_ratio},{exact_text(row.cpu_charge)},"
+            f"{exact_text(row.gpu_charge)},{exact_text(row.cost_ratio)},"
             f"{comparison.published_cpu_charge},{comparison.published_gpu_charge},"
-            f"{comparison.published_ratio},{format_real(comparison.ratio_delta)},"
+            f"{comparison.published_ratio},{exact_text(comparison.ratio_delta)},"
             f"{str(comparison.matches).lower()}"
         )
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ from sumeter import (
     load_config,
 )
 from sumeter.cli import main
-from sumeter.display import format_real
+from sumeter.display import exact_text
 from sumeter.errors import ConfigError
 from conftest import TEST_CONFIG, write_jobs_csv
 
@@ -137,8 +137,8 @@ def test_ingest_command_equals_ingest_jobs_then_aggregate(capsys, config_path, t
 
     lines = ["project,partition,total_su"]
     for project, usage in aggregate(result.records, config).items():
-        lines += [f"{project},{partition},{format_real(su)}" for partition, su in usage.by_partition.items()]
-        lines.append(f"{project},ALL,{format_real(usage.total_su)}")
+        lines += [f"{project},{partition},{exact_text(su)}" for partition, su in usage.by_partition.items()]
+        lines.append(f"{project},ALL,{exact_text(usage.total_su)}")
     stderr = [f"{jobs}:{e.line}: {e.message}" for e in result.errors]
     stderr += [f"{details}:{o.line}: {o.message}" for o in result.orphans]
     stderr.append(f"{result.total_rows} rows: {len(result.records)} charged, {len(result.errors)} rejected")

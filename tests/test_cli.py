@@ -59,6 +59,21 @@ class TestEstimate:
         assert "error" in err
         assert not out
 
+    def test_capacity_message_quotes_the_amount_exactly(self, capsys):
+        code, out, err = run(
+            capsys, "--config", "builtin",
+            "estimate", "--partition", "cpu", "--cores-per-node", "1", "--mem-gib-per-node", "256.0000001", "--hours", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: 256.0000001 GiB requested but node type 'dual-xeon-6240' has 256 GiB\n"
+
+    def test_csv_amounts_are_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "--config", "builtin",
+            "estimate", "--partition", "cpu", "--cores-per-node", "1", "--hours", "1/3", "--format", "csv",
+        )
+        assert (code, out.splitlines()[1:]) == (0, ["energy,1/3,36,1/3,0,1/36"])
+
     def test_json_format_stable(self, capsys, config_path):
         argv = (
             "--config", str(config_path),
@@ -113,6 +128,14 @@ class TestCompare:
         assert code == 0
         for token in ("192", "432", "466"):
             assert token in out
+
+    def test_csv_amounts_are_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "--config", "builtin",
+            "compare", "--partition", "cpu", "--nodes", "1000", "--cores-per-node", "36", "--hours", "1000.5",
+            "--models", "energy", "--format", "csv",
+        )
+        assert (code, out) == (0, "model_id,total_su,weight_used\nenergy,36018000,36\n")
 
     def test_cpu_job_identical_across_weight_models(self, capsys, config_path):
         code, out, _ = run(
@@ -385,6 +408,31 @@ class TestUnwritableOut:
         assert err == f"error: cannot write {out_dir}: Not a directory\n"
 
 
+class TestRefusedCommandLeavesOut:
+    """A command that ends in `error:` leaves an existing --out file as it was, and no temporary file."""
+
+    OLD = b"speedup,old\r\n1,\xff\n"
+
+    def test_crossover(self, capsys, config_path, tmp_path):
+        out_path = tmp_path / "out" / "sweep.csv"
+        out_path.parent.mkdir()
+        out_path.write_bytes(self.OLD)
+        code, _, err = run(capsys, "--config", str(config_path), "crossover", "--steps", "1", "--out", str(out_path))
+        assert (code, err) == (1, "error: need at least 2 sweep steps\n")
+        assert out_path.read_bytes() == self.OLD
+        assert [p.name for p in out_path.parent.iterdir()] == ["sweep.csv"]
+
+    def test_ingest_with_row_errors_still_writes(self, capsys, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0", "j2,projA,work,1,99,0,2,1.0"])
+        out_path = tmp_path / "out" / "usage.csv"
+        out_path.parent.mkdir()
+        out_path.write_bytes(self.OLD)
+        code, out, _ = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs), "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert out_path.read_text(encoding="utf-8") == "project,partition,total_su\nprojA,work,1\nprojA,ALL,1\n"
+        assert [p.name for p in out_path.parent.iterdir()] == ["usage.csv"]
+
+
 class TestBeyondFloatRange:
     """A CPU TDP of 400 nines: energies beyond float range, GPU weights too small for one."""
 
@@ -410,13 +458,15 @@ class TestBeyondFloatRange:
             "estimate", "--partition", "gpu", "--gpus-per-node", "1", "--hours", "1", "--format", "csv",
         )
         assert code == 0
-        assert out.splitlines()[1] == "energy,7.2e-397,2.88e-396,1,0,0.25"
+        ones = "1" * 400  # (10**400 - 1) / 9: the GPU weight is 4 * 400 W / (2 * that) * 36 cores
+        assert out.splitlines()[1] == f"energy,800/{ones},3200/{ones},1,0,0.25"
 
     def test_ingest(self, capsys, huge_config, tmp_path):
         jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,pA,gpu,1,0,4,0,1", "j2,pA,work,1,36,0,0,1"])
         code, out, _ = run(capsys, "--config", huge_config, "ingest", "--jobs", str(jobs))
         assert code == 0
-        assert out == "project,partition,total_su\npA,gpu,2.88e-396\npA,work,36\npA,ALL,36\n"
+        ones = "1" * 400
+        assert out == f"project,partition,total_su\npA,gpu,3200/{ones}\npA,work,36\npA,ALL,{4 * 10**400 + 3196}/{ones}\n"
 
     @pytest.mark.parametrize("command", ["estimate", "compare"])
     def test_json_names_the_field(self, capsys, huge_config, command):
@@ -437,15 +487,15 @@ class TestBeyondFloatRange:
         # the energy weight is 4 * 10**400 / 300 * 36, so the threshold is 4/3 * 10**398
         assert f", decision threshold s = {4 * 10**398 // 3}.33\n" in err
         assert out.splitlines()[1:] == [
-            "1,36,4.8e+399,cpu,300,36,432,cpu,300",
-            "20,36,2.4e+398,cpu,300,36,21.6,gpu,2e+399",
+            f"1,36,{48 * 10**398},cpu,300,36,432,cpu,300",
+            f"20,36,{24 * 10**397},cpu,300,36,21.6,gpu,{2 * 10**399}",
         ]
 
 
 class TestCapacityBeyondFloatRange:
     """An over-capacity amount beyond float range is a clean error, not an OverflowError traceback."""
 
-    MESSAGE = "1e+400 GiB requested but node type 'dual-xeon-6240' has 256 GiB"
+    MESSAGE = f"{10**400} GiB requested but node type 'dual-xeon-6240' has 256 GiB"
 
     def test_jobs_row(self, capsys, config_path, tmp_path):
         jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,pA,work,1,1,0,1e400,1", "j2,pA,work,1,36,0,0,1"])

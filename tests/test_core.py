@@ -174,7 +174,7 @@ class TestNodeFraction:
 
     def test_extra_beyond_float_range_is_a_capacity_error(self):
         node = NodeType("big", cpus=(REFERENCE_CPU,), memory_total_gib=1, extra_resources={"nvme_gib": 10**400})
-        message = "1e+401 of 'nvme_gib' requested but node type 'big' has 1e+400"
+        message = f"{10**401} of 'nvme_gib' requested but node type 'big' has {10**400}"
         with pytest.raises(CapacityError) as excinfo:
             node_fraction(NodeUsage(cores_used=1, extra_used={"nvme_gib": 10**401}), node)
         assert str(excinfo.value) == message

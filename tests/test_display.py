@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from sumeter.display import format_real, format_su, format_threshold, integer_text
+from sumeter.display import exact_text, format_fixed, format_real, format_su, format_threshold, integer_text
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sumeter"
 
@@ -53,6 +53,7 @@ def test_values_a_float_holds_print_as_before(number):
     value = Fraction(number)
     assert format_real(value) == f"{number:.6g}"
     assert format_threshold(value) == f"{number:.2f}".rstrip("0").rstrip(".")
+    assert format_fixed(value, 4, "+") == f"{number:+.4f}"
     if value.denominator != 1:
         assert format_su(value) == f"{number:,.6g}"
 
@@ -89,3 +90,47 @@ def test_display_is_a_leaf_module_and_no_function_imports():
                 assert not imports, f"{path.name}: an import inside a function at line {imports[0].lineno}"
     display = ast.parse((PACKAGE / "display.py").read_text(encoding="utf-8"))
     assert not [node for node in ast.walk(display) if isinstance(node, ast.ImportFrom) and node.level > 0]
+
+
+# exact values, inside and beyond float range, terminating or not
+exact_values = (
+    st.fractions()
+    | st.builds(Fraction, st.integers(-(10**500), 10**500), st.integers(1, 10**500))
+    | st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b), st.integers(-(10**20), 10**20), st.integers(0, 2000), st.integers(0, 2000))
+)
+
+
+@given(exact_values)
+def test_exact_text_reads_back_as_the_value(value):
+    text = exact_text(value)
+    assert Fraction(text) == value
+    assert "e" not in text and "," not in text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(36018000), "36018000"),
+        (Fraction(-7, 8), "-0.875"),
+        (Fraction(1, 10**400), "0." + "0" * 399 + "1"),
+        (Fraction(1, 3), "1/3"),
+        (Fraction(-10**400, 3), f"-{10**400}/3"),
+        (Fraction(7, 30), "7/30"),
+    ],
+)
+def test_exact_text_examples(value, text):
+    assert exact_text(value) == text
+
+
+def test_human_text_rounds_the_exact_value():
+    """A tie at the last printed digit rounds to even, wherever the nearest float lies."""
+    assert (format_real(Fraction("1.000005")), f"{1.000005:.6g}") == ("1", "1.00001")
+    assert (format_real(Fraction("1.000055")), f"{1.000055:.6g}") == ("1.00006", "1.00005")
+    assert (format_su(Fraction("100.0015")), f"{100.0015:,.6g}") == ("100.002", "100.001")
+    assert (format_threshold(Fraction("1.015")), f"{1.015:.2f}") == ("1.02", "1.01")
+    assert (format_fixed(Fraction("1.00005"), 4, "+"), f"{1.00005:+.4f}") == ("+1.0000", "+1.0001")
+
+
+def test_display_has_no_float_path():
+    source = (PACKAGE / "display.py").read_text(encoding="utf-8")
+    assert "float(" not in source and "as_float" not in source

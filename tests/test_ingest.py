@@ -183,7 +183,7 @@ class TestLoadConfig:
             load_config(path)
         assert str(excinfo.value).splitlines()[1:] == [
             "- partitions[0].node.cpus[0].count: expected an integer, got 2.0",
-            "- partitions[0].node.cpus[0].cores: expected an integer, got 1e+400",
+            "- partitions[0].node.cpus[0].cores: expected an integer, got 1e400",
         ]
 
     def test_nested_float_text_is_quoted_as_written_in_type_errors(self, tmp_path):
@@ -195,7 +195,7 @@ class TestLoadConfig:
             load_config(path)
         assert str(excinfo.value).splitlines()[1:] == [
             "- partitions[0].node.cpus[0].cores: expected an integer, got [{'x': 0.1}]",
-            "- partitions[0].node.gpus: expected a list, got {'a': 1.5, 'b': [[2.5e+400]]}",
+            "- partitions[0].node.gpus: expected a list, got {'a': 1.5, 'b': [[2.5e400]]}",
         ]
 
     def test_float_text_is_read_as_a_plain_fraction(self, tmp_path):

@@ -1,8 +1,10 @@
 """Property-based checks of the charging invariants."""
 
+import contextlib
 import copy
 import csv
 import io
+import json
 import math
 import tempfile
 from fractions import Fraction
@@ -33,7 +35,9 @@ from sumeter import (
     puhti_bu,
     titan_node_charge,
 )
-from sumeter.ingest import RowTally
+from sumeter.cli import main
+from sumeter.display import exact_text
+from sumeter.ingest import RowTally, aggregate, ingest_jobs
 from conftest import TEST_CONFIG
 
 MAX_NODES = 6
@@ -338,7 +342,7 @@ def rule_fraction(usage, node):
         raise CapacityError(f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {gpus}")
     if usage.memory_used_gib > memory:
         raise CapacityError(
-            f"{float(usage.memory_used_gib):g} GiB requested but node type {node.name!r} has {float(memory):g} GiB"
+            f"{exact_text(usage.memory_used_gib)} GiB requested but node type {node.name!r} has {exact_text(memory)} GiB"
         )
     terms = [
         Fraction(usage.cores_used, cores),
@@ -351,7 +355,7 @@ def rule_fraction(usage, node):
             raise CapacityError(f"node type {node.name!r} has no resource {name!r}")
         if amount > capacities[name]:
             raise CapacityError(
-                f"{float(amount):g} of {name!r} requested but node type {node.name!r} has {float(capacities[name]):g}"
+                f"{exact_text(amount)} of {name!r} requested but node type {node.name!r} has {exact_text(capacities[name])}"
             )
         terms.append(amount / capacities[name])
     return max(terms)
@@ -371,16 +375,14 @@ def test_integer_kernel_equals_the_fraction_rule(case):
         assert node_fraction(usage, node) == expected
 
 
-def fuzz_config():
+def fuzz_config_data():
     """One partition per model id, four nodes each, on the test system's GPU nodes."""
     node_of = {p["model"]: p["node"] for p in TEST_CONFIG["partitions"] if p["name"] != "work"}
     node_of["peak-perf"] = node_of["energy"]
-    return parse_config(
-        {"partitions": [{"name": m, "model": m, "node_count": 4, "node": node_of[m]} for m in MODEL_IDS]}
-    )
+    return {"partitions": [{"name": m, "model": m, "node_count": 4, "node": node_of[m]} for m in MODEL_IDS]}
 
 
-FUZZ_CONFIG = fuzz_config()
+FUZZ_CONFIG = parse_config(fuzz_config_data())
 # column -> (values a valid row draws from, further values a fuzzed row may draw)
 JOBS_VALUES = {
     "job_id": (("j0", "j1", "j2", "j3"), ("", " j1 ")),
@@ -438,3 +440,38 @@ def test_ingest_yields_only_records_and_row_errors(jobs_text, details_text):
     assert tally.total_rows == tally.charged + len(tally.errors) == len(list(csv.reader(io.StringIO(jobs_text)))) - 1
     for record in records:
         assert record.total_su == charge_record(record, FUZZ_CONFIG).total_su
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("pA", "pB", "pC")),
+            st.sampled_from(MODEL_IDS),
+            st.integers(1, 4),
+            st.integers(1, 36),
+            st.sampled_from(("0", "1/3", "1.5", "8")),
+            st.sampled_from(("1", "2.5", "1/3", "0.1", "1/7", "1e-3", "123456.789")),
+        ),
+        max_size=12,
+    )
+)
+def test_printed_subtotals_sum_exactly_to_the_printed_total(rows):
+    """`ingest` prints each amount exactly: read back, the subtotals sum to `ALL`, each equal to `aggregate`'s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(json.dumps(fuzz_config_data()), encoding="utf-8")
+        jobs = Path(tmp) / "jobs.csv"
+        lines = [",".join(JOBS_VALUES)] + [f"j{i},{p},{m},{n},{c},0,{mem},{h}" for i, (p, m, n, c, mem, h) in enumerate(rows)]
+        jobs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(config), "ingest", "--jobs", str(jobs)])
+        usage = aggregate(ingest_jobs(jobs, FUZZ_CONFIG).records, FUZZ_CONFIG)
+    assert code in (0, 1)  # 1: some rows were rejected
+    printed: dict[str, dict[str, Fraction]] = {}
+    for project, partition, text in list(csv.reader(io.StringIO(out.getvalue())))[1:]:
+        printed.setdefault(project, {})[partition] = Fraction(text)
+    assert printed == {project: {**u.by_partition, "ALL": u.total_su} for project, u in usage.items()}
+    for parts in printed.values():
+        assert sum(amount for partition, amount in parts.items() if partition != "ALL") == parts["ALL"]
