@@ -30,7 +30,7 @@ import enum
 import math
 import re
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -49,7 +49,11 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 def parse_real(text: str) -> Fraction:
-    """Read a decimal or p/q string exactly, refusing oversized text first."""
+    """Read a decimal or p/q string exactly, refusing oversized text first.
+
+    An underscore between two digits is dropped, on every Python, as Python
+    3.11+ reads number text; any other underscore is refused.
+    """
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
     # Plain ASCII digits[.digits], the common cell, is read without the regex.
@@ -61,11 +65,13 @@ def parse_real(text: str) -> Fraction:
                 return Fraction(int(whole))
             if decimals.isdigit():
                 return Fraction(int(whole + decimals), 10 ** len(decimals))
-    exponent = _EXPONENT.search(text)
+    # Fraction reads underscores only from Python 3.11 on, so they go first.
+    plain = re.sub(r"(?<=\d)_(?=\d)", "", text) if "_" in text else text
+    exponent = _EXPONENT.search(plain)
     if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
         raise ValidationError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(plain)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a number: {text!r}") from None
 
@@ -294,6 +300,11 @@ class NodeType(Value):
         return self.memory_total_gib / self.total_cores
 
     @cached_property
+    def _share_integers(self) -> tuple[int, int, int, int]:
+        """(cores, GPUs, memory numerator, memory denominator): what every node share reads."""
+        return self.total_cores, self.gpu_count, *self.memory_total_gib.as_integer_ratio()
+
+    @cached_property
     def extra_capacities(self) -> Mapping[str, Fraction]:
         """Read-only resource name -> capacity view of `extra_resources`."""
         return MappingProxyType(dict(self.extra_resources))
@@ -330,18 +341,14 @@ class NodeUsage(Value):
         if extras != ():
             extras = _normalize_pairs(extras, "usage")
             set_field(self, "extra_used", extras)
-        if self.cores_used < 0 or self.gpus_used < 0:
+        cores, gpus, memory_units = self.cores_used, self.gpus_used, memory.numerator
+        if cores < 0 or gpus < 0:
             raise ValidationError("core and GPU counts must be nonnegative")
-        if memory.numerator < 0:
+        if memory_units < 0:
             raise ValidationError("memory_used_gib must be nonnegative")
-        if any(amount.numerator < 0 for _, amount in extras):
+        if extras and any(amount.numerator < 0 for _, amount in extras):
             raise ValidationError("extra resource amounts must be nonnegative")
-        if not (
-            self.cores_used > 0
-            or self.gpus_used > 0
-            or memory.numerator > 0
-            or any(amount.numerator > 0 for _, amount in extras)
-        ):
+        if not (cores or gpus or memory_units or (extras and any(amount.numerator for _, amount in extras))):
             raise ValidationError("a node usage must request at least one resource")
 
 
@@ -362,15 +369,16 @@ def _gpus_used(usage: NodeUsage, node: NodeType) -> int:
 
 def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M)."""
-    used = usage.memory_used_gib
-    used_num, used_den = used.numerator, used.denominator
-    total = node.memory_total_gib
-    if used_num * total.denominator > total.numerator * used_den:
+    used_num, used_den = usage.memory_used_gib.as_integer_ratio()
+    if not used_num:
+        return 0
+    cores, _, total_num, total_den = node._share_integers
+    if used_num * total_den > total_num * used_den:
         raise CapacityError(
-            f"{exact_text(used)} GiB requested but node type {node.name!r} has {exact_text(total)} GiB"
+            f"{exact_text(usage.memory_used_gib)} GiB requested but node type {node.name!r} "
+            f"has {exact_text(node.memory_total_gib)} GiB"
         )
-    share = node.memory_per_core_gib
-    return -(-(used_num * share.denominator) // (used_den * share.numerator))
+    return -(-(used_num * cores * total_den) // (used_den * total_num))
 
 
 def core_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
@@ -404,14 +412,21 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     quantity exceeds what the node provides, checking cores, GPUs, memory
     and then the extras.
     """
-    cores = _cores_used(usage, node)
-    gpus = _gpus_used(usage, node)
-    steps = max(cores, core_equivalent(usage, node))  # over C, the core count
+    total_cores, gpu_count, _, _ = node._share_integers
+    cores, gpus = usage.cores_used, usage.gpus_used
+    if cores > total_cores or gpus > gpu_count:
+        _cores_used(usage, node)  # each raises for its own count, cores first
+        _gpus_used(usage, node)
+    steps = core_equivalent(usage, node)  # over C, the core count
+    if steps < cores:
+        steps = cores
     # gpus / G against steps / C, cross-multiplied; gpus > 0 implies G > 0
-    if gpus * node.total_cores > steps * node.gpu_count:
-        numerator, denominator = gpus, node.gpu_count
+    if gpus * total_cores > steps * gpu_count:
+        numerator, denominator = gpus, gpu_count
     else:
-        numerator, denominator = steps, node.total_cores
+        numerator, denominator = steps, total_cores
+    if not usage.extra_used:
+        return numerator, denominator
     capacities = node.extra_capacities
     for resource, amount in usage.extra_used:
         if resource not in capacities:
@@ -509,12 +524,17 @@ class ChargeModel(Value):
             shares, repeat = [self.node_share(first, node)], len(usages)
         else:
             shares, repeat = [self.node_share(usage, node) for usage in usages], 1
-        units, denominator = reduce(add_ratios, shares)
+        units, denominator = shares[0]
+        for share_units, share_denominator in shares[1:]:  # add_ratios, inline
+            common = math.gcd(denominator, share_denominator)
+            units = units * (share_denominator // common) + share_units * (denominator // common)
+            denominator *= share_denominator // common
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
-        hours = job.walltime_hours
-        numerator = weight.numerator * hours.numerator * units * repeat
-        return (numerator, weight.denominator * hours.denominator * denominator), shares, repeat, weight
+        weight_num, weight_den = weight.as_integer_ratio()
+        hours_num, hours_den = job.walltime_hours.as_integer_ratio()
+        numerator = weight_num * hours_num * units * repeat
+        return (numerator, weight_den * hours_den * denominator), shares, repeat, weight
 
 
 class EnergyModel(ChargeModel):
@@ -562,13 +582,18 @@ class JobRequest(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        set_field(self, "per_node_usage", tuple(self.per_node_usage))
-        set_field(self, "walltime_hours", exact(self.walltime_hours))
-        if not self.per_node_usage:
+        usages, hours = self.per_node_usage, self.walltime_hours
+        if type(usages) is not tuple:
+            usages = tuple(usages)
+            set_field(self, "per_node_usage", usages)
+        if not isinstance(hours, Fraction):
+            hours = exact(hours)
+            set_field(self, "walltime_hours", hours)
+        if not usages:
             raise ValidationError("a job must span at least one node")
-        if self.walltime_hours.numerator < 0:
+        if hours.numerator < 0:
             raise ValidationError("walltime_hours must be nonnegative")
-        _check_span(self.partition, len(self.per_node_usage))
+        _check_span(self.partition, len(usages))
 
     @classmethod
     def uniform(

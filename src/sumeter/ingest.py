@@ -364,11 +364,15 @@ def builtin_config() -> SystemConfig:
 
 
 def _row_int(raw: str, column: str, minimum: int) -> int:
-    raw = raw.strip()
-    try:
+    # A cell of ASCII digits, the common one, is read as it stands; int() takes the rest.
+    if raw.isascii() and raw.isdigit():
         value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{column}: not an integer: {raw!r}") from None
+    else:
+        raw = raw.strip()
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValidationError(f"{column}: not an integer: {raw!r}") from None
     if value < minimum:
         raise ValidationError(f"{column}: must be >= {minimum}, got {value}")
     return value
@@ -478,7 +482,7 @@ def _parse_job_row(
             raise ValidationError(
                 f"detail rows for job {job_id!r} must cover node_index 0..{nodes - 1} exactly"
             )
-        job = JobRequest(partition, tuple(per_node[i] for i in range(nodes)), elapsed)
+        job = JobRequest(partition, tuple([per_node[i] for i in range(nodes)]), elapsed)
     else:
         usage = NodeUsage(
             cores_used=_row_int(cores, "cores_per_node", 0),

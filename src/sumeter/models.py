@@ -13,6 +13,7 @@ per-hour rates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, exact, node_share, set_field
@@ -83,21 +84,11 @@ def puhti_bu(
     (core_rate*cores + mem_rate*mem + nvme_rate*nvme + gpu_rate*gpus) * hours,
     with default rates 1 / 0.1 / 0.006 / 60 per hour.
     """
-    return Fraction(*_puhti_bill(rates, cores, mem_gib, nvme_gib, gpus, walltime_hours))
-
-
-def _puhti_bill(rates: PuhtiRates, *quantities: RealLike) -> tuple[int, int]:
-    """The `puhti_bu` rule as an integer numerator over one denominator."""
-    quantities = [q if isinstance(q, (int, Fraction)) else exact(q) for q in quantities]
+    quantities = [exact(q) for q in (cores, mem_gib, nvme_gib, gpus, walltime_hours)]
     if any(q.numerator < 0 for q in quantities):
         raise ValidationError("billing quantities must be nonnegative")
-    *amounts, hours = quantities
-    numerator, denominator = 0, 1
-    for rate, amount in zip((rates.core, rates.memory_gib, rates.nvme_gib, rates.gpu), amounts):
-        term_denominator = rate.denominator * amount.denominator
-        numerator = numerator * term_denominator + rate.numerator * amount.numerator * denominator
-        denominator *= term_denominator
-    return numerator * hours.numerator, denominator * hours.denominator
+    cores, mem_gib, nvme_gib, gpus, hours = quantities
+    return (rates.core * cores + rates.memory_gib * mem_gib + rates.nvme_gib * nvme_gib + rates.gpu * gpus) * hours
 
 
 def puhti_tdp_equivalence(
@@ -191,24 +182,34 @@ class PuhtiModel(ChargeModel):
         nvme_capacity = node.extra_capacities.get(self.nvme_resource, Fraction(0))
         return puhti_bu(node.total_cores, node.memory_total_gib, nvme_capacity, node.gpu_count, 1, self.rates)
 
-    def _full_node_bill(self, node: NodeType) -> Fraction:
-        """`node_weight(node)`, kept for the last node priced: a partition has one node type."""
+    def _bill_integers(self, node: NodeType) -> tuple:
+        """(node, the core, GPU, memory and NVMe rates as integers over one denominator D,
+        and D times the full-node bill as numerator, denominator), kept for the last
+        node priced: a partition has one node type."""
         last = self.__dict__.get("_last_full_node")
         if last is None or last[0] is not node:
-            last = (node, self.node_weight(node))
+            full_node = self.node_weight(node)
+            if full_node.numerator <= 0:
+                raise ModelError("the configured rates price a whole node at zero")
+            rates = (self.rates.core, self.rates.gpu, self.rates.memory_gib, self.rates.nvme_gib)
+            common = math.lcm(*[rate.denominator for rate in rates])
+            integer_rates = [rate.numerator * (common // rate.denominator) for rate in rates]
+            last = (node, *integer_rates, full_node.numerator * common, full_node.denominator)
             set_field(self, "_last_full_node", last)
-        return last[1]
+        return last
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
         node_share(usage, node)  # capacity validation
-        full_node = self._full_node_bill(node)
-        if full_node.numerator <= 0:
-            raise ModelError("the configured rates price a whole node at zero")
-        nvme_used = dict(usage.extra_used).get(self.nvme_resource, 0)
-        hourly, denominator = _puhti_bill(
-            self.rates, usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1
-        )
-        return hourly * full_node.denominator, denominator * full_node.numerator
+        _, core_rate, gpu_rate, memory_rate, nvme_rate, full_num, full_den = self._bill_integers(node)
+        memory_num, memory_den = usage.memory_used_gib.as_integer_ratio()
+        nvme_num, nvme_den = 0, 1
+        for resource, amount in usage.extra_used:
+            if resource == self.nvme_resource:
+                nvme_num, nvme_den = amount.as_integer_ratio()
+        # D times the node's hourly bill is hourly / (memory_den * nvme_den); D cancels in the share
+        hourly = (core_rate * usage.cores_used + gpu_rate * usage.gpus_used) * memory_den * nvme_den
+        hourly += memory_rate * memory_num * nvme_den + nvme_rate * nvme_num * memory_den
+        return hourly * full_den, memory_den * nvme_den * full_num
 
 
 _MODEL_CLASSES = {

@@ -38,37 +38,74 @@ from sumeter import (
     aggregate,
     get_model,
     iter_jobs,
+    parse_config,
     parse_real,
 )
 from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH
 from test_properties import (
-    DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, kernel_node_types, rule_fraction
+    DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, fuzz_config_data, kernel_node_types,
+    rule_fraction,
 )
+from conftest import TEST_CONFIG
 
 # ---------------------------------------------------------------- parse_real
 
 
+def without_digit_underscores(text):
+    """`text` less each underscore with a digit on both sides: Python 3.11+'s PEP 515 number rule.
+
+    Written out here rather than left to `Fraction(text)`, whose grammar has
+    underscores only from 3.11 on, so the reference is the same on every version.
+    """
+    parts = text.split("_")
+    kept = [parts[0]]
+    for left, right in zip(parts, parts[1:]):
+        kept.append(right if left[-1:].isdecimal() and right[:1].isdecimal() else "_" + right)
+    return "".join(kept)
+
+
 def plain_parse_real(text):
-    """`parse_real` without its fast path: the two bounds, then Fraction(text)."""
+    """`parse_real` without its fast path: the two bounds, then Fraction of the underscore-free text."""
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
-    exponent = re.search(r"[eE]([-+]?\d[\d_]*)", text)
+    plain = without_digit_underscores(text)
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)", plain)
     if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
         raise ValidationError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
+    if "_" in plain:  # an underscore not between two digits, which no Python reads
+        raise ValidationError(f"not a number: {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(plain)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a number: {text!r}") from None
 
 
+UNDERSCORED = {"1_0": 10, "1_0.5": Fraction(21, 2), "1_000/3": Fraction(1000, 3), "1.2_5": Fraction(5, 4),
+               "1e1_0": 10**10}
+BAD_UNDERSCORES = ("1__0", "_1", "1_", "1._5", "1_.5", "1/_3", "1e_1")
+
+
+@pytest.mark.parametrize("text", sorted(UNDERSCORED))
+def test_an_underscore_between_digits_reads_alike_on_every_python(text):
+    assert parse_real(text) == plain_parse_real(text) == UNDERSCORED[text]
+
+
+@pytest.mark.parametrize("text", BAD_UNDERSCORES)
+def test_any_other_underscore_is_refused_on_every_python(text):
+    for parse in (parse_real, plain_parse_real):
+        with pytest.raises(ValidationError, match="not a number"):
+            parse(text)
+
+
 NUMBER_EDGES = (
-    "0", "007", "0.000", "1.50", "5.", ".5", ".", "+1", "-0", "-1.5", "1e5", "1E-3", "1_0", "1._5",
+    "0", "007", "0.000", "1.50", "5.", ".5", ".", "+1", "-0", "-1.5", "1e5", "1E-3", *UNDERSCORED, *BAD_UNDERSCORES,
     "²", "٣", "٣.٥", "1²", "", " ", " 5", "5 ", "1/3", "1 / 3", "1/0", "1.2.3", "..", "1..2", "0x10",
     "9" * MAX_NUMBER_LENGTH, "9" * (MAX_NUMBER_LENGTH + 1), "1." + "0" * (MAX_NUMBER_LENGTH - 2),
 )
 number_texts = st.one_of(
     st.sampled_from(NUMBER_EDGES),
     st.text(alphabet="0123456789._+-eE/ ²٣", max_size=12),
+    st.from_regex(r"\A[0-9_]{1,6}([./][0-9_]{1,6})?([eE][0-9_]{1,4})?\Z"),
     st.from_regex(r"\A[0-9]{1,50}(\.[0-9]{0,50})?\Z"),
     st.text(alphabet="0123456789.", min_size=MAX_NUMBER_LENGTH - 2, max_size=MAX_NUMBER_LENGTH + 2),
     st.text(max_size=8),
@@ -199,6 +236,114 @@ def test_integer_charge_equals_the_naive_fraction_sum(job):
     assert Fraction(*model.total(job)) == expected
     assert type(report.total_su) is Fraction
     assert (report.total_su.numerator, report.total_su.denominator) == (expected.numerator, expected.denominator)
+
+
+# ------------------------------------------------------------ csv to charge
+
+# One partition per model id (puhti's node has an NVMe extra), plus a CPU-only one.
+README_CONFIG_DATA = {
+    "partitions": fuzz_config_data()["partitions"] + [p for p in TEST_CONFIG["partitions"] if p["name"] == "work"]
+}
+README_CONFIG = parse_config(README_CONFIG_DATA)
+PUHTI_RATES = {"core": 1, "memory_gib": Fraction(1, 10), "nvme_gib": Fraction(6, 1000), "gpu": 60}
+
+
+def readme_charge(entry, usages, hours):
+    """A job's charge by the README rule, in plain Fraction arithmetic from the config entry.
+
+    `usages` is one (cores, gpus, memory) per node; weight * hours * the sum of the shares.
+    """
+    node = entry["node"]
+    cpus = [cpu for cpu in node["cpus"] for _ in range(cpu.get("count", 1))]
+    gpus = [gpu for gpu in node.get("gpus") or [] for _ in range(gpu.get("count", 1))]
+    cores = sum(cpu["cores"] for cpu in cpus)
+    memory = Fraction(str(node["memory_total_gib"]))
+
+    def total(specs, key):
+        return sum(Fraction(str(spec[key])) for spec in specs)
+
+    def puhti_bill(cores, memory, nvme, gpus):
+        rates = PUHTI_RATES
+        return rates["core"] * cores + rates["memory_gib"] * memory + rates["nvme_gib"] * nvme + rates["gpu"] * gpus
+
+    if entry["model"] == "puhti":  # a node-hour weighs the whole node's bill; the detail file has no NVMe column
+        weight = puhti_bill(cores, memory, Fraction(str(node.get("extra_resources", {}).get("nvme_gib", 0))), len(gpus))
+    elif not gpus:
+        weight = Fraction(cores)
+    else:
+        weight = {
+            "energy": lambda: total(gpus, "tdp_watts") / total(cpus, "tdp_watts") * cores,
+            "sm": lambda: total(gpus, "streaming_multiprocessors"),
+            "peak-perf": lambda: total(gpus, "peak_flops") / total(cpus, "peak_flops") * cores,
+            "titan": lambda: cores + total(gpus, "streaming_multiprocessors"),
+        }[entry["model"]]()
+    shares = []
+    for used_cores, used_gpus, used_memory in usages:
+        if entry["model"] == "titan":
+            shares.append(Fraction(1))
+        elif entry["model"] == "puhti":
+            shares.append(puhti_bill(used_cores, used_memory, 0, used_gpus) / weight)
+        else:
+            shares.append(max(
+                Fraction(used_cores, cores),
+                Fraction(used_gpus, len(gpus)) if used_gpus else Fraction(0),
+                Fraction(math.ceil(used_memory / (memory / cores)), cores),
+            ))
+    return weight * hours * sum(shares)
+
+
+def decimal_texts(maximum):
+    """Decimal cell text in [0, maximum] with 0-2 places, such as `111.7` or `7.52`."""
+    return st.integers(0, 2).flatmap(
+        lambda places: st.integers(0, int(maximum * 10**places)).map(
+            lambda units: f"{units // 10**places}.{units % 10**places:0{places}d}" if places else str(units)
+        )
+    )
+
+
+def requesting(cells):
+    """(cores, gpus, memory text) cells, with one core asked for when nothing else is."""
+    cores, gpus, memory = cells
+    return cores or int(not gpus and not Fraction(memory)), gpus, memory
+
+
+@st.composite
+def readme_jobs(draw):
+    """Jobs rows, uniform or with shuffled detail rows; every node requests something within capacity."""
+    jobs, details = [], []
+    for number in range(draw(st.integers(1, 8))):
+        entry = draw(st.sampled_from(README_CONFIG_DATA["partitions"]))
+        node = README_CONFIG.partition(entry["name"]).node_type
+        usage = st.tuples(
+            st.integers(0, node.total_cores), st.integers(0, node.gpu_count), decimal_texts(node.memory_total_gib)
+        ).map(requesting)
+        nodes, detailed = draw(st.integers(1, 4)), draw(st.booleans())
+        cells = draw(st.lists(usage, min_size=nodes, max_size=nodes)) if detailed else [draw(usage)] * nodes
+        jobs.append((f"j{number}", entry, nodes, (1, 0, "0") if detailed else cells[0], draw(decimal_texts(100)), cells))
+        if detailed:
+            details += [(f"j{number}", index, *node_cells) for index, node_cells in enumerate(cells)]
+    return jobs, draw(st.permutations(details))
+
+
+@settings(max_examples=150, deadline=None)
+@given(readme_jobs())
+def test_csv_cells_are_charged_by_the_readme_rule(case):
+    jobs, details = case
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs_path, details_path = Path(tmp) / "jobs.csv", Path(tmp) / "details.csv"
+        rows = [",".join(JOBS_VALUES)]
+        for job_id, entry, nodes, (cores, gpus, memory), hours, _ in jobs:
+            rows.append(f"{job_id},p,{entry['name']},{nodes},{cores},{gpus},{memory},{hours}")
+        jobs_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        detail_rows = [",".join(DETAIL_VALUES)] + [",".join(map(str, row)) for row in details]
+        details_path.write_text("\n".join(detail_rows) + "\n", encoding="utf-8")
+        items = list(iter_jobs(jobs_path, README_CONFIG, details_path))
+    assert [type(item) for item in items] == [JobRecord] * len(jobs)
+    for record, (job_id, entry, _, _, hours, cells) in zip(items, jobs):
+        usages = [(int(cores), int(gpus), Fraction(memory)) for cores, gpus, memory in cells]
+        expected = readme_charge(entry, usages, Fraction(hours))
+        assert record.job_id == job_id
+        assert type(record.total_su) is Fraction and record.total_su == expected
 
 
 # ----------------------------------------------------------------- aggregate
