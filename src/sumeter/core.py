@@ -342,6 +342,8 @@ class NodeUsage(Value):
             extras = _normalize_pairs(extras, "usage")
             set_field(self, "extra_used", extras)
         cores, gpus, memory_units = self.cores_used, self.gpus_used, memory.numerator
+        if type(cores) is not int or type(gpus) is not int:  # a bool is not a count
+            raise ValidationError("core and GPU counts must be integers")
         if cores < 0 or gpus < 0:
             raise ValidationError("core and GPU counts must be nonnegative")
         if memory_units < 0:
@@ -555,6 +557,8 @@ class Partition(Value):
     __slots__ = _fields = ("name", "node_type", "node_count", "model", "weight")
 
     def __init__(self, name: str, node_type: NodeType, node_count: int = 1, model: ChargeModel = EnergyModel()) -> None:
+        if type(node_count) is not int:
+            raise ValidationError(f"partition {name!r}: node_count must be an integer")
         if node_count < 1:
             raise ValidationError(f"partition {name!r}: node_count must be at least 1")
         weight = model.node_weight(node_type)
@@ -600,6 +604,8 @@ class JobRequest(Value):
         cls, partition: Partition, nodes: int, usage: NodeUsage, walltime_hours: RealLike
     ) -> "JobRequest":
         """Identical usage replicated across `nodes` nodes."""
+        if type(nodes) is not int:
+            raise ValidationError("nodes must be an integer")
         _check_span(partition, nodes)  # before `nodes` copies are made
         return cls(partition, (usage,) * nodes, walltime_hours)
 

@@ -165,62 +165,82 @@ class _FloatText(Fraction):
         return self._text
 
 
+def _quote(raw) -> str:
+    """A config value as an error quotes it: its repr, or its type name when it has none
+    (an int beyond the interpreter's digit limit, or a too deeply nested list)."""
+    try:
+        return repr(raw)
+    except (ValueError, RecursionError):
+        return type(raw).__name__
+
+
 def _decimal(raw, path: str, errors: list[str]) -> Fraction:
     """Parse a JSON number decimally (0.1 becomes exactly 1/10)."""
     if isinstance(raw, Fraction):  # float text, already read exactly by `load_config`
         return Fraction(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        errors.append(f"{path}: expected a number, got {raw!r}")
+        errors.append(f"{path}: expected a number, got {_quote(raw)}")
         return Fraction(1)
     if isinstance(raw, float) and not math.isfinite(raw):  # ints are finite, and may be beyond any float
         errors.append(f"{path}: expected a finite number")
         return Fraction(1)
-    return Fraction(str(raw))
+    return Fraction(raw if isinstance(raw, int) else str(raw))  # an int of any size, a float as its shortest decimal
 
 
 def _integer(raw, path: str, errors: list[str]) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        errors.append(f"{path}: expected an integer, got {raw!r}")
+        errors.append(f"{path}: expected an integer, got {_quote(raw)}")
         return 1
     return raw
 
 
 def _text(raw, path: str, errors: list[str]) -> str:
     if not isinstance(raw, str) or not raw:
-        errors.append(f"{path}: expected a non-empty string, got {raw!r}")
+        errors.append(f"{path}: expected a non-empty string, got {_quote(raw)}")
         return "?"
     return raw
 
 
-def _list(raw, path: str, errors: list[str]) -> list:
+def _optional(entry: dict, key: str, kind: type, path: str, errors: list[str], expected: str):
+    """Optional list or object `entry[key]`: null reads as absent, that is empty, and
+    another type is the error `path.key: expected <expected>`, `{got}` quoting it."""
+    raw = entry.get(key)
     if raw is None:
-        return []
-    if not isinstance(raw, list):
-        errors.append(f"{path}: expected a list, got {raw!r}")
-        return []
+        return kind()
+    if not isinstance(raw, kind):
+        errors.append(f"{path}.{key}: expected " + expected.format(got=_quote(raw)))
+        return kind()
     return raw
 
 
-def _processor(entry, kind: ProcessorKind, path: str, errors: list[str]) -> tuple[ProcessorSpec | None, int]:
+def _built(build, path: str, errors: list[str], before: int):
+    """`build()` when the entry collected no error past the first `before`, else None.
+    An AccountingError of the build is collected as `path: message`."""
+    if len(errors) > before:
+        return None
+    try:
+        return build()
+    except AccountingError as err:
+        errors.append(f"{path}: {err}")
+        return None
+
+
+def _processors(entry, kind: ProcessorKind, path: str, errors: list[str]) -> list[ProcessorSpec]:
+    """The `count` copies of one processor entry; none when the entry has an error."""
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
-        return None, 0
+        return []
     before = len(errors)
     name = _text(entry.get("name"), f"{path}.name", errors)
     tdp = _decimal(entry.get("tdp_watts"), f"{path}.tdp_watts", errors)
     flops = _decimal(entry.get("peak_flops"), f"{path}.peak_flops", errors)
     count = _integer(entry.get("count", 1), f"{path}.count", errors)
     if not 1 <= count <= MAX_PROCESSOR_COUNT:
-        errors.append(f"{path}.count: must be between 1 and {MAX_PROCESSOR_COUNT}, got {count}")
+        errors.append(f"{path}.count: must be between 1 and {MAX_PROCESSOR_COUNT}, got {_quote(count)}")
     unit = "cores" if kind is ProcessorKind.CPU else "streaming_multiprocessors"
     units = _integer(entry.get(unit), f"{path}.{unit}", errors)
-    if len(errors) > before:
-        return None, 0
-    try:
-        return ProcessorSpec(name, kind, tdp, flops, **{unit: units}), count
-    except ValidationError as err:
-        errors.append(f"{path}: {err}")
-        return None, 0
+    spec = _built(lambda: ProcessorSpec(name, kind, tdp, flops, **{unit: units}), path, errors, before)
+    return [] if spec is None else [spec] * count
 
 
 def _node_type(entry, path: str, errors: list[str]) -> NodeType | None:
@@ -233,37 +253,20 @@ def _node_type(entry, path: str, errors: list[str]) -> NodeType | None:
     cpus: list[ProcessorSpec] = []
     gpus: list[ProcessorSpec] = []
     for key, kind, specs in (("cpus", ProcessorKind.CPU, cpus), ("gpus", ProcessorKind.GPU, gpus)):
-        for i, raw in enumerate(_list(entry.get(key), f"{path}.{key}", errors)):
-            spec, count = _processor(raw, kind, f"{path}.{key}[{i}]", errors)
-            if spec is not None:
-                specs.extend([spec] * count)
+        for i, raw in enumerate(_optional(entry, key, list, path, errors, "a list, got {got}")):
+            specs += _processors(raw, kind, f"{path}.{key}[{i}]", errors)
+    raw_extras = _optional(entry, "extra_resources", dict, path, errors, "an object of name -> capacity")
     extras = {}
-    raw_extras = entry.get("extra_resources")
-    if raw_extras is None:
-        raw_extras = {}
-    elif not isinstance(raw_extras, dict):
-        errors.append(f"{path}.extra_resources: expected an object of name -> capacity")
-        raw_extras = {}
     for resource, capacity in raw_extras.items():
         extras[resource] = _decimal(capacity, f"{path}.extra_resources.{resource}", errors)
-    if len(errors) > before:
-        return None
-    try:
-        return NodeType(name, cpus=tuple(cpus), memory_total_gib=memory, gpus=tuple(gpus), extra_resources=extras)
-    except ValidationError as err:
-        errors.append(f"{path}: {err}")
-        return None
+    return _built(lambda: NodeType(name, cpus, memory, gpus, extras), path, errors, before)
 
 
-def _model_from_entry(model_id: str, parameters, path: str, errors: list[str]) -> ChargeModel | None:
+def _model_from_entry(model_id: str, entry: dict, path: str, errors: list[str]) -> ChargeModel | None:
     if model_id not in MODEL_IDS:
         errors.append(f"{path}.model: unknown model {model_id!r} (known: {', '.join(MODEL_IDS)})")
         return None
-    if parameters is None:
-        parameters = {}
-    elif not isinstance(parameters, dict):
-        errors.append(f"{path}.model_parameters: expected an object")
-        return None
+    parameters = _optional(entry, "model_parameters", dict, path, errors, "an object")
     if model_id == "puhti":
         return _puhti_model(parameters, f"{path}.model_parameters", errors)
     if parameters:
@@ -277,24 +280,14 @@ def _puhti_model(parameters: dict, path: str, errors: list[str]) -> ChargeModel 
     for key in parameters:
         if key not in _PUHTI_PARAMETERS:
             errors.append(f"{path}.{key}: unknown parameter (known: {', '.join(_PUHTI_PARAMETERS)})")
-    raw_rates = parameters.get("rates", {})
-    if not isinstance(raw_rates, dict):
-        errors.append(f"{path}.rates: expected an object of rate name -> number")
-        raw_rates = {}
     rates = {}
-    for name, value in raw_rates.items():
+    for name, value in _optional(parameters, "rates", dict, path, errors, "an object of rate name -> number").items():
         if name in _PUHTI_RATE_NAMES:
             rates[name] = _decimal(value, f"{path}.rates.{name}", errors)
         else:
             errors.append(f"{path}.rates.{name}: unknown rate (known: {', '.join(_PUHTI_RATE_NAMES)})")
     nvme_resource = _text(parameters.get("nvme_resource", "nvme_gib"), f"{path}.nvme_resource", errors)
-    if len(errors) > before:
-        return None
-    try:
-        return PuhtiModel(rates=PuhtiRates(**rates), nvme_resource=nvme_resource)
-    except ValidationError as err:
-        errors.append(f"{path}: {err}")
-        return None
+    return _built(lambda: PuhtiModel(rates=PuhtiRates(**rates), nvme_resource=nvme_resource), path, errors, before)
 
 
 def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
@@ -319,15 +312,12 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
         model_id = _text(entry.get("model", "energy"), f"{path}.model", errors)
         node_count = _integer(entry.get("node_count", 1), f"{path}.node_count", errors)
         node = _node_type(entry.get("node"), f"{path}.node", errors)
-        model = None if node is None else _model_from_entry(model_id, entry.get("model_parameters"), path, errors)
-        if len(errors) > before:  # a None node or model has appended its error
-            continue
-        try:
-            partitions.append(Partition(name, node, node_count, model=model))
-        except AccountingError as err:
-            errors.append(f"{path}: {err}")
-            continue
-        seen_names.add(name)
+        # a None node or model has collected its error, so the partition is not built
+        model = None if node is None else _model_from_entry(model_id, entry, path, errors)
+        partition = _built(lambda: Partition(name, node, node_count, model=model), path, errors, before)
+        if partition is not None:
+            partitions.append(partition)
+            seen_names.add(name)
     if errors:
         raise ValidationError(f"{source}: invalid configuration:\n- " + "\n- ".join(errors))
     return SystemConfig(partitions=tuple(partitions))
@@ -364,15 +354,10 @@ def builtin_config() -> SystemConfig:
 
 
 def _row_int(raw: str, column: str, minimum: int) -> int:
-    # A cell of ASCII digits, the common one, is read as it stands; int() takes the rest.
-    if raw.isascii() and raw.isdigit():
+    try:  # int() strips whitespace and reads 1_0 and non-ASCII digits
         value = int(raw)
-    else:
-        raw = raw.strip()
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValidationError(f"{column}: not an integer: {raw!r}") from None
+    except ValueError:
+        raise ValidationError(f"{column}: not an integer: {raw.strip()!r}") from None
     if value < minimum:
         raise ValidationError(f"{column}: must be >= {minimum}, got {value}")
     return value
@@ -389,38 +374,41 @@ def _row_real(raw: str, column: str) -> Fraction:
     return value
 
 
-def _csv_rows(
-    handle, path: str | Path, columns: Sequence[str], kind: str
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Each non-blank row after the header as (line, its cells in `columns` order).
+def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Each non-blank row after the header of `path` as (line, its cells in `columns` order).
 
     `line` is the physical line where the row starts. Reads as
     `csv.DictReader` would: blank lines are skipped, a short row reads as
-    blank cells and cells past the header are ignored. A file that is not
-    UTF-8, or a row the csv module refuses, is a ConfigError naming the
-    file and line.
+    blank cells and cells past the header are ignored. A file that cannot
+    be opened or is not UTF-8, or a row the csv module refuses, is a
+    ConfigError naming the file (and line).
     """
-    reader = csv.reader(handle)
     try:
-        header = next(reader, None) or ()
-        index = {name: position for position, name in enumerate(header)}
-        missing = set(columns) - set(index)
-        if missing:
-            raise ConfigError(f"{path}: {kind} missing columns: {', '.join(sorted(missing))}")
-        positions = [index[column] for column in columns]
-        width = max(positions) + 1
-        cells = itemgetter(*positions)
-        line = reader.line_num + 1  # where the next row starts
-        for row in reader:
-            if row:
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                yield line, cells(row)
-            line = reader.line_num + 1
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
-    except csv.Error as err:
-        raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as err:
+        raise ConfigError(f"cannot read {kind} {path}: {err}") from err
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None) or ()
+            index = {name: position for position, name in enumerate(header)}
+            missing = set(columns) - set(index)
+            if missing:
+                raise ConfigError(f"{path}: {kind} missing columns: {', '.join(sorted(missing))}")
+            positions = [index[column] for column in columns]
+            width = max(positions) + 1
+            cells = itemgetter(*positions)
+            line = reader.line_num + 1  # where the next row starts
+            for row in reader:
+                if row:
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                    yield line, cells(row)
+                line = reader.line_num + 1
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
+        except csv.Error as err:
+            raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def _undecodable_line(path: str | Path) -> int:
@@ -438,18 +426,13 @@ def _load_details(path: str | Path) -> dict[str, list[tuple[int, int | str, Node
     """Each job id's detail rows in file order ("" for a blank id): `(line, node_index,
     usage)`, or `(line, message, None)` for a row whose cells do not parse."""
     details: dict[str, list[tuple[int, int | str, NodeUsage | None]]] = {}
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as err:
-        raise ConfigError(f"cannot read details file {path}: {err}") from err
-    with handle:
-        for line, (job_id, index, cores, gpus, memory) in _csv_rows(handle, path, DETAIL_CSV_COLUMNS, "detail file"):
-            try:
-                index = _row_int(index, "node_index", 0)
-                usage = NodeUsage(_row_int(cores, "cores", 0), _row_int(gpus, "gpus", 0), _row_real(memory, "mem_gib"))
-            except ValidationError as err:
-                index, usage = str(err), None
-            details.setdefault(job_id.strip(), []).append((line, index, usage))
+    for line, (job_id, index, cores, gpus, memory) in _csv_rows(path, DETAIL_CSV_COLUMNS, "details file"):
+        try:
+            index = _row_int(index, "node_index", 0)
+            usage = NodeUsage(_row_int(cores, "cores", 0), _row_int(gpus, "gpus", 0), _row_real(memory, "mem_gib"))
+        except ValidationError as err:
+            index, usage = str(err), None
+        details.setdefault(job_id.strip(), []).append((line, index, usage))
     return details
 
 
@@ -511,25 +494,20 @@ def iter_jobs(
     details = {} if details_path is None else _load_details(details_path)
     charged_ids: set[str] = set()
     rejected_ids: set[str] = set()
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as err:
-        raise ConfigError(f"cannot read jobs file {path}: {err}") from err
-    with handle:
-        for line, cells in _csv_rows(handle, path, JOBS_CSV_COLUMNS, "jobs file"):
-            job_id = cells[0].strip()
-            if job_id in charged_ids:
-                yield RowError(line, f"duplicate job_id {job_id!r}")
-                continue
-            try:
-                record = _parse_job_row(job_id, cells, config, details.get(job_id, ()))
-            except (ValidationError, CapacityError) as err:
-                rejected_ids.add(job_id)
-                yield RowError(line, str(err))
-            else:
-                details.pop(job_id, None)  # a charged job's detail rows are done with
-                charged_ids.add(job_id)
-                yield record
+    for line, cells in _csv_rows(path, JOBS_CSV_COLUMNS, "jobs file"):
+        job_id = cells[0].strip()
+        if job_id in charged_ids:
+            yield RowError(line, f"duplicate job_id {job_id!r}")
+            continue
+        try:
+            record = _parse_job_row(job_id, cells, config, details.get(job_id, ()))
+        except (ValidationError, CapacityError) as err:
+            rejected_ids.add(job_id)
+            yield RowError(line, str(err))
+        else:
+            details.pop(job_id, None)  # a charged job's detail rows are done with
+            charged_ids.add(job_id)
+            yield record
     # what is left belongs to a blank job_id, to rejected rows, or to no row
     left = ((job_id, rows) for job_id, rows in details.items() if not job_id or job_id not in rejected_ids)
     for line, job_id in sorted((row[0], job_id) for job_id, rows in left for row in rows):

@@ -228,6 +228,23 @@ class TestPartition:
         partition = Partition("gpu", gpu_node, model=get_model("peak-perf"))
         assert partition.weight == Fraction(2328, 5)
 
+    @pytest.mark.parametrize("node_count", [1.5, True])
+    def test_node_count_must_be_an_int(self, cpu_node, node_count):
+        with pytest.raises(ValidationError, match="node_count must be an integer"):
+            Partition("cpu", cpu_node, node_count=node_count)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("counts", [{"cores_used": 1.5}, {"cores_used": True}, {"gpus_used": "2"}])
+    def test_usage_counts_must_be_ints(self, counts):
+        with pytest.raises(ValidationError, match="core and GPU counts must be integers"):
+            NodeUsage(**counts)
+
+    @pytest.mark.parametrize("nodes", [1.5, True])
+    def test_uniform_node_count_must_be_an_int(self, cpu_partition, nodes):
+        with pytest.raises(ValidationError, match="nodes must be an integer"):
+            JobRequest.uniform(cpu_partition, nodes, NodeUsage(cores_used=1), 1)
+
 
 class TestJobCost:
     def test_one_core_hour_is_one_su(self, cpu_partition):

@@ -13,18 +13,22 @@ from sumeter import (
     ConfigError,
     JobRequest,
     NodeUsage,
+    RowError,
     ValidationError,
     aggregate,
     builtin_config,
     SystemConfig,
     charge_record,
     ingest_jobs,
+    iter_jobs,
     job_cost,
     load_config,
     parse_config,
 )
 from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS
 from conftest import TEST_CONFIG, write_jobs_csv
+
+HUGE = 10**5000  # beyond the 4,300 digits that int-to-text conversion allows
 
 
 def with_value(entry, path, value=None, delete=False):
@@ -155,6 +159,56 @@ class TestLoadConfig:
         for value in (empty, None):
             assert parse_config({"partitions": [with_value(entry, path, value)]}) == absent
 
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            (
+                dict(TEST_CONFIG["partitions"][4], model_parameters={"nvme_resource": "nvme_gib"}),
+                "model_parameters.rates",
+            ),
+            (TEST_CONFIG["partitions"][0], "node.cpus"),
+        ],
+        ids=["rates", "cpus"],
+    )
+    def test_null_reads_as_an_absent_key(self, entry, path):
+        def outcome(entry):
+            try:
+                return parse_config({"partitions": [entry]})
+            except ValidationError as err:  # no cpus: the node type needs at least one CPU
+                return str(err)
+
+        assert outcome(with_value(entry, path, None)) == outcome(with_value(entry, path, delete=True))
+
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            (("name",), HUGE, "name: expected a non-empty string, got int"),
+            (("node", "gpus"), HUGE, "node.gpus: expected a list, got int"),
+            (("node", "gpus", 0, "count"), HUGE, "node.gpus[0].count: must be between 1 and 1024, got int"),
+            (("node", "gpus", 0, "name"), [HUGE], "node.gpus[0].name: expected a non-empty string, got list"),
+            (("node", "memory_total_gib"), -HUGE, "node: node type 'quad-a100': memory_total_gib must be positive"),
+            (("node", "gpus", 0, "tdp_watts"), -HUGE, "node.gpus[0]: processor 'A100 SMX': tdp_watts must be positive"),
+        ],
+        ids=["name", "gpus", "count", "name-list", "memory", "tdp"],
+    )
+    def test_an_int_beyond_the_digit_limit_is_a_collected_error(self, path, value, line):
+        entry = copy.deepcopy(TEST_CONFIG["partitions"][1])
+        *parents, key = path
+        owner = entry
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = value
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [entry]})
+        assert str(excinfo.value).splitlines()[1:] == [f"- partitions[0].{line}"]
+
+    def test_an_int_beyond_the_digit_limit_is_read_exactly(self):
+        entry = copy.deepcopy(TEST_CONFIG["partitions"][1])
+        entry["node"]["memory_total_gib"] = HUGE
+        entry["node"]["gpus"][0]["tdp_watts"] = HUGE
+        node = parse_config({"partitions": [entry]}).partition("gpu").node_type
+        assert node.memory_total_gib == HUGE and node.gpu_tdp_watts == 4 * HUGE
+
     def test_a_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "system.json"
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(TEST_CONFIG).encode("utf-8"))
@@ -277,6 +331,46 @@ class TestIngestJobs:
         path.write_text("job_id,project,partition,nodes\nj1,p,work,1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="missing columns"):
             ingest_jobs(path, config)
+
+    def test_a_detail_file_missing_columns_is_fatal(self, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
+        details = tmp_path / "details.csv"
+        details.write_text("job_id,node_index,cores\nj1,0,1\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            ingest_jobs(jobs, load_config(config_path), details_path=details)
+        assert str(excinfo.value) == f"{details}: details file missing columns: gpus, mem_gib"
+
+    def test_an_unreadable_jobs_file_is_a_config_error(self, config_path, tmp_path):
+        missing = tmp_path / "nope.csv"
+        with pytest.raises(ConfigError) as excinfo:
+            ingest_jobs(missing, load_config(config_path))
+        assert str(excinfo.value).startswith(f"cannot read jobs file {missing}: ")
+
+    @pytest.mark.parametrize(
+        "cell, outcome",
+        [
+            (" 12 ", 12),
+            ("1_0", 10),
+            ("\u0661\u0662", 12),  # Arabic-Indic digits
+            ("", "cores_per_node: not an integer: ''"),
+            ("1.0", "cores_per_node: not an integer: '1.0'"),
+            ("-1", "cores_per_node: must be >= 0, got -1"),
+            ("1__0", "cores_per_node: not an integer: '1__0'"),
+        ],
+    )
+    def test_integer_cells(self, config_path, tmp_path, cell, outcome):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"j1,projA,work,1,{cell},0,0,1"])
+        (item,) = iter_jobs(jobs, load_config(config_path))
+        if isinstance(outcome, int):
+            assert item.node_usages[0].cores_used == outcome
+        else:
+            assert item == RowError(2, outcome)
+
+    def test_an_integer_cell_beyond_the_digit_limit_is_a_row_error(self, config_path, tmp_path):
+        digits = "1" * 5000
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"j1,projA,work,1,{digits},0,0,1"])
+        (item,) = iter_jobs(jobs, load_config(config_path))
+        assert item == RowError(2, f"cores_per_node: not an integer: '{digits}'")
 
     def test_crlf_accepted(self, config_path, tmp_path):
         config = load_config(config_path)
