@@ -30,6 +30,8 @@ class ApplicationBenchmark(Value):
     __slots__ = _fields = ("name", "perf_ratio")
 
     def __init__(self, name: str, perf_ratio: int) -> None:
+        if type(perf_ratio) is not int:  # a bool is not a count
+            raise ValidationError(f"benchmark {name!r}: perf_ratio must be an integer")
         if perf_ratio < 1:
             raise ValidationError(f"benchmark {name!r}: perf_ratio must be at least 1")
         super().__init__(name, perf_ratio)

@@ -177,6 +177,8 @@ class ProcessorSpec(Value):
         streaming_multiprocessors: int = 0,
     ) -> None:
         tdp_watts, peak_flops = exact(tdp_watts), exact(peak_flops)
+        if type(cores) is not int or type(streaming_multiprocessors) is not int:  # a bool is not a count
+            raise ValidationError(f"processor {name!r}: cores and streaming_multiprocessors must be integers")
         if tdp_watts <= 0:
             raise ValidationError(f"processor {name!r}: tdp_watts must be positive")
         if peak_flops <= 0:
@@ -216,12 +218,14 @@ def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
     out = []
     seen = set()
     for name, amount in items:
+        if type(name) is not str:
+            raise ValidationError(f"{what}: resource name must be a string, got {type(name).__name__}")
         if not name:
             raise ValidationError(f"{what}: resource name must be non-empty")
         if name in seen:
             raise ValidationError(f"{what}: duplicate resource {name!r}")
         seen.add(name)
-        out.append((str(name), exact(amount)))
+        out.append((name, exact(amount)))
     return tuple(sorted(out))
 
 

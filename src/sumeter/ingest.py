@@ -213,6 +213,16 @@ def _optional(entry: dict, key: str, kind: type, path: str, errors: list[str], e
     return raw
 
 
+def _items(entry: dict, path: str, errors: list[str]):
+    """The (key, value) pairs of a config object; a key that is not a string is
+    the error `path: expected a string key, got <key>`."""
+    for key, value in entry.items():
+        if isinstance(key, str):
+            yield key, value
+        else:
+            errors.append(f"{path}: expected a string key, got {_quote(key)}")
+
+
 def _built(build, path: str, errors: list[str], before: int):
     """`build()` when the entry collected no error past the first `before`, else None.
     An AccountingError of the build is collected as `path: message`."""
@@ -257,7 +267,7 @@ def _node_type(entry, path: str, errors: list[str]) -> NodeType | None:
             specs += _processors(raw, kind, f"{path}.{key}[{i}]", errors)
     raw_extras = _optional(entry, "extra_resources", dict, path, errors, "an object of name -> capacity")
     extras = {}
-    for resource, capacity in raw_extras.items():
+    for resource, capacity in _items(raw_extras, f"{path}.extra_resources", errors):
         extras[resource] = _decimal(capacity, f"{path}.extra_resources.{resource}", errors)
     return _built(lambda: NodeType(name, cpus, memory, gpus, extras), path, errors, before)
 
@@ -277,11 +287,12 @@ def _model_from_entry(model_id: str, entry: dict, path: str, errors: list[str]) 
 
 def _puhti_model(parameters: dict, path: str, errors: list[str]) -> ChargeModel | None:
     before = len(errors)
-    for key in parameters:
+    for key, _ in _items(parameters, path, errors):
         if key not in _PUHTI_PARAMETERS:
             errors.append(f"{path}.{key}: unknown parameter (known: {', '.join(_PUHTI_PARAMETERS)})")
     rates = {}
-    for name, value in _optional(parameters, "rates", dict, path, errors, "an object of rate name -> number").items():
+    raw_rates = _optional(parameters, "rates", dict, path, errors, "an object of rate name -> number")
+    for name, value in _items(raw_rates, f"{path}.rates", errors):
         if name in _PUHTI_RATE_NAMES:
             rates[name] = _decimal(value, f"{path}.rates.{name}", errors)
         else:

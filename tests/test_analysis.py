@@ -181,3 +181,8 @@ class TestApplicationBenchmark:
     def test_rejects_zero_ratio(self):
         with pytest.raises(ValidationError):
             ApplicationBenchmark("x", 0)
+
+    @pytest.mark.parametrize("perf_ratio", [1.5, True, "4"])
+    def test_perf_ratio_must_be_an_int(self, perf_ratio):
+        with pytest.raises(ValidationError, match="perf_ratio must be an integer"):
+            ApplicationBenchmark("x", perf_ratio)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from sumeter import tables
 from sumeter.analysis import MAX_SWEEP_STEPS
 from sumeter.cli import main
 from conftest import TEST_CONFIG, write_jobs_csv
@@ -276,6 +277,25 @@ class TestReport:
         code, _, _ = run(capsys, "report", "--all", "--out", str(out_dir))
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["table2.csv", "table3.csv", "table4.csv"]
+
+    def test_each_out_file_is_the_table_csv(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "report", "--all", "--out", str(tmp_path / "tables"))
+        assert code == 0
+        for number in (2, 3, 4):
+            code, out, _ = run(capsys, "report", "--table", str(number), "--format", "csv")
+            assert code == 0
+            assert (tmp_path / "tables" / f"table{number}.csv").read_bytes() == out.encode("utf-8")
+
+    def test_a_missed_published_value_fails_the_report(self, capsys, monkeypatch):
+        rows = list(tables.PUBLISHED_TABLES[4].rows)
+        assert rows[0] == ("FUN3D", 41, 1476, "7.69")  # regenerated as 7.6875
+        rows[0] = ("FUN3D", 41, 1476, "7.79")
+        monkeypatch.setitem(tables.PUBLISHED_TABLES, 4, tables.PublishedTable(4, "energy", 192, tuple(rows)))
+        code, out, err = run(capsys, "report", "--table", "4", "--format", "csv")
+        assert (code, err) == (1, "error: regenerated values diverge from the published tables\n")
+        matches = {row["application"]: row["matches"] for row in csv.DictReader(io.StringIO(out))}
+        assert matches.pop("FUN3D") == "false"
+        assert set(matches.values()) == {"true"} and len(matches) == 12
 
 
 class TestIngestCommand:

@@ -54,6 +54,13 @@ class TestProcessorSpec:
         with pytest.raises(ValidationError):
             ProcessorSpec.gpu("g", 0, 400, 1e12)
 
+    @pytest.mark.parametrize(
+        "kind, count", [("cpu", 1.5), ("cpu", "4"), ("cpu", True), ("gpu", 2.5)], ids=["1.5", "text", "bool", "sms"]
+    )
+    def test_counts_must_be_ints(self, kind, count):
+        with pytest.raises(ValidationError, match="cores and streaming_multiprocessors must be integers"):
+            getattr(ProcessorSpec, kind)("x", count, 150, 1e12)
+
 
 class TestNodeType:
     def test_derived_totals(self, gpu_node):
@@ -73,6 +80,11 @@ class TestNodeType:
             NodeType("bad", cpus=(REFERENCE_GPU,), memory_total_gib=64)
         with pytest.raises(ValidationError):
             NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, gpus=(REFERENCE_CPU,))
+
+    @pytest.mark.parametrize("extras", [{1: 5, "1": 6}, {10**5000: 5}], ids=["int-and-text", "huge"])
+    def test_resource_names_must_be_strings(self, extras):
+        with pytest.raises(ValidationError, match="resource name must be a string, got int"):
+            NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, extra_resources=extras)
 
 
 class TestCoreFraction:
@@ -301,3 +313,7 @@ class TestNodeUsageValidation:
             NodeUsage(cores_used=-1)
         with pytest.raises(ValidationError):
             NodeUsage(memory_used_gib=-2)
+
+    def test_extra_names_must_be_strings(self):
+        with pytest.raises(ValidationError, match="usage: resource name must be a string, got int"):
+            NodeUsage(cores_used=1, extra_used={1: 1, "1": 2})

@@ -209,6 +209,22 @@ class TestLoadConfig:
         node = parse_config({"partitions": [entry]}).partition("gpu").node_type
         assert node.memory_total_gib == HUGE and node.gpu_tdp_watts == 4 * HUGE
 
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            ("node.extra_resources", {HUGE: 1490}, "node.extra_resources: expected a string key, got int"),
+            ("node.extra_resources", {1: 1490}, "node.extra_resources: expected a string key, got 1"),
+            ("model_parameters", {HUGE: 1}, "model_parameters: expected a string key, got int"),
+            ("model_parameters", {"rates": {HUGE: 1}}, "model_parameters.rates: expected a string key, got int"),
+        ],
+        ids=["extra_resources", "extra_resources-small", "model_parameters", "rates"],
+    )
+    def test_a_key_that_is_not_a_string_is_a_collected_error(self, path, value, line):
+        entry = with_value(TEST_CONFIG["partitions"][4], path, value)
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [entry]})
+        assert str(excinfo.value).splitlines()[1:] == [f"- partitions[0].{line}"]
+
     def test_a_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "system.json"
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(TEST_CONFIG).encode("utf-8"))
