@@ -76,15 +76,18 @@ def decide_and_energy(
     hours = exact(baseline_hours)
     if hours <= 0:
         raise ValidationError("baseline_hours must be positive")
-    su_cpu = model.node_weight(cpu_node) * hours
-    su_gpu = model.node_weight(gpu_node) * hours / s
+    return _decision(s, hours, model.node_weight(cpu_node), model.node_weight(gpu_node), cpu_node, gpu_node)
+
+
+def _decision(
+    s: Fraction, hours: Fraction, cpu_weight: Fraction, gpu_weight: Fraction, cpu_node: NodeType, gpu_node: NodeType
+) -> DecisionPoint:
+    """The decision rule at speedup `s`, given both node-hour weights (see `decide_and_energy`)."""
+    su_cpu = cpu_weight * hours
+    su_gpu = gpu_weight * hours / s
     if su_cpu <= su_gpu:
-        chosen = NodeChoice.CPU
-        energy = hours * cpu_node.cpu_tdp_watts
-    else:
-        chosen = NodeChoice.GPU
-        energy = hours / s * gpu_node.gpu_tdp_watts
-    return DecisionPoint(s, su_cpu, su_gpu, chosen, energy)
+        return DecisionPoint(s, su_cpu, su_gpu, NodeChoice.CPU, hours * cpu_node.cpu_tdp_watts)
+    return DecisionPoint(s, su_cpu, su_gpu, NodeChoice.GPU, hours / s * gpu_node.gpu_tdp_watts)
 
 
 def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeType) -> Fraction:
@@ -105,7 +108,9 @@ def crossover_sweep(
 ) -> list[DecisionPoint]:
     """Decision points at `steps` evenly spaced speedups over [s_min, s_max].
 
-    Points are independent of each other and returned ordered by speedup.
+    Points are independent of each other and returned ordered by speedup;
+    each is `decide_and_energy` over a one-hour baseline, with the model's
+    two node weights worked out once for the sweep.
     """
     low = exact(s_min)
     high = exact(s_max)
@@ -115,9 +120,10 @@ def crossover_sweep(
         raise ValidationError("need at least 2 sweep steps")
     if steps > MAX_SWEEP_STEPS:
         raise ValidationError(f"at most {MAX_SWEEP_STEPS} sweep steps, got {steps}")
-    span = high - low
+    span, hours = high - low, Fraction(1)
+    cpu_weight, gpu_weight = model.node_weight(cpu_node), model.node_weight(gpu_node)
     return [
-        decide_and_energy(low + span * i / (steps - 1), model, cpu_node, gpu_node)
+        _decision(low + span * i / (steps - 1), hours, cpu_weight, gpu_weight, cpu_node, gpu_node)
         for i in range(steps)
     ]
 

@@ -18,10 +18,11 @@ from fractions import Fraction
 
 from . import tables
 from .analysis import decision_threshold, efficiency_band, write_sweep_csv
+from .config import SystemConfig, load_config
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import exact_text, format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ConfigError, ValidationError
-from .ingest import RowTally, SystemConfig, aggregate, builtin_config, iter_jobs, load_config
+from .ingest import RowTally, aggregate, iter_jobs
 from .models import MODEL_IDS, ChargeModel, get_model
 
 DEFAULT_CONFIG = "system.json"
@@ -38,7 +39,7 @@ def _real_arg(text: str) -> Fraction:
 def _load_config_arg(args: argparse.Namespace) -> SystemConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR) or DEFAULT_CONFIG
     if path == "builtin":
-        return builtin_config()
+        return tables.builtin_config()
     return load_config(path)
 
 

@@ -161,8 +161,9 @@ class ProcessorKind(enum.Enum):
 class ProcessorSpec(Value):
     """One CPU or GPU model: compute units, TDP and peak 64-bit FMA FLOP/s.
 
-    CPUs carry a core count, GPUs a streaming-multiprocessor count; the
-    other field must stay zero. TDP and peak FLOPs must be positive.
+    `kind` is a `ProcessorKind`. CPUs carry a core count, GPUs a
+    streaming-multiprocessor count; the other field must stay zero. TDP
+    and peak FLOPs must be positive.
     """
 
     __slots__ = _fields = ("name", "kind", "tdp_watts", "peak_flops", "cores", "streaming_multiprocessors")
@@ -176,6 +177,10 @@ class ProcessorSpec(Value):
         cores: int = 0,
         streaming_multiprocessors: int = 0,
     ) -> None:
+        if type(kind) is not ProcessorKind:  # the text "cpu" is not a kind
+            raise ValidationError(
+                f"processor {name!r}: kind must be ProcessorKind.CPU or ProcessorKind.GPU, got {kind!r}"
+            )
         tdp_watts, peak_flops = exact(tdp_watts), exact(peak_flops)
         if type(cores) is not int or type(streaming_multiprocessors) is not int:  # a bool is not a count
             raise ValidationError(f"processor {name!r}: cores and streaming_multiprocessors must be integers")

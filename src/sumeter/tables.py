@@ -2,7 +2,8 @@
 
 The reference hardware is a dual Xeon Gold 6240 CPU node and a quad A100
 SMX GPU node; the 13 applications carry the published number of CPU nodes
-needed to match one GPU node. Published charges and cost ratios are kept
+needed to match one GPU node; `builtin_config` is the reference system
+built on the same nodes. Published charges and cost ratios are kept
 verbatim, including their uneven rounding, and the comparison reports
 deltas instead of normalising them away.
 """
@@ -13,7 +14,8 @@ import math
 from fractions import Fraction
 
 from .analysis import ApplicationBenchmark
-from .core import NodeType, ProcessorSpec, RealLike, Value, exact
+from .config import SystemConfig
+from .core import NodeType, Partition, ProcessorSpec, RealLike, Value, exact
 from .display import exact_text, format_fixed, format_real, format_su, round_half_up
 from .errors import ValidationError
 from .models import ChargeModel, get_model
@@ -59,6 +61,13 @@ def reference_gpu_node() -> NodeType:
         memory_total_gib=256,
         gpus=(REFERENCE_GPU,) * 4,
     )
+
+
+def builtin_config() -> SystemConfig:
+    """The reference test system: one CPU and one GPU partition, energy model."""
+    cpu_partition = Partition("cpu", reference_cpu_node(), node_count=1000)
+    gpu_partition = Partition("gpu", reference_gpu_node(), node_count=250)
+    return SystemConfig(partitions=(cpu_partition, gpu_partition))
 
 
 class BenchmarkTableRow(Value):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sumeter import (
+    MODEL_IDS,
     ApplicationBenchmark,
     ModelError,
     NodeChoice,
@@ -107,6 +108,20 @@ class TestCrossoverSweep:
         assert points[-1].speedup == 20
         speedups = [p.speedup for p in points]
         assert speedups == sorted(speedups)
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_each_point_is_decide_and_energy_on_weights_worked_out_once(
+        self, model_id, cpu_node, gpu_node, monkeypatch
+    ):
+        model = get_model(model_id)
+        expected = [decide_and_energy(Fraction(1) + Fraction(19 * i, 95), model, cpu_node, gpu_node) for i in range(96)]
+        weighed = []
+        node_weight = type(model).node_weight
+        monkeypatch.setattr(
+            type(model), "node_weight", lambda self, node: weighed.append(node) or node_weight(self, node)
+        )
+        assert crossover_sweep(model, cpu_node, gpu_node, 1, 20, 96) == expected
+        assert weighed == [cpu_node, gpu_node]
 
     def test_bad_range(self, cpu_node, gpu_node):
         with pytest.raises(ValidationError):

@@ -55,6 +55,18 @@ class TestProcessorSpec:
             ProcessorSpec.gpu("g", 0, 400, 1e12)
 
     @pytest.mark.parametrize(
+        "kind, units",
+        [("cpu", {"cores": 4}), ("gpu", {"streaming_multiprocessors": 80})],
+        ids=["cpu-text", "gpu-text"],
+    )
+    def test_kind_must_be_a_processor_kind(self, kind, units):
+        # text that spells a kind is neither read as a GPU nor accepted as its own kind
+        message = f"processor 'x': kind must be ProcessorKind.CPU or ProcessorKind.GPU, got {kind!r}"
+        with pytest.raises(ValidationError) as raised:
+            ProcessorSpec("x", kind, 150, 1e12, **units)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "kind, count", [("cpu", 1.5), ("cpu", "4"), ("cpu", True), ("gpu", 2.5)], ids=["1.5", "text", "bool", "sms"]
     )
     def test_counts_must_be_ints(self, kind, count):
