@@ -22,7 +22,7 @@ from .config import SystemConfig, load_config
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import exact_text, format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ConfigError, ValidationError
-from .ingest import RowTally, aggregate, iter_jobs
+from .ingest import Ledger, iter_jobs
 from .models import MODEL_IDS, ChargeModel, get_model
 
 DEFAULT_CONFIG = "system.json"
@@ -237,19 +237,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _csv_name(name: str) -> str:
+    """`name` as one CSV field: in quotes, with its quotes doubled, if it holds `,`, `"`, CR or LF."""
+    if any(char in name for char in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
-    tally = RowTally()
-    usage = aggregate(tally.records(iter_jobs(args.jobs, config, args.details)), config)
-    for error in tally.errors:
+    ledger = Ledger(iter_jobs(args.jobs, config, args.details))
+    for error in ledger.errors:
         print(f"{args.jobs}:{error.line}: {error.message}", file=sys.stderr)
-    for orphan in tally.orphans:
+    for orphan in ledger.orphans:
         print(f"{args.details}:{orphan.line}: {orphan.message}", file=sys.stderr)
-    print(f"{tally.total_rows} rows: {tally.charged} charged, {len(tally.errors)} rejected", file=sys.stderr)
+    print(f"{ledger.total_rows} rows: {ledger.charged} charged, {len(ledger.errors)} rejected", file=sys.stderr)
     lines = ["project,partition,total_su"]
-    for project, project_usage in usage.items():
+    for project, project_usage in ledger.usage().items():
+        project = _csv_name(project)
         for partition, subtotal in project_usage.by_partition.items():
-            lines.append(f"{project},{partition},{exact_text(subtotal)}")
+            lines.append(f"{project},{_csv_name(partition)},{exact_text(subtotal)}")
         lines.append(f"{project},ALL,{exact_text(project_usage.total_su)}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -257,7 +264,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 1 if tally.errors or tally.orphans else 0
+    return 1 if ledger.errors or ledger.orphans else 0
 
 
 def _add_job_flags(parser: argparse.ArgumentParser) -> None:

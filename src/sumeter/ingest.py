@@ -72,35 +72,44 @@ class IngestResult(Value):
     __slots__ = _fields = ("records", "errors", "total_rows", "orphans")
 
 
-class RowTally:
-    """Row outcomes of one ingest pass, kept while its records stream past."""
+class ProjectUsage(Value):
+    __slots__ = _fields = ("total_su", "by_partition")
 
-    def __init__(self) -> None:
+
+class Ledger:
+    """The outcome of one ingest pass, read once from `iter_jobs`: the charged count, the
+    `RowError`s, the orphan `DetailRowError`s and each project's charge per partition, kept
+    as an integer numerator over a running denominator until `usage` is read. It keeps no record."""
+
+    def __init__(self, items: Iterable[JobRecord | RowError]) -> None:
         self.charged = 0
         self.errors: list[RowError] = []
         self.orphans: list[DetailRowError] = []
-
-    @property
-    def total_rows(self) -> int:
-        return self.charged + len(self.errors)
-
-    def records(self, items: Iterable[JobRecord | RowError]) -> Iterator[JobRecord]:
-        """Pass the records of `iter_jobs` on and keep its errors."""
+        self._sums: dict[str, dict[str, tuple[int, int]]] = {}
         for item in items:
             if isinstance(item, JobRecord):
                 self.charged += 1
-                yield item
+                su, per_partition = item.total_su, self._sums.setdefault(item.project, {})
+                running = per_partition.get(item.partition, (0, 1))
+                per_partition[item.partition] = add_ratios(running, (su.numerator, su.denominator))
             elif isinstance(item, DetailRowError):
                 self.orphans.append(item)
             else:
                 self.errors.append(item)
 
+    @property
+    def total_rows(self) -> int:
+        return self.charged + len(self.errors)
 
-class ProjectUsage(Value):
-    __slots__ = _fields = ("total_su", "by_partition")
-
-
-
+    def usage(self) -> dict[str, ProjectUsage]:
+        """Per-project totals with per-partition subtotals, projects and partitions sorted."""
+        return {
+            project: ProjectUsage(
+                total_su=Fraction(*reduce(add_ratios, parts.values())),
+                by_partition={partition: Fraction(*parts[partition]) for partition in sorted(parts)},
+            )
+            for project, parts in sorted(self._sums.items())
+        }
 
 
 def _row_int(raw: str, column: str, minimum: int) -> int:
@@ -159,8 +168,6 @@ def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[t
             raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
         except csv.Error as err:
             raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
-
-
 
 
 def _load_details(path: str | Path) -> dict[str, list[tuple[int, int | str, NodeUsage | None]]]:
@@ -260,11 +267,10 @@ def ingest_jobs(
     path: str | Path, config: SystemConfig, details_path: str | Path | None = None
 ) -> IngestResult:
     """Read a jobs CSV; malformed rows become row errors, never silent drops."""
-    tally = RowTally()
-    records = tuple(tally.records(iter_jobs(path, config, details_path)))
-    return IngestResult(
-        records=records, errors=tuple(tally.errors), total_rows=tally.total_rows, orphans=tuple(tally.orphans)
-    )
+    items = tuple(iter_jobs(path, config, details_path))
+    ledger = Ledger(items)
+    records = tuple(item for item in items if isinstance(item, JobRecord))
+    return IngestResult(records, tuple(ledger.errors), ledger.total_rows, tuple(ledger.orphans))
 
 
 def charge_record(record: JobRecord, config: SystemConfig) -> ChargeReport:
@@ -274,21 +280,5 @@ def charge_record(record: JobRecord, config: SystemConfig) -> ChargeReport:
 
 
 def aggregate(records: Iterable[JobRecord], config: SystemConfig) -> dict[str, ProjectUsage]:
-    """Per-project totals with per-partition subtotals, summed exactly.
-
-    Sums the charge each record carries from ingestion; `config` is not read.
-    Each sum is an integer numerator over a running denominator, built as
-    one Fraction at the end.
-    """
-    sums: dict[str, dict[str, tuple[int, int]]] = {}
-    for record in records:
-        su, per_partition = record.total_su, sums.setdefault(record.project, {})
-        running = per_partition.get(record.partition, (0, 1))
-        per_partition[record.partition] = add_ratios(running, (su.numerator, su.denominator))
-    return {
-        project: ProjectUsage(
-            total_su=Fraction(*reduce(add_ratios, parts.values())),
-            by_partition={partition: Fraction(*parts[partition]) for partition in sorted(parts)},
-        )
-        for project, parts in sorted(sums.items())
-    }
+    """Per-project sums of the charge each record carries, as a `Ledger` adds them; `config` is not read."""
+    return Ledger(records).usage()

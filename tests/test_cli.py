@@ -327,6 +327,29 @@ class TestIngestCommand:
         assert "1 rejected" in err
         assert "projA,ALL,1" in out  # valid rows still aggregated
 
+    def test_names_with_csv_specials_are_quoted_and_read_back(self, capsys, tmp_path):
+        data = copy.deepcopy(TEST_CONFIG)
+        data["partitions"].append(dict(data["partitions"][0], name='w,"x"'))
+        config = tmp_path / "system.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        projects = ["proj,A", 'q"x', "a\nb", "a\rb", "plain"]
+        jobs = tmp_path / "jobs.csv"
+        with jobs.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["job_id", "project", "partition", "nodes", "cores_per_node", "gpus_per_node",
+                             "mem_gib_per_node", "elapsed_hours"])
+            for i, project in enumerate(projects):
+                writer.writerow([f"j{i}", project, "work", 1, 1, 0, 2, 1])
+                writer.writerow([f"k{i}", project, 'w,"x"', 1, 2, 0, 2, 1])
+        code, out, _ = run(capsys, "--config", str(config), "ingest", "--jobs", str(jobs))
+        assert code == 0
+        expected = [["project", "partition", "total_su"]]
+        for project in sorted(projects):
+            expected += [[project, 'w,"x"', "2"], [project, "work", "1"], [project, "ALL", "3"]]
+        assert list(csv.reader(io.StringIO(out, newline=""))) == expected
+        assert "\nplain,work,1\nplain,ALL,3\n" in out  # a plain name keeps its bytes
+        assert '\n"proj,A","w,""x""",2\n' in out
+
     def test_missing_details_file_is_a_config_error(self, capsys, config_path, tmp_path):
         jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
         code, out, err = run(

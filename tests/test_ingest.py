@@ -294,6 +294,13 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="duplicate"):
             load_config(path)
 
+    def test_a_partition_named_all_is_refused(self):
+        # ingest prints each project's total as partition ALL, so a partition of that name would be ambiguous
+        entries = [dict(TEST_CONFIG["partitions"][0], name="ALL"), dict(TEST_CONFIG["partitions"][1], name="all")]
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": entries})
+        assert str(excinfo.value).splitlines()[1:] == ["- partitions[0].name: 'ALL' is reserved for the project total"]
+
 
 class TestConfigRoundTrip:
     def test_builtin_config(self):

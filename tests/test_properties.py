@@ -37,7 +37,7 @@ from sumeter import (
 )
 from sumeter.cli import main
 from sumeter.display import exact_text
-from sumeter.ingest import RowTally, aggregate, ingest_jobs
+from sumeter.ingest import DetailRowError, Ledger, RowError, aggregate, ingest_jobs
 from conftest import TEST_CONFIG
 
 MAX_NODES = 6
@@ -431,15 +431,26 @@ def test_ingest_yields_only_records_and_row_errors(jobs_text, details_text):
         if details_text is not None:
             details = Path(tmp) / "details.csv"
             details.write_text(details_text, encoding="utf-8")
-        tally = RowTally()
         try:
-            records = list(tally.records(iter_jobs(jobs, FUZZ_CONFIG, details)))
+            items = list(iter_jobs(jobs, FUZZ_CONFIG, details))
         except AccountingError:
             return
+    ledger = Ledger(items)
+    records = [item for item in items if not isinstance(item, RowError)]
     assert all(isinstance(record, JobRecord) for record in records)
-    assert tally.total_rows == tally.charged + len(tally.errors) == len(list(csv.reader(io.StringIO(jobs_text)))) - 1
+    assert ledger.total_rows == ledger.charged + len(ledger.errors) == len(list(csv.reader(io.StringIO(jobs_text)))) - 1
+    assert ledger.charged == len(records)
+    assert all(isinstance(orphan, DetailRowError) for orphan in ledger.orphans)
+    assert not any(isinstance(error, DetailRowError) for error in ledger.errors)
+    expected: dict[str, dict[str, Fraction]] = {}
     for record in records:
         assert record.total_su == charge_record(record, FUZZ_CONFIG).total_su
+        parts = expected.setdefault(record.project, {})
+        parts[record.partition] = parts.get(record.partition, Fraction(0)) + record.total_su
+    usage = ledger.usage()
+    assert usage == aggregate(records, FUZZ_CONFIG)
+    assert {project: u.by_partition for project, u in usage.items()} == expected
+    assert all(u.total_su == sum(expected[project].values()) for project, u in usage.items())
 
 
 @settings(max_examples=100, deadline=None)
