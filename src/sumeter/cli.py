@@ -44,9 +44,13 @@ def _load_config_arg(args: argparse.Namespace) -> SystemConfig:
 
 
 @contextlib.contextmanager
-def _writing(out: str, name: str = ""):
-    """A handle on a temporary file that replaces `out`, or the file `name` in the directory
-    `out`, only when the block succeeds. An OSError is `cannot write <out>: <reason>`."""
+def _writing(out: str | None, name: str = ""):
+    """Stdout when `out` is not given or empty. Otherwise a handle on a temporary file that
+    replaces `out`, or the file `name` in the directory `out`, only when the block succeeds;
+    an OSError is then `cannot write <out>: <reason>`."""
+    if not out:
+        yield sys.stdout
+        return
     path = os.path.join(out, name) if name else out
     temp, handle = f"{path}.{os.getpid()}.tmp", None
     try:
@@ -94,15 +98,6 @@ def _energy_wh(job: JobRequest) -> Fraction:
     return energy_estimate_wh(job.per_node_usage, job.partition.node_type, job.walltime_hours)
 
 
-def _print_fractions(report: ChargeReport) -> None:
-    fractions = report.per_node_fraction
-    if len(set(fractions)) == 1:
-        print(f"per-node fraction: {format_real(fractions[0])} (x{len(fractions)} nodes)")
-    else:
-        for i, fraction in enumerate(fractions, start=1):
-            print(f"node {i}: fraction {format_real(fraction)}")
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     job = _job_from_args(config, args)
@@ -120,7 +115,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"partition: {args.partition}")
         print(f"model: {report.model_id}")
         print(f"node-hour weight: {format_su(round_half_up(report.weight_used))}")
-        _print_fractions(report)
+        fractions = report.per_node_fraction  # a uniform job: every node has the same fraction
+        print(f"per-node fraction: {format_real(fractions[0])} (x{len(fractions)} nodes)")
         print(f"estimated energy: {format_real(_energy_wh(job))} Wh")
         print(f"total: {format_su(report.total_su)} SU")
     return 0
@@ -209,11 +205,8 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         else:
             print("efficiency band: empty", file=summary_out)
 
-    if args.out:
-        with _writing(args.out) as handle:
-            write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
-    else:
-        write_sweep_csv(models, cpu_node, gpu_node, sys.stdout, args.s_min, args.s_max, args.steps)
+    with _writing(args.out) as handle:
+        write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
     return 0
 
 
@@ -258,12 +251,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         for partition, subtotal in project_usage.by_partition.items():
             lines.append(f"{project},{_csv_name(partition)},{exact_text(subtotal)}")
         lines.append(f"{project},ALL,{exact_text(project_usage.total_su)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with _writing(args.out) as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _writing(args.out) as handle:
+        handle.write("\n".join(lines) + "\n")
     return 1 if ledger.errors or ledger.orphans else 0
 
 

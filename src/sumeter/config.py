@@ -224,6 +224,8 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
             errors.append(f"{path}.name: duplicate partition {name!r}")
         elif name == "ALL":  # ingest prints each project's total as partition ALL
             errors.append(f"{path}.name: 'ALL' is reserved for the project total")
+        elif name != name.strip():  # ingest strips the partition cell of a jobs row
+            errors.append(f"{path}.name: must not start or end with whitespace, got {name!r}")
         model_id = _text(entry.get("model", "energy"), f"{path}.model", errors)
         node_count = _integer(entry.get("node_count", 1), f"{path}.node_count", errors)
         node = _node_type(entry.get("node"), f"{path}.node", errors)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
-from .core import ChargeReport, JobRequest, NodeUsage, Value, add_ratios, job_cost, parse_real, set_field
+from .core import ChargeReport, JobRequest, NodeUsage, Value, add_ratios, job_cost, parse_real
 from .errors import CapacityError, ConfigError, ValidationError
 
 JOBS_CSV_COLUMNS = (
@@ -40,22 +40,6 @@ class JobRecord(Value):
     """One accounted job: who ran it, where, with what, for how long, and its charge."""
 
     __slots__ = _fields = ("job_id", "project", "partition", "node_usages", "elapsed_hours", "total_su")
-
-    def __init__(
-        self,
-        job_id: str,
-        project: str,
-        partition: str,
-        node_usages: tuple[NodeUsage, ...],
-        elapsed_hours: Fraction,
-        total_su: Fraction,
-    ) -> None:
-        set_field(self, "job_id", job_id)
-        set_field(self, "project", project)
-        set_field(self, "partition", partition)
-        set_field(self, "node_usages", node_usages)
-        set_field(self, "elapsed_hours", elapsed_hours)
-        set_field(self, "total_su", total_su)
 
 
 class RowError(Value):
@@ -133,6 +117,12 @@ def _row_real(raw: str, column: str) -> Fraction:
     return value
 
 
+def _row_usage(cores: str, gpus: str, memory: str, columns: tuple[str, str, str]) -> NodeUsage:
+    """The usage a row's cores, GPUs and memory cells give; `columns` names the three cells."""
+    cores_column, gpus_column, memory_column = columns
+    return NodeUsage(_row_int(cores, cores_column, 0), _row_int(gpus, gpus_column, 0), _row_real(memory, memory_column))
+
+
 def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Each non-blank row after the header of `path` as (line, its cells in `columns` order).
 
@@ -177,7 +167,7 @@ def _load_details(path: str | Path) -> dict[str, list[tuple[int, int | str, Node
     for line, (job_id, index, cores, gpus, memory) in _csv_rows(path, DETAIL_CSV_COLUMNS, "details file"):
         try:
             index = _row_int(index, "node_index", 0)
-            usage = NodeUsage(_row_int(cores, "cores", 0), _row_int(gpus, "gpus", 0), _row_real(memory, "mem_gib"))
+            usage = _row_usage(cores, gpus, memory, ("cores", "gpus", "mem_gib"))
         except ValidationError as err:
             index, usage = str(err), None
         details.setdefault(job_id.strip(), []).append((line, index, usage))
@@ -215,11 +205,7 @@ def _parse_job_row(
             )
         job = JobRequest(partition, tuple([per_node[i] for i in range(nodes)]), elapsed)
     else:
-        usage = NodeUsage(
-            cores_used=_row_int(cores, "cores_per_node", 0),
-            gpus_used=_row_int(gpus, "gpus_per_node", 0),
-            memory_used_gib=_row_real(memory, "mem_gib_per_node"),
-        )
+        usage = _row_usage(cores, gpus, memory, ("cores_per_node", "gpus_per_node", "mem_gib_per_node"))
         job = JobRequest.uniform(partition, nodes, usage, elapsed)
     # Pricing checks every capacity: a row that does not fit raises here.
     total_su = Fraction(*partition.model.total(job))

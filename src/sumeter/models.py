@@ -36,10 +36,7 @@ def peak_perf_weight(node: NodeType, reference_cpu_node: NodeType) -> Fraction:
     """
     if node.gpu_count == 0:
         raise ModelError(f"node type {node.name!r} has no GPUs")
-    reference_flops = reference_cpu_node.cpu_peak_flops
-    if reference_flops <= 0:
-        raise ValidationError("reference node has no CPU peak performance")
-    return node.gpu_peak_flops / reference_flops * reference_cpu_node.total_cores
+    return node.gpu_peak_flops / reference_cpu_node.cpu_peak_flops * reference_cpu_node.total_cores
 
 
 def titan_node_charge(cpu_cores: int, gpu_sms: int) -> int:

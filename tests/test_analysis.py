@@ -76,6 +76,22 @@ class TestDecideAndEnergy:
         assert point.su_gpu == Fraction(48, 5)
         assert point.ec_total_wh == 80
 
+    @pytest.mark.parametrize(
+        "speedup, baseline_hours, message",
+        [
+            (0, 1, "speedup must be positive"),
+            (-2, 1, "speedup must be positive"),
+            (10, 0, "baseline_hours must be positive"),
+            (10, -1, "baseline_hours must be positive"),
+        ],
+    )
+    def test_a_speedup_or_baseline_of_zero_or_less_is_refused(
+        self, cpu_node, gpu_node, speedup, baseline_hours, message
+    ):
+        with pytest.raises(ValidationError) as raised:
+            decide_and_energy(speedup, ENERGY, cpu_node, gpu_node, baseline_hours)
+        assert str(raised.value) == message
+
 
 class TestThresholds:
     def test_reference_values(self, cpu_node, gpu_node):

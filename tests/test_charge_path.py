@@ -322,11 +322,13 @@ def test_crossover_prints_each_model_cpu_weight(capsys):
     ]
 
 
-def test_a_closed_stdout_pipe_ends_quietly():
+def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    for argv in (["report"], ["--config", "builtin", "crossover"]):
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,cpu,1,1,0,2,1.0"])
+    ingest = ["--config", "builtin", "ingest", "--jobs", str(jobs)]
+    for argv in (["report"], ["--config", "builtin", "crossover"], ingest):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from sumeter.cli import main; sys.exit(main())", *argv],
             stdout=write_end,

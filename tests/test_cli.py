@@ -171,6 +171,14 @@ class TestCompare:
         assert code == 1
         assert "flops" in err
 
+    def test_an_empty_model_list_is_refused(self, capsys, config_path):
+        code, out, err = run(
+            capsys,
+            "--config", str(config_path),
+            "compare", "--partition", "work", "--cores-per-node", "1", "--hours", "1", "--models", ",",
+        )
+        assert (code, out, err) == (1, "", "error: no models given\n")
+
 
 class TestCrossover:
     def test_thresholds_printed(self, capsys, config_path, tmp_path):
@@ -218,6 +226,18 @@ class TestCrossover:
         )
         assert code == 1
         assert "no GPUs" in err
+
+    def test_a_config_without_a_gpu_partition_is_refused(self, capsys, tmp_path):
+        config_path = tmp_path / "system.json"
+        config_path.write_text(json.dumps({"partitions": TEST_CONFIG["partitions"][:1]}), encoding="utf-8")
+        code, out, err = run(capsys, "--config", str(config_path), "crossover")
+        assert (code, out) == (1, "")
+        assert err == "error: config needs both a CPU-only and a GPU partition (or name them explicitly)\n"
+
+    def test_cpu_partition_must_have_no_gpus(self, capsys, config_path):
+        code, out, err = run(capsys, "--config", str(config_path), "crossover", "--cpu-partition", "gpu")
+        assert (code, out) == (1, "")
+        assert err == "error: partition 'gpu' has GPUs; pick a CPU-only baseline partition\n"
 
     def test_uses_the_configured_model_parameters(self, capsys, tmp_path):
         data = copy.deepcopy(TEST_CONFIG)
@@ -421,6 +441,16 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs))
         assert (code, out) == (1, "")
         assert err == f"error: {jobs}:3: field larger than field limit (131072)\n"
+
+
+def test_an_empty_out_writes_to_stdout(capsys, config_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a file written by mistake would land here
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
+    for argv in (["ingest", "--jobs", str(jobs)], ["crossover", "--steps", "3"]):
+        plain = run(capsys, "--config", str(config_path), *argv)
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, "--config", str(config_path), *argv, "--out", "") == plain
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["jobs.csv", "system.json"]
 
 
 class TestUnwritableOut:

@@ -11,7 +11,10 @@ from sumeter import (
     NodeType,
     NodeUsage,
     Partition,
+    ProcessorKind,
     ProcessorSpec,
+    PuhtiModel,
+    PuhtiRates,
     ValidationError,
     core_equivalent,
     core_fraction,
@@ -53,6 +56,19 @@ class TestProcessorSpec:
             ProcessorSpec.cpu("x", 0, 150, 1e12)
         with pytest.raises(ValidationError):
             ProcessorSpec.gpu("g", 0, 400, 1e12)
+
+    @pytest.mark.parametrize(
+        "kind, cores, sms, message",
+        [
+            (ProcessorKind.CPU, 4, 1, "CPU 'x' must not declare streaming multiprocessors"),
+            (ProcessorKind.GPU, 2, 80, "GPU 'x' must not declare CPU cores"),
+        ],
+        ids=["cpu-with-sms", "gpu-with-cores"],
+    )
+    def test_a_processor_declares_only_its_own_units(self, kind, cores, sms, message):
+        with pytest.raises(ValidationError) as raised:
+            ProcessorSpec("x", kind, 150, 1e12, cores=cores, streaming_multiprocessors=sms)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "kind, units",
@@ -97,6 +113,19 @@ class TestNodeType:
     def test_resource_names_must_be_strings(self, extras):
         with pytest.raises(ValidationError, match="resource name must be a string, got int"):
             NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, extra_resources=extras)
+
+    @pytest.mark.parametrize(
+        "extras, message",
+        [
+            ({"": 5}, "node type 'bad': resource name must be non-empty"),
+            ([("nvme_gib", 5), ("nvme_gib", 6)], "node type 'bad': duplicate resource 'nvme_gib'"),
+        ],
+        ids=["empty", "duplicate"],
+    )
+    def test_resource_names_must_be_non_empty_and_unique(self, extras, message):
+        with pytest.raises(ValidationError) as raised:
+            NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, extra_resources=extras)
+        assert str(raised.value) == message
 
 
 class TestCoreFraction:
@@ -257,6 +286,11 @@ class TestPartition:
         with pytest.raises(ValidationError, match="node_count must be an integer"):
             Partition("cpu", cpu_node, node_count=node_count)
 
+    def test_a_model_pricing_the_node_at_zero_is_refused(self, cpu_node):
+        with pytest.raises(ValidationError) as raised:
+            Partition("free", cpu_node, model=PuhtiModel(PuhtiRates(0, 0, 0, 0)))
+        assert str(raised.value) == "partition 'free': weight must be positive"
+
 
 class TestCounts:
     @pytest.mark.parametrize("counts", [{"cores_used": 1.5}, {"cores_used": True}, {"gpus_used": "2"}])
@@ -325,6 +359,11 @@ class TestNodeUsageValidation:
             NodeUsage(cores_used=-1)
         with pytest.raises(ValidationError):
             NodeUsage(memory_used_gib=-2)
+
+    def test_rejects_a_negative_extra_amount(self):
+        with pytest.raises(ValidationError) as raised:
+            NodeUsage(cores_used=1, extra_used={"nvme_gib": -1})
+        assert str(raised.value) == "extra resource amounts must be nonnegative"
 
     def test_extra_names_must_be_strings(self):
         with pytest.raises(ValidationError, match="usage: resource name must be a string, got int"):

@@ -301,6 +301,21 @@ class TestLoadConfig:
             parse_config({"partitions": entries})
         assert str(excinfo.value).splitlines()[1:] == ["- partitions[0].name: 'ALL' is reserved for the project total"]
 
+    @pytest.mark.parametrize("name", [" work", "work ", "\twork"])
+    def test_a_partition_name_with_outer_whitespace_is_refused(self, name):
+        # ingest strips a jobs row's partition cell, so such a partition could be priced but never charged
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [dict(TEST_CONFIG["partitions"][0], name=name)]})
+        line = f"- partitions[0].name: must not start or end with whitespace, got {name!r}"
+        assert str(excinfo.value).splitlines()[1:] == [line]
+
+    def test_model_parameters_on_a_model_that_takes_none_are_refused(self):
+        entry = dict(TEST_CONFIG["partitions"][0], model_parameters={"rates": {"core": 2}})
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": [entry]})
+        line = "- partitions[0].model_parameters: model 'energy' takes no parameters"
+        assert str(excinfo.value).splitlines()[1:] == [line]
+
 
 class TestConfigRoundTrip:
     def test_builtin_config(self):

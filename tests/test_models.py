@@ -11,6 +11,7 @@ from sumeter import (
     NodeUsage,
     Partition,
     ProcessorSpec,
+    PuhtiModel,
     PuhtiRates,
     ValidationError,
     get_model,
@@ -68,6 +69,11 @@ class TestPeakPerfWeight:
         model = get_model("peak-perf")
         assert model.node_weight(gpu_node) == Fraction(2328, 5)
 
+    def test_gpuless_node(self, cpu_node):
+        with pytest.raises(ModelError) as raised:
+            peak_perf_weight(cpu_node, cpu_node)
+        assert str(raised.value) == "node type 'dual-xeon-6240' has no GPUs"
+
 
 class TestTitan:
     def test_classic_node(self):
@@ -115,6 +121,11 @@ class TestPuhtiBu:
         rates = PuhtiRates(core=2, memory_gib=0, nvme_gib=0, gpu=100)
         assert puhti_bu(3, 50, 50, 1, 1, rates) == 106
 
+    def test_a_negative_rate_is_refused(self):
+        with pytest.raises(ValidationError) as raised:
+            PuhtiRates(gpu=-1)
+        assert str(raised.value) == "rate 'gpu' must be nonnegative"
+
     def test_linearity(self):
         base = puhti_bu(4, 16, 100, 1, 3)
         assert puhti_bu(8, 32, 200, 2, 3) == 2 * base
@@ -130,6 +141,17 @@ class TestPuhtiTdpEquivalence:
 
     def test_gpu_only_share(self):
         assert puhti_tdp_equivalence(300, 125, node_share=0) == 300
+
+    @pytest.mark.parametrize("gpu_tdp, cpu_tdp", [(0, 125), (300, 0), (-300, 125)])
+    def test_a_tdp_of_zero_or_less_is_refused(self, gpu_tdp, cpu_tdp):
+        with pytest.raises(ValidationError) as raised:
+            puhti_tdp_equivalence(gpu_tdp, cpu_tdp)
+        assert str(raised.value) == "TDP values must be positive"
+
+    def test_core_ratio_needs_a_core_per_socket(self):
+        with pytest.raises(ValidationError) as raised:
+            puhti_tdp_core_ratio(300, 125, cores_per_socket=0)
+        assert str(raised.value) == "cores_per_socket must be at least 1"
 
 
 class TestPuhtiModel:
@@ -154,6 +176,13 @@ class TestPuhtiModel:
     def test_node_weight_is_full_node_rate(self, gpu_node):
         # 36 cores + 0.1*256 GiB + 60*4 GPUs, no NVMe on this node type
         assert get_model("puhti").node_weight(gpu_node) == Fraction(36) + Fraction(256, 10) + 240
+
+    def test_zero_rates_refuse_a_job_on_another_models_partition(self, cpu_partition):
+        # the partition bills under energy, so no Partition check saw the puhti rates
+        job = JobRequest.uniform(cpu_partition, 1, NodeUsage(cores_used=1), 1)
+        with pytest.raises(ModelError) as raised:
+            PuhtiModel(PuhtiRates(0, 0, 0, 0)).charge(job)
+        assert str(raised.value) == "the configured rates price a whole node at zero"
 
 
 class TestModelRegistry:
