@@ -98,6 +98,18 @@ def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeTyp
     return model.node_weight(gpu_node) / cpu_weight
 
 
+def sweep_bounds(s_min: RealLike, s_max: RealLike, steps: int) -> tuple[Fraction, Fraction]:
+    """The sweep's end points, exact, once 0 < s_min < s_max and 2 <= steps <= MAX_SWEEP_STEPS hold."""
+    low, high = exact(s_min), exact(s_max)
+    if not 0 < low < high:
+        raise ValidationError("need 0 < s_min < s_max")
+    if steps < 2:
+        raise ValidationError("need at least 2 sweep steps")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValidationError(f"at most {MAX_SWEEP_STEPS} sweep steps, got {steps}")
+    return low, high
+
+
 def crossover_sweep(
     model: ChargeModel,
     cpu_node: NodeType,
@@ -112,14 +124,7 @@ def crossover_sweep(
     each is `decide_and_energy` over a one-hour baseline, with the model's
     two node weights worked out once for the sweep.
     """
-    low = exact(s_min)
-    high = exact(s_max)
-    if not 0 < low < high:
-        raise ValidationError("need 0 < s_min < s_max")
-    if steps < 2:
-        raise ValidationError("need at least 2 sweep steps")
-    if steps > MAX_SWEEP_STEPS:
-        raise ValidationError(f"at most {MAX_SWEEP_STEPS} sweep steps, got {steps}")
+    low, high = sweep_bounds(s_min, s_max, steps)
     span, hours = high - low, Fraction(1)
     cpu_weight, gpu_weight = model.node_weight(cpu_node), model.node_weight(gpu_node)
     return [

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import tables
-from .analysis import decision_threshold, efficiency_band, write_sweep_csv
+from .analysis import decision_threshold, efficiency_band, sweep_bounds, write_sweep_csv
 from .config import SystemConfig, load_config
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import exact_text, format_real, format_su, format_threshold, round_half_up
@@ -178,6 +178,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     cpu_partition, gpu_partition = _partition_pair(config, args)
     cpu_node, gpu_node = cpu_partition.node_type, gpu_partition.node_type
     models = [_model_for(gpu_partition, model_id) for model_id in _models_arg(args.models)]
+    sweep_bounds(args.s_min, args.s_max, args.steps)  # a refused sweep prints no summary
 
     summary_out = sys.stdout if args.out else sys.stderr
     cpu_weights = [model.node_weight(cpu_node) for model in models]

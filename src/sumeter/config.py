@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
-from .core import ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, parse_real
+from .core import ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, parse_real, set_field
 from .errors import AccountingError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
 
@@ -29,18 +29,19 @@ class SystemConfig(Value):
     """Validated partitions, each carrying the charge model it bills under."""
 
     _fields = ("partitions",)
-    __slots__ = (*_fields, "__dict__")  # `_by_name` is cached in the instance __dict__
+    __slots__ = (*_fields, "_by_name")
+
+    def __init__(self, partitions: Sequence[Partition]) -> None:
+        partitions = tuple(partitions)
+        super().__init__(partitions)
+        # the first partition of a name wins, as in a scan of `partitions`
+        set_field(self, "_by_name", {partition.name: partition for partition in reversed(partitions)})
 
     def partition(self, name: str) -> Partition:
         try:
             return self._by_name[name]
         except KeyError:
             raise ValidationError(f"unknown partition {name!r}") from None
-
-    @cached_property
-    def _by_name(self) -> dict[str, Partition]:
-        # the first partition of a name wins, as in a scan of `partitions`
-        return {partition.name: partition for partition in reversed(self.partitions)}
 
     def model_for(self, partition_name: str) -> ChargeModel:
         return self.partition(partition_name).model
@@ -237,7 +238,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
             seen_names.add(name)
     if errors:
         raise ValidationError(f"{source}: invalid configuration:\n- " + "\n- ".join(errors))
-    return SystemConfig(partitions=tuple(partitions))
+    return SystemConfig(partitions)
 
 
 def load_config(path: str | Path) -> SystemConfig:

@@ -30,7 +30,6 @@ import enum
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -100,11 +99,13 @@ set_field = object.__setattr__
 class Value:
     """Base of the immutable value types.
 
-    A subclass names its fields in `_fields`, each of them a slot (its
-    `__slots__` adds `__dict__` where it caches derived values). The base
-    constructor takes the fields by position or by name and sets each one
-    through its slot; a subclass that validates its input or has defaults
-    defines its own `__init__` and passes the fields on to `super().__init__`.
+    A subclass names its fields in `_fields`, each of them a slot, and
+    declares `__slots__` even when it adds none, so no value has an instance
+    dictionary. The base constructor takes the fields by position or by name
+    and sets each one through its slot; a subclass that validates its input,
+    has defaults or derives values defines its own `__init__`, passes the
+    fields on to `super().__init__` and sets each derived value in a slot of
+    its own. Nothing is set once the constructor returns.
     Values compare and hash by their fields, within one class only, read as
     a tuple by `_values`, one getter built per class. Copies and pickles are
     rebuilt through the constructor.
@@ -240,13 +241,22 @@ class NodeType(Value):
     `extra_resources` lists additional per-node consumables (for example
     node-local scratch in GiB) as (name, capacity) pairs; each one adds an
     argument to the per-node max when a job requests it.
+
+    The constructor also works out the derived values, attributes that are
+    not fields, so equality, hashing, repr and copies leave them out:
+    `total_cores`, `gpu_count`, `total_streaming_multiprocessors`, the
+    cumulative `cpu_tdp_watts`, `gpu_tdp_watts`, `cpu_peak_flops` and
+    `gpu_peak_flops` (zero without GPUs), `memory_per_core_gib` (the even
+    split of memory over the cores, one charging step) and
+    `extra_capacities`, a read-only name -> capacity view of `extra_resources`.
     """
 
-    # Derived values are worked out once per node type and cached in the
-    # instance __dict__, outside the fields, so equality and hashing still use
-    # the fields only, and copies and pickles leave them behind.
     _fields = ("name", "cpus", "memory_total_gib", "gpus", "extra_resources")
-    __slots__ = (*_fields, "__dict__")
+    __slots__ = (
+        *_fields,
+        *("total_cores", "gpu_count", "total_streaming_multiprocessors", "memory_per_core_gib", "extra_capacities"),
+        *("cpu_tdp_watts", "gpu_tdp_watts", "cpu_peak_flops", "gpu_peak_flops", "_share_integers"),
+    )
 
     def __init__(
         self,
@@ -272,51 +282,18 @@ class NodeType(Value):
             if capacity <= 0:
                 raise ValidationError(f"node type {name!r}: capacity of {resource!r} must be positive")
         super().__init__(name, cpus, memory_total_gib, gpus, extra_resources)
-
-    @cached_property
-    def total_cores(self) -> int:
-        return sum(spec.cores for spec in self.cpus)
-
-    @cached_property
-    def gpu_count(self) -> int:
-        return len(self.gpus)
-
-    @cached_property
-    def total_streaming_multiprocessors(self) -> int:
-        return sum(spec.streaming_multiprocessors for spec in self.gpus)
-
-    @cached_property
-    def cpu_tdp_watts(self) -> Fraction:
-        """Cumulative TDP over all CPUs."""
-        return sum((spec.tdp_watts for spec in self.cpus), start=Fraction(0))
-
-    @cached_property
-    def gpu_tdp_watts(self) -> Fraction:
-        """Cumulative TDP over all GPUs (zero on CPU-only nodes)."""
-        return sum((spec.tdp_watts for spec in self.gpus), start=Fraction(0))
-
-    @cached_property
-    def cpu_peak_flops(self) -> Fraction:
-        return sum((spec.peak_flops for spec in self.cpus), start=Fraction(0))
-
-    @cached_property
-    def gpu_peak_flops(self) -> Fraction:
-        return sum((spec.peak_flops for spec in self.gpus), start=Fraction(0))
-
-    @cached_property
-    def memory_per_core_gib(self) -> Fraction:
-        """The even split of node memory across cores; one charging step."""
-        return self.memory_total_gib / self.total_cores
-
-    @cached_property
-    def _share_integers(self) -> tuple[int, int, int, int]:
-        """(cores, GPUs, memory numerator, memory denominator): what every node share reads."""
-        return self.total_cores, self.gpu_count, *self.memory_total_gib.as_integer_ratio()
-
-    @cached_property
-    def extra_capacities(self) -> Mapping[str, Fraction]:
-        """Read-only resource name -> capacity view of `extra_resources`."""
-        return MappingProxyType(dict(self.extra_resources))
+        total_cores = sum(spec.cores for spec in cpus)
+        set_field(self, "total_cores", total_cores)
+        set_field(self, "gpu_count", len(gpus))
+        set_field(self, "total_streaming_multiprocessors", sum(spec.streaming_multiprocessors for spec in gpus))
+        set_field(self, "cpu_tdp_watts", sum((spec.tdp_watts for spec in cpus), start=Fraction(0)))
+        set_field(self, "gpu_tdp_watts", sum((spec.tdp_watts for spec in gpus), start=Fraction(0)))
+        set_field(self, "cpu_peak_flops", sum((spec.peak_flops for spec in cpus), start=Fraction(0)))
+        set_field(self, "gpu_peak_flops", sum((spec.peak_flops for spec in gpus), start=Fraction(0)))
+        set_field(self, "memory_per_core_gib", memory_total_gib / total_cores)
+        set_field(self, "extra_capacities", MappingProxyType(dict(extra_resources)))
+        # (cores, GPUs, memory numerator, memory denominator): what every node share reads
+        set_field(self, "_share_integers", (total_cores, len(gpus), *memory_total_gib.as_integer_ratio()))
 
 
 class NodeUsage(Value):
@@ -497,6 +474,7 @@ class ChargeModel(Value):
     the model overrides `node_weight` itself.
     """
 
+    __slots__ = ()
     id: str
 
     def node_weight(self, node: NodeType) -> Fraction:
@@ -551,6 +529,7 @@ class ChargeModel(Value):
 class EnergyModel(ChargeModel):
     """TDP-ratio GPU weighting; CPU nodes weigh their core count."""
 
+    __slots__ = ()
     id = "energy"
 
     def gpu_node_weight(self, node: NodeType) -> Fraction:

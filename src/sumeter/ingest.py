@@ -49,6 +49,8 @@ class RowError(Value):
 class DetailRowError(RowError):
     """A detail-file row that belongs to no jobs-file row; `line` is in the detail file."""
 
+    __slots__ = ()
+
 
 class IngestResult(Value):
     """Records and errors of the jobs rows (`total_rows` counts both), plus orphan detail rows."""

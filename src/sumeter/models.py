@@ -122,6 +122,7 @@ def puhti_tdp_core_ratio(
 class SmModel(ChargeModel):
     """Streaming-multiprocessor GPU weighting; CPU nodes weigh their core count."""
 
+    __slots__ = ()
     id = "sm"
 
     def gpu_node_weight(self, node: NodeType) -> Fraction:
@@ -136,6 +137,7 @@ class PeakPerfModel(ChargeModel):
     whose CPU and GPU nodes share a CPU layout, as the reference system's do.
     """
 
+    __slots__ = ()
     id = "peak-perf"
 
     def gpu_node_weight(self, node: NodeType) -> Fraction:
@@ -150,6 +152,7 @@ class TitanModel(ChargeModel):
     node has no SMs and weighs its core count.
     """
 
+    __slots__ = ()
     id = "titan"
 
     def gpu_node_weight(self, node: NodeType) -> Fraction:
@@ -164,49 +167,49 @@ class PuhtiModel(ChargeModel):
     """Linear billing units per reserved core, GiB, NVMe GiB and GPU.
 
     NVMe usage and capacity are read from the extra resource named by
-    `nvme_resource`. The node-hour weight is the hourly cost of a whole
+    `nvme_resource`. The node-hour weight is the hourly bill of a whole
     node, and per-node shares are each node's hourly bill over that, so
-    reports keep the total = weight * hours * sum(fractions) identity.
+    reports keep the total = weight * hours * sum(fractions) identity. Both
+    bills are summed in integers: the constructor writes the four rates as
+    integers over one denominator.
     """
 
-    __slots__ = _fields = ("rates", "nvme_resource")
+    _fields = ("rates", "nvme_resource")
+    __slots__ = (*_fields, "_integer_rates")
     id = "puhti"
 
     def __init__(self, rates: PuhtiRates = DEFAULT_PUHTI_RATES, nvme_resource: str = "nvme_gib") -> None:
         super().__init__(rates, nvme_resource)
+        ordered = (rates.core, rates.gpu, rates.memory_gib, rates.nvme_gib)
+        common = math.lcm(*[rate.denominator for rate in ordered])
+        integers = [rate.numerator * (common // rate.denominator) for rate in ordered]
+        # the core, GPU, memory and NVMe rates times their common denominator, then that denominator
+        set_field(self, "_integer_rates", (*integers, common))
+
+    def _hourly_bill(self, cores: int, gpus: int, memory_gib: Fraction, extras) -> tuple[int, int]:
+        """`puhti_bu` of one hour's use as (numerator, denominator); NVMe is read from the
+        (resource, amount) pairs `extras`."""
+        core_rate, gpu_rate, memory_rate, nvme_rate, common = self._integer_rates
+        memory_num, memory_den = memory_gib.as_integer_ratio()
+        nvme_num, nvme_den = 0, 1
+        for resource, amount in extras:
+            if resource == self.nvme_resource:
+                nvme_num, nvme_den = amount.as_integer_ratio()
+        hourly = (core_rate * cores + gpu_rate * gpus) * memory_den * nvme_den
+        hourly += memory_rate * memory_num * nvme_den + nvme_rate * nvme_num * memory_den
+        return hourly, common * memory_den * nvme_den
 
     def node_weight(self, node: NodeType) -> Fraction:
-        nvme_capacity = node.extra_capacities.get(self.nvme_resource, Fraction(0))
-        return puhti_bu(node.total_cores, node.memory_total_gib, nvme_capacity, node.gpu_count, 1, self.rates)
-
-    def _bill_integers(self, node: NodeType) -> tuple:
-        """(node, the core, GPU, memory and NVMe rates as integers over one denominator D,
-        and D times the full-node bill as numerator, denominator), kept for the last
-        node priced: a partition has one node type."""
-        last = self.__dict__.get("_last_full_node")
-        if last is None or last[0] is not node:
-            full_node = self.node_weight(node)
-            if full_node.numerator <= 0:
-                raise ModelError("the configured rates price a whole node at zero")
-            rates = (self.rates.core, self.rates.gpu, self.rates.memory_gib, self.rates.nvme_gib)
-            common = math.lcm(*[rate.denominator for rate in rates])
-            integer_rates = [rate.numerator * (common // rate.denominator) for rate in rates]
-            last = (node, *integer_rates, full_node.numerator * common, full_node.denominator)
-            set_field(self, "_last_full_node", last)
-        return last
+        bill = self._hourly_bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
+        return Fraction(*bill)
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
         node_share(usage, node)  # capacity validation
-        _, core_rate, gpu_rate, memory_rate, nvme_rate, full_num, full_den = self._bill_integers(node)
-        memory_num, memory_den = usage.memory_used_gib.as_integer_ratio()
-        nvme_num, nvme_den = 0, 1
-        for resource, amount in usage.extra_used:
-            if resource == self.nvme_resource:
-                nvme_num, nvme_den = amount.as_integer_ratio()
-        # D times the node's hourly bill is hourly / (memory_den * nvme_den); D cancels in the share
-        hourly = (core_rate * usage.cores_used + gpu_rate * usage.gpus_used) * memory_den * nvme_den
-        hourly += memory_rate * memory_num * nvme_den + nvme_rate * nvme_num * memory_den
-        return hourly * full_den, memory_den * nvme_den * full_num
+        full = self._hourly_bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
+        if full[0] <= 0:
+            raise ModelError("the configured rates price a whole node at zero")
+        used = self._hourly_bill(usage.cores_used, usage.gpus_used, usage.memory_used_gib, usage.extra_used)
+        return used[0] * full[1], used[1] * full[0]
 
 
 _MODEL_CLASSES = {

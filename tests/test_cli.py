@@ -495,6 +495,25 @@ class TestRefusedCommandLeavesOut:
         assert out_path.read_bytes() == self.OLD
         assert [p.name for p in out_path.parent.iterdir()] == ["sweep.csv"]
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--steps", "1"], "need at least 2 sweep steps"),
+            (["--steps", "10001"], "at most 10000 sweep steps, got 10001"),
+            (["--s-min", "0"], "need 0 < s_min < s_max"),
+            (["--s-min", "5", "--s-max", "2"], "need 0 < s_min < s_max"),
+        ],
+        ids=["one-step", "too-many-steps", "zero-s-min", "reversed-range"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_a_refused_sweep_prints_no_summary(self, capsys, config_path, tmp_path, bounds, message, to_file):
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_bytes(self.OLD)
+        out = ["--out", str(out_path)] if to_file else []
+        code, stdout, err = run(capsys, "--config", str(config_path), "crossover", *bounds, *out)
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert out_path.read_bytes() == self.OLD
+
     def test_ingest_with_row_errors_still_writes(self, capsys, config_path, tmp_path):
         jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0", "j2,projA,work,1,99,0,2,1.0"])
         out_path = tmp_path / "out" / "usage.csv"

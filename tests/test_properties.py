@@ -19,10 +19,13 @@ from sumeter import (
     CapacityError,
     JobRecord,
     JobRequest,
+    ModelError,
     NodeType,
     NodeUsage,
     Partition,
     ProcessorSpec,
+    PuhtiModel,
+    PuhtiRates,
     charge_record,
     decision_threshold,
     get_model,
@@ -134,9 +137,8 @@ def test_cached_node_values_equal_their_sums(node, extras):
         "memory_per_core_gib": node.memory_total_gib / sum(c.cores for c in node.cpus),
         "extra_capacities": {name: Fraction(capacity) for name, capacity in extras.items()},
     }
-    for _ in range(2):  # the first read fills the cache, the second reads it
-        assert {name: getattr(node, name) for name in expected} == expected
-    # the cache sits outside the fields: equality and hashing ignore it
+    assert {name: getattr(node, name) for name in expected} == expected
+    # the constructor worked them out outside the fields: equality and hashing ignore them
     assert node == fresh and hash(node) == hash(fresh)
 
 
@@ -254,6 +256,49 @@ def test_puhti_linearity(cores_a, cores_b, mem, nvme, gpus, hours):
     split = puhti_bu(cores_a, mem, nvme, gpus, hours) + puhti_bu(cores_b, 0, 0, 0, hours)
     assert puhti_bu(cores_a + cores_b, mem, nvme, gpus, hours) == split
     assert puhti_bu(cores_a, mem, nvme, gpus, 2 * hours) == 2 * puhti_bu(cores_a, mem, nvme, gpus, hours)
+
+
+@st.composite
+def puhti_bills(draw):
+    """A puhti model on drawn rates, fractional or zero, a node with or without an NVMe extra, and a usage
+    whose NVMe request may be missing, beyond the node's capacity or on a node without NVMe."""
+    rate = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=100, max_denominator=1000))
+    model = PuhtiModel(PuhtiRates(*[draw(rate) for _ in range(4)]))
+    node = draw(node_types())
+    extra, capacity = draw(st.sampled_from((None, "nvme_gib", "scratch"))), Fraction(100)
+    if extra:
+        capacity = draw(st.fractions(min_value=Fraction(1, 8), max_value=4000, max_denominator=8))
+        node = NodeType(node.name, node.cpus, node.memory_total_gib, node.gpus, {extra: capacity})
+    usage = draw(usages(node))
+    nvme_used = draw(st.none() | st.fractions(min_value=0, max_value=capacity * 5 / 4, max_denominator=32))
+    if nvme_used is not None:
+        usage = NodeUsage(usage.cores_used, usage.gpus_used, usage.memory_used_gib, {"nvme_gib": nvme_used})
+    return model, node, usage
+
+
+@given(puhti_bills())
+def test_puhti_model_bills_as_puhti_bu(bill):
+    model, node, usage = bill
+    nvme_capacity = node.extra_capacities.get("nvme_gib", 0)
+    full_node = puhti_bu(node.total_cores, node.memory_total_gib, nvme_capacity, node.gpu_count, 1, model.rates)
+    assert model.node_weight(node) == full_node
+    try:
+        node_fraction(usage, node)  # the max rule checks every capacity first
+    except CapacityError as err:
+        expected = CapacityError, str(err)
+    else:
+        if full_node == 0:
+            expected = ModelError, "the configured rates price a whole node at zero"
+        else:
+            nvme_used = dict(usage.extra_used).get("nvme_gib", 0)
+            used = puhti_bu(usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1, model.rates)
+            expected = used / full_node
+    try:
+        share = model.node_share(usage, node)
+    except (CapacityError, ModelError) as err:
+        assert (type(err), str(err)) == expected
+    else:
+        assert Fraction(*share) == expected
 
 
 @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))

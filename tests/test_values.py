@@ -204,16 +204,34 @@ def test_partition_repr_shows_the_derived_weight():
 
 
 def test_caches_stay_out_of_equality_repr_and_copies():
+    # derived values are worked out by the constructor into slots that are not fields
     value = node()
-    assert value.total_cores == 40 and "total_cores" in vars(value)
-    assert value == node() and repr(value) == repr(node())
-    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert "total_cores" not in vars(clone)
+    assert value.total_cores == 40 and value.cpu_tdp_watts == 250 and value.extra_capacities == {"nvme_gib": 1490}
+    assert value == node() and hash(value) == hash(node()) and repr(value) == repr(node())
     model = PuhtiModel()
-    model.node_fraction(usage(), node())  # keeps the full-node bill of the last node priced
-    assert "_last_full_node" in vars(model)
+    model.node_fraction(usage(), node())  # pricing leaves the model as it was built
     assert model == PuhtiModel() and hash(model) == hash(PuhtiModel()) and repr(model) == repr(PuhtiModel())
-    assert "_last_full_node" not in vars(pickle.loads(pickle.dumps(model)))
+    derived_by_class = {}
+    for cls, make, fields in VALUES:
+        value = make()
+        assert not hasattr(value, "__dict__"), cls.__name__
+        derived = [name for name in cls.__slots__ if name not in fields]
+        derived_by_class[cls] = len(derived)
+        for name in derived:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert all(getattr(clone, name) == getattr(value, name) for name in derived), cls.__name__
+    assert derived_by_class[NodeType] == 10 and derived_by_class[PuhtiModel] == derived_by_class[SystemConfig] == 1
+
+
+def test_a_config_built_from_a_list_keeps_its_own_tuple():
+    partitions = list(builtin_config().partitions)
+    config = SystemConfig(partitions=partitions)
+    partitions.pop(0)  # the caller's list changes after the config is built
+    assert [partition.name for partition in config.partitions] == ["cpu", "gpu"]
+    assert config.partition("cpu") is config.partitions[0]
+    assert config == builtin_config() and hash(config) == hash(builtin_config())
 
 
 def test_a_copied_partition_derives_its_weight_again():
