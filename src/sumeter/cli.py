@@ -47,20 +47,22 @@ def _load_config_arg(args: argparse.Namespace) -> SystemConfig:
 def _writing(out: str | None, name: str = ""):
     """Stdout when `out` is not given or empty. Otherwise a handle on a temporary file that
     replaces `out`, or the file `name` in the directory `out`, only when the block succeeds;
-    an OSError is then `cannot write <out>: <reason>`."""
+    an OSError is then `cannot write <path>: <reason>`, naming `out` if the directory cannot
+    be made and the file otherwise."""
     if not out:
         yield sys.stdout
         return
     path = os.path.join(out, name) if name else out
-    temp, handle = f"{path}.{os.getpid()}.tmp", None
+    temp, handle, failed = f"{path}.{os.getpid()}.tmp", None, out
     try:
         if name:
             os.makedirs(out, exist_ok=True)
+            failed = path
         with open(temp, "x", encoding="utf-8") as handle:  # "x" never opens an existing file
             yield handle
         os.replace(temp, path)
     except OSError as err:
-        raise ConfigError(f"cannot write {out}: {err.strerror or err}") from None
+        raise ConfigError(f"cannot write {failed}: {err.strerror or err}") from None
     finally:
         if handle is not None and os.path.exists(temp):  # this run made the temporary file
             os.remove(temp)
@@ -180,52 +182,56 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     models = [_model_for(gpu_partition, model_id) for model_id in _models_arg(args.models)]
     sweep_bounds(args.s_min, args.s_max, args.steps)  # a refused sweep prints no summary
 
-    summary_out = sys.stdout if args.out else sys.stderr
+    # Every threshold and the band are worked out before anything is printed, and an --out
+    # file is written before the summary, so a refused run prints nothing to stdout.
     cpu_weights = [model.node_weight(cpu_node) for model in models]
     if len(set(cpu_weights)) == 1:
-        print(f"cpu node-hour weight: {format_su(round_half_up(cpu_weights[0]))}", file=summary_out)
+        summary = [f"cpu node-hour weight: {format_su(round_half_up(cpu_weights[0]))}"]
     else:
-        for model, weight in zip(models, cpu_weights):
-            print(f"model {model.id}: cpu node-hour weight {format_su(round_half_up(weight))}", file=summary_out)
+        summary = [
+            f"model {model.id}: cpu node-hour weight {format_su(round_half_up(weight))}"
+            for model, weight in zip(models, cpu_weights)
+        ]
     for model in models:
         weight = model.node_weight(gpu_node)
         threshold = decision_threshold(model, cpu_node, gpu_node)
-        print(
+        summary.append(
             f"model {model.id}: gpu node-hour weight {format_su(round_half_up(weight))}, "
-            f"decision threshold s = {format_threshold(threshold)}",
-            file=summary_out,
+            f"decision threshold s = {format_threshold(threshold)}"
         )
     if any(m.id == "energy" for m in models) and len(models) > 1:
         low, high = efficiency_band(models, cpu_node, gpu_node)
         if high > low:
-            print(
+            summary.append(
                 f"efficiency band (energy model alone picks the lower-energy node): "
-                f"{format_threshold(low)} < s <= {format_threshold(high)}",
-                file=summary_out,
+                f"{format_threshold(low)} < s <= {format_threshold(high)}"
             )
         else:
-            print("efficiency band: empty", file=summary_out)
+            summary.append("efficiency band: empty")
 
+    if not args.out:  # the summary goes to stderr, ahead of the CSV on stdout
+        print(*summary, sep="\n", file=sys.stderr)
     with _writing(args.out) as handle:
         write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
+    if args.out:
+        print(*summary, sep="\n")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     numbers = [args.table] if args.table else sorted(tables.PUBLISHED_TABLES)
-    all_match = True
-    for number in numbers:
-        comparisons = tables.compare_with_published(number)
-        all_match = all_match and all(c.matches for c in comparisons)
+    compared = {number: tables.compare_with_published(number) for number in numbers}
+    if args.out:  # each file is written, one table at a time, before anything is printed
+        for number, comparisons in compared.items():
+            with _writing(args.out, f"table{number}.csv") as handle:
+                handle.write(tables.table_csv(comparisons))
+    for number, comparisons in compared.items():
         if args.format == "csv":
             sys.stdout.write(tables.table_csv(comparisons))
         else:
             print(tables.table_text(number, comparisons))
             print()
-        if args.out:
-            with _writing(args.out, f"table{number}.csv") as handle:
-                handle.write(tables.table_csv(comparisons))
-    if not all_match:
+    if not all(c.matches for comparisons in compared.values() for c in comparisons):
         print("error: regenerated values diverge from the published tables", file=sys.stderr)
         return 1
     return 0

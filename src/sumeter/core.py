@@ -30,6 +30,7 @@ import enum
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -340,21 +341,6 @@ class NodeUsage(Value):
             raise ValidationError("a node usage must request at least one resource")
 
 
-# The capacity rules. Each returns the usage's step count as a plain int
-# over the node's core or GPU count, so the max can be taken without
-# building a Fraction per resource.
-def _cores_used(usage: NodeUsage, node: NodeType) -> int:
-    if usage.cores_used > node.total_cores:
-        raise CapacityError(f"{usage.cores_used} cores requested but node type {node.name!r} has {node.total_cores}")
-    return usage.cores_used
-
-
-def _gpus_used(usage: NodeUsage, node: NodeType) -> int:
-    if usage.gpus_used > node.gpu_count:
-        raise CapacityError(f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {node.gpu_count}")
-    return usage.gpus_used
-
-
 def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M)."""
     used_num, used_den = usage.memory_used_gib.as_integer_ratio()
@@ -370,18 +356,19 @@ def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
 
 
 def core_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Fraction of the node's CPU cores requested."""
-    return Fraction(_cores_used(usage, node), node.total_cores)
+    """Fraction of the node's CPU cores requested; refuses what `node_share` refuses."""
+    node_share(usage, node)
+    return Fraction(usage.cores_used, node.total_cores)
 
 
 def gpu_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Fraction of the node's GPUs requested; zero on GPU-less nodes."""
-    gpus = _gpus_used(usage, node)
-    return Fraction(gpus, node.gpu_count) if gpus else Fraction(0)
+    """Fraction of the node's GPUs requested, zero on GPU-less nodes; refuses what `node_share` refuses."""
+    node_share(usage, node)
+    return Fraction(usage.gpus_used, node.gpu_count) if usage.gpus_used else Fraction(0)
 
 
 def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Charged memory fraction, stepped up to whole per-core shares.
+    """Charged memory fraction, stepped up to whole per-core shares; refuses what `node_share` refuses.
 
     Node memory is split evenly over the cores and the request is rounded
     up to a whole number of those shares, so the result is a step function
@@ -389,6 +376,7 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     node charges the whole node: it leaves nothing for anyone else even if
     a single core was asked for. Zero requested memory charges zero.
     """
+    node_share(usage, node)
     return Fraction(core_equivalent(usage, node), node.total_cores)
 
 
@@ -402,9 +390,10 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     """
     total_cores, gpu_count, _, _ = node._share_integers
     cores, gpus = usage.cores_used, usage.gpus_used
-    if cores > total_cores or gpus > gpu_count:
-        _cores_used(usage, node)  # each raises for its own count, cores first
-        _gpus_used(usage, node)
+    if cores > total_cores:
+        raise CapacityError(f"{cores} cores requested but node type {node.name!r} has {total_cores}")
+    if gpus > gpu_count:
+        raise CapacityError(f"{gpus} GPUs requested but node type {node.name!r} has {gpu_count}")
     steps = core_equivalent(usage, node)  # over C, the core count
     if steps < cores:
         steps = cores
@@ -513,11 +502,7 @@ class ChargeModel(Value):
             shares, repeat = [self.node_share(first, node)], len(usages)
         else:
             shares, repeat = [self.node_share(usage, node) for usage in usages], 1
-        units, denominator = shares[0]
-        for share_units, share_denominator in shares[1:]:  # add_ratios, inline
-            common = math.gcd(denominator, share_denominator)
-            units = units * (share_denominator // common) + share_units * (denominator // common)
-            denominator *= share_denominator // common
+        units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
         weight_num, weight_den = weight.as_integer_ratio()
@@ -612,7 +597,7 @@ class ChargeReport(Value):
 
 
 def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fraction) -> Fraction:
-    """TDP-based energy estimate of the requested cores and GPUs, in Wh."""
+    """TDP-based energy estimate of the requested cores and GPUs, in Wh; refuses what `node_share` refuses."""
     draw = Fraction(0)
     for usage in usages:
         draw += core_fraction(usage, node) * node.cpu_tdp_watts

@@ -159,7 +159,7 @@ class TitanModel(ChargeModel):
         return Fraction(titan_node_charge(node.total_cores, node.total_streaming_multiprocessors))
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        node_share(usage, node)  # capacity validation only
+        node_share(usage, node)  # the max rule's fit check; the share itself is the whole node
         return 1, 1
 
 
@@ -204,7 +204,7 @@ class PuhtiModel(ChargeModel):
         return Fraction(*bill)
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        node_share(usage, node)  # capacity validation
+        node_share(usage, node)  # the max rule's fit check; the bill below is the share
         full = self._hourly_bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
         if full[0] <= 0:
             raise ModelError("the configured rates price a whole node at zero")

@@ -259,16 +259,14 @@ class TestCrossover:
         data["partitions"][4]["model_parameters"] = {"rates": {"core": 0, "memory_gib": 0, "nvme_gib": 0, "gpu": 60}}
         config_path = tmp_path / "system.json"
         config_path.write_text(json.dumps(data), encoding="utf-8")
-        code, out, err = run(
-            capsys,
-            "--config", str(config_path),
-            "crossover", "--models", "puhti", "--cpu-partition", "work", "--gpu-partition", "shared",
-        )
-        assert (code, out) == (1, "")
-        assert err.splitlines() == [
-            "cpu node-hour weight: 0",
-            "error: model 'puhti' prices CPU node type 'dual-xeon-6240' at zero; no decision threshold",
-        ]
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_bytes(b"old\n")
+        argv = ["crossover", "--models", "puhti", "--cpu-partition", "work", "--gpu-partition", "shared"]
+        for out in ([], ["--out", str(out_path)]):  # no part of the summary is printed, to either stream
+            code, stdout, err = run(capsys, "--config", str(config_path), *argv, *out)
+            assert (code, stdout) == (1, "")
+            assert err == "error: model 'puhti' prices CPU node type 'dual-xeon-6240' at zero; no decision threshold\n"
+        assert out_path.read_bytes() == b"old\n"
 
     def test_csv_to_stdout_keeps_summary_on_stderr(self, capsys, config_path):
         code, out, err = run(capsys, "--config", str(config_path), "crossover", "--steps", "5")
@@ -332,7 +330,8 @@ class TestIngestCommand:
         )
         assert code == 0
         assert "3 rows: 3 charged, 0 rejected" in err
-        rows = {(r["project"], r["partition"]): r["total_su"] for r in csv.DictReader(out_file.open())}
+        with out_file.open(encoding="utf-8") as handle:
+            rows = {(r["project"], r["partition"]): r["total_su"] for r in csv.DictReader(handle)}
         assert rows[("projA", "work")] == "1"
         assert rows[("projA", "gpu")] == "192"
         assert rows[("projA", "ALL")] == "193"
@@ -467,8 +466,8 @@ class TestUnwritableOut:
 
     def test_crossover(self, capsys, config_path, tmp_path):
         out_path = tmp_path / "missing" / "sweep.csv"
-        code, _, err = run(capsys, "--config", str(config_path), "crossover", "--out", str(out_path))
-        assert code == 1
+        code, out, err = run(capsys, "--config", str(config_path), "crossover", "--out", str(out_path))
+        assert (code, out) == (1, "")
         assert err == f"error: cannot write {out_path}: No such file or directory\n"
 
     def test_report(self, capsys, tmp_path):
@@ -476,9 +475,21 @@ class TestUnwritableOut:
         blocker = tmp_path / "file.txt"
         blocker.write_text("", encoding="utf-8")
         out_dir = blocker / "tables"
-        code, _, err = run(capsys, "report", "--out", str(out_dir))
-        assert code == 1
+        code, out, err = run(capsys, "report", "--out", str(out_dir))
+        assert (code, out) == (1, "")
         assert err == f"error: cannot write {out_dir}: Not a directory\n"
+
+    def test_report_names_the_table_file(self, capsys, tmp_path):
+        # tables are replaced one at a time: table2.csv is written before table3.csv fails
+        (tmp_path / "table2.csv").write_text("old\n", encoding="utf-8")
+        (tmp_path / "table3.csv").mkdir()
+        code, out, err = run(capsys, "report", "--all", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path / 'table3.csv'}: Is a directory\n"
+        table2 = tables.table_csv(tables.compare_with_published(2))
+        assert (tmp_path / "table2.csv").read_text(encoding="utf-8") == table2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["table2.csv", "table3.csv"]
+        assert list((tmp_path / "table3.csv").iterdir()) == []
 
 
 class TestRefusedCommandLeavesOut:

@@ -157,6 +157,12 @@ class TestGpuFraction:
         with pytest.raises(CapacityError):
             gpu_fraction(NodeUsage(gpus_used=1), cpu_node)
 
+    def test_refuses_cores_the_node_lacks(self, gpu_node):
+        # a per-resource view refuses whatever a charge refuses, not only its own resource
+        with pytest.raises(CapacityError) as raised:
+            gpu_fraction(NodeUsage(cores_used=99), gpu_node)
+        assert str(raised.value) == "99 cores requested but node type 'quad-a100' has 36"
+
 
 class TestMemoryFraction:
     def test_full_memory(self, cpu_node):
@@ -347,6 +353,11 @@ class TestJobCost:
         job = JobRequest.uniform(gpu_partition, 1, NodeUsage(cores_used=18, gpus_used=2), 2)
         # half the CPU TDP plus half the GPU TDP, for two hours
         assert energy_estimate_wh(job.per_node_usage, gpu_node, job.walltime_hours) == (150 + 800) * 2
+
+    def test_energy_estimate_refuses_memory_the_node_lacks(self, cpu_node):
+        with pytest.raises(CapacityError) as raised:
+            energy_estimate_wh([NodeUsage(cores_used=1, memory_used_gib=10**6)], cpu_node, 1)
+        assert str(raised.value) == "1000000 GiB requested but node type 'dual-xeon-6240' has 256 GiB"
 
 
 class TestNodeUsageValidation:

@@ -3,8 +3,8 @@
 Numbers are parsed, charged, summed and read from CSV on plain integers,
 with one normalised Fraction built per value. Each property here compares
 that kernel with the straightforward form: `Fraction(text)` behind the
-length and exponent bounds, each model's per-node rule and
-`weight * hours * sum(node_fraction)` in Fraction arithmetic, per-project
+length and exponent bounds, each model's per-node rule, the per-resource
+views and `weight * hours * sum(node_fraction)` in Fraction arithmetic, per-project
 sums of Fractions, and `csv.DictReader`.
 """
 
@@ -36,8 +36,12 @@ from sumeter import (
     RowError,
     ValidationError,
     aggregate,
+    core_fraction,
+    energy_estimate_wh,
     get_model,
+    gpu_fraction,
     iter_jobs,
+    memory_fraction,
     parse_config,
     parse_real,
 )
@@ -221,6 +225,34 @@ def test_node_share_equals_the_plain_rule(model, case):
         numerator, denominator = model.node_share(usage, node)
         assert type(numerator) is int and type(denominator) is int and denominator > 0
         assert Fraction(numerator, denominator) == expected == model.node_fraction(usage, node)
+
+
+VIEWS = (core_fraction, gpu_fraction, memory_fraction, lambda usage, node: energy_estimate_wh([usage], node, 1))
+
+
+def plain_views(usage, node):
+    """What `VIEWS` read, in plain Fraction arithmetic: core, GPU and memory fractions and one hour's energy."""
+    cores, gpus = Fraction(usage.cores_used, node.total_cores), Fraction(0)
+    if usage.gpus_used:
+        gpus = Fraction(usage.gpus_used, len(node.gpus))
+    memory = Fraction(math.ceil(usage.memory_used_gib / (node.memory_total_gib / node.total_cores)), node.total_cores)
+    tdp = [sum(spec.tdp_watts for spec in specs) for specs in (node.cpus, node.gpus)]
+    return cores, gpus, memory, cores * tdp[0] + gpus * tdp[1]
+
+
+@settings(max_examples=300)
+@given(kernel_node_types().flatmap(lambda node: st.tuples(st.just(node), edge_usages(node))))
+def test_the_views_refuse_what_the_rule_refuses(case):
+    node, usage = case
+    try:
+        rule_fraction(usage, node)
+    except CapacityError as err:
+        for view in VIEWS:
+            with pytest.raises(CapacityError) as excinfo:
+                view(usage, node)
+            assert str(excinfo.value) == str(err)
+    else:
+        assert tuple(view(usage, node) for view in VIEWS) == plain_views(usage, node)
 
 
 @settings(max_examples=300)
