@@ -99,10 +99,12 @@ def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeTyp
 
 
 def sweep_bounds(s_min: RealLike, s_max: RealLike, steps: int) -> tuple[Fraction, Fraction]:
-    """The sweep's end points, exact, once 0 < s_min < s_max and 2 <= steps <= MAX_SWEEP_STEPS hold."""
+    """The sweep's end points, exact, once 0 < s_min < s_max and `steps` is an int from 2 to MAX_SWEEP_STEPS."""
     low, high = exact(s_min), exact(s_max)
     if not 0 < low < high:
         raise ValidationError("need 0 < s_min < s_max")
+    if type(steps) is not int:  # a bool is not a count
+        raise ValidationError("sweep steps must be an integer")
     if steps < 2:
         raise ValidationError("need at least 2 sweep steps")
     if steps > MAX_SWEEP_STEPS:

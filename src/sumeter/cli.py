@@ -96,16 +96,12 @@ def _job_from_args(config: SystemConfig, args: argparse.Namespace) -> JobRequest
     return JobRequest.uniform(partition, args.nodes, usage, args.hours)
 
 
-def _energy_wh(job: JobRequest) -> Fraction:
-    return energy_estimate_wh(job.per_node_usage, job.partition.node_type, job.walltime_hours)
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     job = _job_from_args(config, args)
     report = _model_for(job.partition, args.model).charge(job)
     if args.format == "json":
-        print(json.dumps(_report_json(args.partition, report, _energy_wh(job))))
+        print(json.dumps(_report_json(args.partition, report, energy_estimate_wh(job))))
     elif args.format == "csv":
         print("model_id,total_su,weight_used,walltime_hours,node_index,node_fraction")
         for i, fraction in enumerate(report.per_node_fraction):
@@ -119,7 +115,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"node-hour weight: {format_su(round_half_up(report.weight_used))}")
         fractions = report.per_node_fraction  # a uniform job: every node has the same fraction
         print(f"per-node fraction: {format_real(fractions[0])} (x{len(fractions)} nodes)")
-        print(f"estimated energy: {format_real(_energy_wh(job))} Wh")
+        print(f"estimated energy: {format_real(energy_estimate_wh(job))} Wh")
         print(f"total: {format_su(report.total_su)} SU")
     return 0
 
@@ -149,7 +145,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     job = _job_from_args(config, args)
     reports = [_model_for(job.partition, model_id).charge(job) for model_id in _models_arg(args.models)]
     if args.format == "json":
-        energy_wh = _energy_wh(job)
+        energy_wh = energy_estimate_wh(job)
         print(json.dumps([_report_json(args.partition, report, energy_wh) for report in reports]))
     elif args.format == "csv":
         print("model_id,total_su,weight_used")

@@ -224,7 +224,11 @@ def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
     items = pairs.items() if isinstance(pairs, Mapping) else pairs
     out = []
     seen = set()
-    for name, amount in items:
+    for item in items:
+        try:
+            name, amount = item
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what}: expected (name, amount) pairs") from None
         if type(name) is not str:
             raise ValidationError(f"{what}: resource name must be a string, got {type(name).__name__}")
         if not name:
@@ -342,10 +346,8 @@ class NodeUsage(Value):
 
 
 def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
-    """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M)."""
+    """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M), so 0 for none."""
     used_num, used_den = usage.memory_used_gib.as_integer_ratio()
-    if not used_num:
-        return 0
     cores, _, total_num, total_den = node._share_integers
     if used_num * total_den > total_num * used_den:
         raise CapacityError(
@@ -386,7 +388,7 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     Extra resources named in the usage must exist on the node type and add
     amount/capacity terms to the max. Raises CapacityError whenever any
     quantity exceeds what the node provides, checking cores, GPUs, memory
-    and then the extras.
+    and then the extras. Without extras, the share is the largest core, GPU or memory term.
     """
     total_cores, gpu_count, _, _ = node._share_integers
     cores, gpus = usage.cores_used, usage.gpus_used
@@ -402,8 +404,6 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
         numerator, denominator = gpus, gpu_count
     else:
         numerator, denominator = steps, total_cores
-    if not usage.extra_used:
-        return numerator, denominator
     capacities = node.extra_capacities
     for resource, amount in usage.extra_used:
         if resource not in capacities:
@@ -426,10 +426,8 @@ def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
 
 
 def add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x + y for two (numerator, denominator) pairs, combined over the gcd and not reduced."""
+    """x + y for (numerator, denominator) pairs, over lcm(b, d) and not reduced: equal denominators add numerators."""
     (a, b), (c, d) = x, y
-    if b == d:
-        return a + c, b
     common = math.gcd(b, d)
     return a * (d // common) + c * (b // common), b * (d // common)
 
@@ -596,13 +594,13 @@ class ChargeReport(Value):
     __slots__ = _fields = ("model_id", "total_su", "per_node_fraction", "weight_used", "walltime_hours")
 
 
-def energy_estimate_wh(usages: Sequence[NodeUsage], node: NodeType, hours: Fraction) -> Fraction:
-    """TDP-based energy estimate of the requested cores and GPUs, in Wh; refuses what `node_share` refuses."""
-    draw = Fraction(0)
-    for usage in usages:
+def energy_estimate_wh(job: JobRequest) -> Fraction:
+    """TDP energy of the job's requested cores and GPUs over its hours, in Wh; refuses what `node_share` refuses."""
+    node, draw = job.partition.node_type, Fraction(0)
+    for usage in job.per_node_usage:
         draw += core_fraction(usage, node) * node.cpu_tdp_watts
         draw += gpu_fraction(usage, node) * node.gpu_tdp_watts
-    return draw * hours
+    return draw * job.walltime_hours
 
 
 def job_cost(job: JobRequest) -> ChargeReport:

@@ -40,7 +40,9 @@ def peak_perf_weight(node: NodeType, reference_cpu_node: NodeType) -> Fraction:
 
 
 def titan_node_charge(cpu_cores: int, gpu_sms: int) -> int:
-    """Whole-node hourly charge: one unit per CPU core plus one per GPU SM."""
+    """Whole-node hourly charge: one unit per CPU core plus one per GPU SM, both integer counts."""
+    if type(cpu_cores) is not int or type(gpu_sms) is not int:  # a bool is not a count
+        raise ValidationError("counts must be integers")
     if cpu_cores < 0 or gpu_sms < 0:
         raise ValidationError("counts must be nonnegative")
     return cpu_cores + gpu_sms
@@ -97,12 +99,18 @@ def puhti_tdp_equivalence(
     """Hourly TDP envelope, in Wh, of one GPU plus a share of the host CPUs.
 
     One V100 plus a quarter of a dual 125 W socket node comes to 362.5 Wh.
+    `sockets` is an integer of at least 1 and `node_share` is nonnegative.
     """
     gpu_tdp = exact(gpu_tdp_watts)
     cpu_tdp = exact(cpu_tdp_watts_per_socket)
+    share = exact(node_share)
     if gpu_tdp <= 0 or cpu_tdp <= 0:
         raise ValidationError("TDP values must be positive")
-    return gpu_tdp + exact(node_share) * (sockets * cpu_tdp)
+    if type(sockets) is not int or sockets < 1:  # a bool is not a count
+        raise ValidationError("sockets must be an integer of at least 1")
+    if share < 0:
+        raise ValidationError("node_share must be nonnegative")
+    return gpu_tdp + share * (sockets * cpu_tdp)
 
 
 def puhti_tdp_core_ratio(
@@ -112,7 +120,9 @@ def puhti_tdp_core_ratio(
     sockets: int = 2,
     node_share: RealLike = Fraction(1, 4),
 ) -> Fraction:
-    """How many single-core TDP envelopes the GPU-hour envelope is worth."""
+    """How many single-core TDP envelopes the GPU-hour envelope is worth; `cores_per_socket` is an integer."""
+    if type(cores_per_socket) is not int:  # a bool is not a count
+        raise ValidationError("cores_per_socket must be an integer")
     if cores_per_socket < 1:
         raise ValidationError("cores_per_socket must be at least 1")
     per_core = exact(cpu_tdp_watts_per_socket) / cores_per_socket

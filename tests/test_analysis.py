@@ -149,6 +149,13 @@ class TestCrossoverSweep:
         with pytest.raises(ValidationError, match=f"at most {MAX_SWEEP_STEPS} sweep steps, got {MAX_SWEEP_STEPS + 1}"):
             crossover_sweep(ENERGY, cpu_node, gpu_node, 1, 20, MAX_SWEEP_STEPS + 1)
 
+    @pytest.mark.parametrize("steps", [2.5, True])
+    def test_steps_must_be_an_integer(self, cpu_node, gpu_node, steps):
+        with pytest.raises(ValidationError, match="^sweep steps must be an integer$"):
+            crossover_sweep(ENERGY, cpu_node, gpu_node, 1, 20, steps)
+        with pytest.raises(ValidationError, match="^sweep steps must be an integer$"):
+            write_sweep_csv([ENERGY], cpu_node, gpu_node, io.StringIO(), 1, 20, steps)
+
     def test_energy_non_increasing_once_on_gpu(self, cpu_node, gpu_node):
         points = crossover_sweep(ENERGY, cpu_node, gpu_node, 1, 20, 96)
         previous = None

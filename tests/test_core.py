@@ -127,6 +127,14 @@ class TestNodeType:
             NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, extra_resources=extras)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "extras", [[("a", 1, 2)], [("a",)], [5], [(10**5000,)]], ids=["triple", "single", "int", "huge"]
+    )
+    def test_resources_come_in_pairs(self, extras):
+        with pytest.raises(ValidationError) as raised:
+            NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, extra_resources=extras)
+        assert str(raised.value) == "node type 'bad': expected (name, amount) pairs"
+
 
 class TestCoreFraction:
     def test_full_node(self, cpu_node):
@@ -352,11 +360,11 @@ class TestJobCost:
     def test_energy_estimate(self, gpu_partition, gpu_node):
         job = JobRequest.uniform(gpu_partition, 1, NodeUsage(cores_used=18, gpus_used=2), 2)
         # half the CPU TDP plus half the GPU TDP, for two hours
-        assert energy_estimate_wh(job.per_node_usage, gpu_node, job.walltime_hours) == (150 + 800) * 2
+        assert energy_estimate_wh(job) == (150 + 800) * 2
 
     def test_energy_estimate_refuses_memory_the_node_lacks(self, cpu_node):
         with pytest.raises(CapacityError) as raised:
-            energy_estimate_wh([NodeUsage(cores_used=1, memory_used_gib=10**6)], cpu_node, 1)
+            energy_estimate_wh(JobRequest(Partition("p", cpu_node), [NodeUsage(cores_used=1, memory_used_gib=10**6)], 1))
         assert str(raised.value) == "1000000 GiB requested but node type 'dual-xeon-6240' has 256 GiB"
 
 
@@ -379,3 +387,9 @@ class TestNodeUsageValidation:
     def test_extra_names_must_be_strings(self):
         with pytest.raises(ValidationError, match="usage: resource name must be a string, got int"):
             NodeUsage(cores_used=1, extra_used={1: 1, "1": 2})
+
+    @pytest.mark.parametrize("extras", ["ab", [("nvme_gib", 1, 2)]], ids=["text", "triple"])
+    def test_extras_come_in_pairs(self, extras):
+        with pytest.raises(ValidationError) as raised:
+            NodeUsage(cores_used=1, extra_used=extras)
+        assert str(raised.value) == "usage: expected (name, amount) pairs"

@@ -36,6 +36,7 @@ from sumeter import (
     RowError,
     ValidationError,
     aggregate,
+    core_equivalent,
     core_fraction,
     energy_estimate_wh,
     get_model,
@@ -45,7 +46,7 @@ from sumeter import (
     parse_config,
     parse_real,
 )
-from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH
+from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH, add_ratios
 from test_properties import (
     DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, fuzz_config_data, kernel_node_types,
     rule_fraction,
@@ -227,7 +228,12 @@ def test_node_share_equals_the_plain_rule(model, case):
         assert Fraction(numerator, denominator) == expected == model.node_fraction(usage, node)
 
 
-VIEWS = (core_fraction, gpu_fraction, memory_fraction, lambda usage, node: energy_estimate_wh([usage], node, 1))
+VIEWS = (
+    core_fraction,
+    gpu_fraction,
+    memory_fraction,
+    lambda usage, node: energy_estimate_wh(JobRequest(Partition("p", node), [usage], 1)),
+)
 
 
 def plain_views(usage, node):
@@ -253,6 +259,31 @@ def test_the_views_refuse_what_the_rule_refuses(case):
             assert str(excinfo.value) == str(err)
     else:
         assert tuple(view(usage, node) for view in VIEWS) == plain_views(usage, node)
+
+
+@settings(max_examples=50)
+@given(kernel_node_types())
+def test_no_memory_is_charged_as_no_cores(node):
+    assert core_equivalent(NodeUsage(cores_used=1), node) == 0
+
+
+@st.composite
+def ratio_pairs(draw):
+    """Two (numerator, denominator) pairs with positive denominators, as often equal as not."""
+    b = draw(st.integers(1, 10**6))
+    d = draw(st.just(b) | st.integers(1, 10**6))
+    return (draw(st.integers()), b), (draw(st.integers()), d)
+
+
+@settings(max_examples=300)
+@given(ratio_pairs())
+def test_add_ratios_adds_over_the_lcm(pairs):
+    x, y = pairs
+    (a, b), (c, d) = x, y
+    numerator, denominator = add_ratios(x, y)
+    assert Fraction(numerator, denominator) == Fraction(a, b) + Fraction(c, d)
+    assert denominator == math.lcm(b, d)
+    assert add_ratios((a, b), (c, b)) == (a + c, b)
 
 
 @settings(max_examples=300)

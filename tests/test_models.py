@@ -89,6 +89,12 @@ class TestTitan:
         with pytest.raises(ValidationError):
             titan_node_charge(-1, 0)
 
+    @pytest.mark.parametrize("counts", [(1.5, 0), (1, 2.5), (True, 2), (-1.5, 0)])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValidationError) as raised:
+            titan_node_charge(*counts)
+        assert str(raised.value) == "counts must be integers"
+
     def test_additivity(self):
         for a, b, s in ((3, 5, 7), (16, 0, 14), (0, 12, 100)):
             assert titan_node_charge(a + b, s) == titan_node_charge(a, s) + titan_node_charge(b, 0)
@@ -152,6 +158,25 @@ class TestPuhtiTdpEquivalence:
         with pytest.raises(ValidationError) as raised:
             puhti_tdp_core_ratio(300, 125, cores_per_socket=0)
         assert str(raised.value) == "cores_per_socket must be at least 1"
+
+    @pytest.mark.parametrize("cores", [2.5, True, "20"])
+    def test_core_ratio_needs_an_integer_core_count(self, cores):
+        with pytest.raises(ValidationError) as raised:
+            puhti_tdp_core_ratio(300, 125, cores)
+        assert str(raised.value) == "cores_per_socket must be an integer"
+
+    @pytest.mark.parametrize("sockets", [2.5, 0, -2, True])
+    def test_sockets_must_be_a_whole_count_of_at_least_one(self, sockets):
+        message = "^sockets must be an integer of at least 1$"
+        with pytest.raises(ValidationError, match=message):
+            puhti_tdp_equivalence(300, 125, sockets=sockets)
+        with pytest.raises(ValidationError, match=message):
+            puhti_tdp_core_ratio(300, 125, 20, sockets=sockets)
+
+    def test_a_negative_node_share_is_refused(self):
+        with pytest.raises(ValidationError) as raised:
+            puhti_tdp_equivalence(300, 125, node_share="-0.25")
+        assert str(raised.value) == "node_share must be nonnegative"
 
 
 class TestPuhtiModel:
