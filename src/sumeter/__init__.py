@@ -40,14 +40,11 @@ _EXPORTS = {
         "ProcessorKind",
         "ProcessorSpec",
         "core_equivalent",
-        "core_fraction",
         "energy_estimate_wh",
         "exact",
-        "gpu_fraction",
         "gpu_partition_weight",
         "job_cost",
         "memory_fraction",
-        "node_fraction",
         "parse_real",
         "watt_to_su_rate",
     ),

@@ -167,6 +167,8 @@ def write_sweep_csv(
     steps: int = 96,
 ) -> None:
     """Emit plot data, one row per speedup and one column group per model."""
+    if not models:
+        raise ValidationError("the sweep needs at least one model")
     sweeps = [crossover_sweep(m, cpu_node, gpu_node, s_min, s_max, steps) for m in models]
     writer = csv.writer(out, lineterminator="\n")
     header = ["speedup"]

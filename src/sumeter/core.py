@@ -221,14 +221,13 @@ class ProcessorSpec(Value):
 
 def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
     """Normalize a mapping or (name, amount) sequence to sorted unique pairs."""
-    items = pairs.items() if isinstance(pairs, Mapping) else pairs
+    try:  # a container or an item that is not iterable, or an item that is not a pair
+        items = [(name, amount) for name, amount in (pairs.items() if isinstance(pairs, Mapping) else pairs)]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what}: expected (name, amount) pairs") from None
     out = []
     seen = set()
-    for item in items:
-        try:
-            name, amount = item
-        except (TypeError, ValueError):
-            raise ValidationError(f"{what}: expected (name, amount) pairs") from None
+    for name, amount in items:
         if type(name) is not str:
             raise ValidationError(f"{what}: resource name must be a string, got {type(name).__name__}")
         if not name:
@@ -238,6 +237,20 @@ def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
         seen.add(name)
         out.append((name, exact(amount)))
     return tuple(sorted(out))
+
+
+def _processors(specs, kind: ProcessorKind, node: str, field: str) -> tuple[ProcessorSpec, ...]:
+    """A node type's `field`, `specs`, as a tuple of `kind` processors; anything else is a ValidationError."""
+    try:
+        specs = tuple(specs)
+    except TypeError:
+        specs = (None,)  # not iterable: refused below, as an entry that is not a processor
+    for spec in specs:
+        if not isinstance(spec, ProcessorSpec):
+            raise ValidationError(f"node type {node!r}: {field} must be a sequence of ProcessorSpec values")
+        if spec.kind is not kind:
+            raise ValidationError(f"node type {node!r}: {spec.name!r} listed under {field} is not a {kind.name}")
+    return specs
 
 
 class NodeType(Value):
@@ -271,16 +284,12 @@ class NodeType(Value):
         gpus: Sequence[ProcessorSpec] = (),
         extra_resources: Mapping[str, RealLike] | Sequence[tuple[str, RealLike]] = (),
     ) -> None:
-        cpus, gpus, memory_total_gib = tuple(cpus), tuple(gpus), exact(memory_total_gib)
+        cpus = _processors(cpus, ProcessorKind.CPU, name, "cpus")
+        gpus = _processors(gpus, ProcessorKind.GPU, name, "gpus")
+        memory_total_gib = exact(memory_total_gib)
         extra_resources = _normalize_pairs(extra_resources, f"node type {name!r}")
         if not cpus:
             raise ValidationError(f"node type {name!r} needs at least one CPU")
-        for spec in cpus:
-            if spec.kind is not ProcessorKind.CPU:
-                raise ValidationError(f"node type {name!r}: {spec.name!r} listed under cpus is not a CPU")
-        for spec in gpus:
-            if spec.kind is not ProcessorKind.GPU:
-                raise ValidationError(f"node type {name!r}: {spec.name!r} listed under gpus is not a GPU")
         if memory_total_gib <= 0:
             raise ValidationError(f"node type {name!r}: memory_total_gib must be positive")
         for resource, capacity in extra_resources:
@@ -357,18 +366,6 @@ def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     return -(-(used_num * cores * total_den) // (used_den * total_num))
 
 
-def core_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Fraction of the node's CPU cores requested; refuses what `node_share` refuses."""
-    node_share(usage, node)
-    return Fraction(usage.cores_used, node.total_cores)
-
-
-def gpu_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """Fraction of the node's GPUs requested, zero on GPU-less nodes; refuses what `node_share` refuses."""
-    node_share(usage, node)
-    return Fraction(usage.gpus_used, node.gpu_count) if usage.gpus_used else Fraction(0)
-
-
 def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     """Charged memory fraction, stepped up to whole per-core shares; refuses what `node_share` refuses.
 
@@ -420,9 +417,12 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     return numerator, denominator
 
 
-def node_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
-    """`node_share` as a Fraction: the max-fraction rule."""
-    return Fraction(*node_share(usage, node))
+def _distinct(usages: tuple[NodeUsage, ...]) -> tuple[tuple[NodeUsage, ...], int]:
+    """The usages to price and how many times over: a uniform job's one usage, once per node, or each usage once."""
+    first = usages[0]
+    if usages[-1] is first and usages.count(first) == len(usages):
+        return (first,), len(usages)
+    return usages, 1
 
 
 def add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -478,10 +478,6 @@ class ChargeModel(Value):
         """Share of one node the usage is charged for, as (numerator, denominator): the max rule."""
         return node_share(usage, node)
 
-    def node_fraction(self, usage: NodeUsage, node: NodeType) -> Fraction:
-        """`node_share` as a Fraction."""
-        return Fraction(*self.node_share(usage, node))
-
     def total(self, job: JobRequest) -> tuple[int, int]:
         """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
         return self._priced(job)[0]
@@ -494,12 +490,9 @@ class ChargeModel(Value):
 
     def _priced(self, job: JobRequest):
         """The total, the node shares (`repeat` times over) and the weight; a uniform job is priced once."""
-        partition, usages = job.partition, job.per_node_usage
-        node, first = partition.node_type, usages[0]
-        if usages[-1] is first and usages.count(first) == len(usages):
-            shares, repeat = [self.node_share(first, node)], len(usages)
-        else:
-            shares, repeat = [self.node_share(usage, node) for usage in usages], 1
+        partition = job.partition
+        node, (usages, repeat) = partition.node_type, _distinct(job.per_node_usage)
+        shares = [self.node_share(usage, node) for usage in usages]
         units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
@@ -532,6 +525,10 @@ class Partition(Value):
             raise ValidationError(f"partition {name!r}: node_count must be an integer")
         if node_count < 1:
             raise ValidationError(f"partition {name!r}: node_count must be at least 1")
+        if not isinstance(node_type, NodeType):
+            raise ValidationError(f"partition {name!r}: node_type must be a NodeType, got {type(node_type).__name__}")
+        if not isinstance(model, ChargeModel):
+            raise ValidationError(f"partition {name!r}: model must be a ChargeModel, got {type(model).__name__}")
         weight = model.node_weight(node_type)
         if weight <= 0:
             raise ValidationError(f"partition {name!r}: weight must be positive")
@@ -566,6 +563,9 @@ class JobRequest(Value):
             set_field(self, "walltime_hours", hours)
         if not usages:
             raise ValidationError("a job must span at least one node")
+        for usage in _distinct(usages)[0]:  # a uniform job's one usage, or each one
+            if not isinstance(usage, NodeUsage):
+                raise ValidationError(f"per-node usages must be NodeUsage values, got {type(usage).__name__}")
         if hours.numerator < 0:
             raise ValidationError("walltime_hours must be nonnegative")
         _check_span(self.partition, len(usages))
@@ -595,12 +595,20 @@ class ChargeReport(Value):
 
 
 def energy_estimate_wh(job: JobRequest) -> Fraction:
-    """TDP energy of the job's requested cores and GPUs over its hours, in Wh; refuses what `node_share` refuses."""
-    node, draw = job.partition.node_type, Fraction(0)
-    for usage in job.per_node_usage:
-        draw += core_fraction(usage, node) * node.cpu_tdp_watts
-        draw += gpu_fraction(usage, node) * node.gpu_tdp_watts
-    return draw * job.walltime_hours
+    """TDP energy of the job's requested cores and GPUs over its hours, in Wh; refuses what `node_share` refuses.
+
+    (sum cores / C * CPU TDP + sum GPUs / G * GPU TDP) * hours; a charge's distinct usages, each checked once.
+    """
+    node, (usages, repeat) = job.partition.node_type, _distinct(job.per_node_usage)
+    cores = gpus = 0
+    for usage in usages:
+        node_share(usage, node)
+        cores += usage.cores_used
+        gpus += usage.gpus_used
+    draw = Fraction(cores, node.total_cores) * node.cpu_tdp_watts
+    if gpus:  # a GPU-less node has G = 0
+        draw += Fraction(gpus, node.gpu_count) * node.gpu_tdp_watts
+    return draw * repeat * job.walltime_hours
 
 
 def job_cost(job: JobRequest) -> ChargeReport:

@@ -214,6 +214,13 @@ class TestSweepCsv:
         write_sweep_csv([ENERGY], cpu_node, gpu_node, second, 1, 20, 12)
         assert first.getvalue() == second.getvalue()
 
+    def test_needs_a_model_before_writing(self, cpu_node, gpu_node):
+        out = io.StringIO()
+        with pytest.raises(ValidationError) as raised:
+            write_sweep_csv([], cpu_node, gpu_node, out, 1, 20, 3)
+        assert str(raised.value) == "the sweep needs at least one model"
+        assert out.getvalue() == ""
+
 
 class TestApplicationBenchmark:
     def test_rejects_zero_ratio(self):

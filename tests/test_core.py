@@ -17,17 +17,15 @@ from sumeter import (
     PuhtiRates,
     ValidationError,
     core_equivalent,
-    core_fraction,
     energy_estimate_wh,
     exact,
     get_model,
-    gpu_fraction,
     gpu_partition_weight,
     job_cost,
     memory_fraction,
-    node_fraction,
     watt_to_su_rate,
 )
+from sumeter.core import node_share
 from sumeter.tables import REFERENCE_CPU, REFERENCE_GPU
 
 
@@ -128,47 +126,67 @@ class TestNodeType:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize(
-        "extras", [[("a", 1, 2)], [("a",)], [5], [(10**5000,)]], ids=["triple", "single", "int", "huge"]
+        "extras", [[("a", 1, 2)], [("a",)], [5], [(10**5000,)], 5], ids=["triple", "single", "int", "huge", "container"]
     )
     def test_resources_come_in_pairs(self, extras):
         with pytest.raises(ValidationError) as raised:
             NodeType("bad", cpus=(REFERENCE_CPU,), memory_total_gib=64, extra_resources=extras)
         assert str(raised.value) == "node type 'bad': expected (name, amount) pairs"
 
+    @pytest.mark.parametrize(
+        "processors, field",
+        [({"cpus": 5}, "cpus"), ({"cpus": (REFERENCE_CPU,), "gpus": 5}, "gpus"), ({"cpus": [5]}, "cpus")],
+        ids=["cpus", "gpus", "entry"],
+    )
+    def test_processors_come_as_a_sequence_of_specs(self, processors, field):
+        with pytest.raises(ValidationError) as raised:
+            NodeType("bad", memory_total_gib=1, **processors)
+        assert str(raised.value) == f"node type 'bad': {field} must be a sequence of ProcessorSpec values"
+
+
+def one_node_energy(usage, node):
+    """One hour of `usage` on one `node`, in Wh: cores / C of the CPU TDP plus GPUs / G of the GPU TDP."""
+    return energy_estimate_wh(JobRequest(Partition("p", node), [usage], 1))
+
 
 class TestCoreFraction:
+    """The core term of the energy estimate: the cores used over the node's, of the CPU TDP."""
+
     def test_full_node(self, cpu_node):
-        assert core_fraction(NodeUsage(cores_used=36), cpu_node) == 1
+        assert one_node_energy(NodeUsage(cores_used=36), cpu_node) == cpu_node.cpu_tdp_watts
 
     def test_zero_cores(self, cpu_node):
-        assert core_fraction(NodeUsage(memory_used_gib=1), cpu_node) == 0
+        assert one_node_energy(NodeUsage(memory_used_gib=1), cpu_node) == 0
 
     def test_quarter(self, cpu_node):
-        assert core_fraction(NodeUsage(cores_used=9), cpu_node) == Fraction(1, 4)
+        assert one_node_energy(NodeUsage(cores_used=9), cpu_node) == cpu_node.cpu_tdp_watts / 4
 
     def test_over_capacity(self, cpu_node):
         with pytest.raises(CapacityError):
-            core_fraction(NodeUsage(cores_used=40), cpu_node)
+            one_node_energy(NodeUsage(cores_used=40), cpu_node)
 
 
 class TestGpuFraction:
+    """The GPU term of the energy estimate: the GPUs used over the node's, of the GPU TDP."""
+
     def test_one_of_four(self, gpu_node):
-        assert gpu_fraction(NodeUsage(gpus_used=1), gpu_node) == Fraction(1, 4)
+        assert one_node_energy(NodeUsage(gpus_used=1), gpu_node) == gpu_node.gpu_tdp_watts / 4
 
     def test_full(self, gpu_node):
-        assert gpu_fraction(NodeUsage(gpus_used=4), gpu_node) == 1
+        assert one_node_energy(NodeUsage(gpus_used=4), gpu_node) == gpu_node.gpu_tdp_watts
 
     def test_cpu_partition_zero(self, cpu_node):
-        assert gpu_fraction(NodeUsage(cores_used=1), cpu_node) == 0
+        # a GPU-less node adds no GPU term
+        assert one_node_energy(NodeUsage(cores_used=1), cpu_node) == cpu_node.cpu_tdp_watts / 36
 
     def test_gpu_on_gpuless_node(self, cpu_node):
         with pytest.raises(CapacityError):
-            gpu_fraction(NodeUsage(gpus_used=1), cpu_node)
+            one_node_energy(NodeUsage(gpus_used=1), cpu_node)
 
     def test_refuses_cores_the_node_lacks(self, gpu_node):
-        # a per-resource view refuses whatever a charge refuses, not only its own resource
+        # with the message a charge gives
         with pytest.raises(CapacityError) as raised:
-            gpu_fraction(NodeUsage(cores_used=99), gpu_node)
+            one_node_energy(NodeUsage(cores_used=99), gpu_node)
         assert str(raised.value) == "99 cores requested but node type 'quad-a100' has 36"
 
 
@@ -215,15 +233,15 @@ class TestCoreEquivalent:
 class TestNodeFraction:
     def test_cores_dominate(self, gpu_node):
         usage = NodeUsage(cores_used=18, memory_used_gib=10)
-        assert node_fraction(usage, gpu_node) == Fraction(1, 2)
+        assert Fraction(*node_share(usage, gpu_node)) == Fraction(1, 2)
 
     def test_one_core_all_memory_charges_whole_node(self, cpu_node):
         usage = NodeUsage(cores_used=1, memory_used_gib=256)
-        assert node_fraction(usage, cpu_node) == 1
+        assert Fraction(*node_share(usage, cpu_node)) == 1
 
     def test_equal_fractions(self, gpu_node):
         usage = NodeUsage(cores_used=9, gpus_used=1, memory_used_gib=64)
-        assert node_fraction(usage, gpu_node) == Fraction(1, 4)
+        assert Fraction(*node_share(usage, gpu_node)) == Fraction(1, 4)
 
     def test_extra_resource_feeds_max(self):
         node = NodeType(
@@ -233,17 +251,17 @@ class TestNodeFraction:
             extra_resources={"nvme_gib": 1000},
         )
         usage = NodeUsage(cores_used=1, extra_used={"nvme_gib": 750})
-        assert node_fraction(usage, node) == Fraction(3, 4)
+        assert Fraction(*node_share(usage, node)) == Fraction(3, 4)
         with pytest.raises(CapacityError):
-            node_fraction(NodeUsage(cores_used=1, extra_used={"nvme_gib": 1001}), node)
+            node_share(NodeUsage(cores_used=1, extra_used={"nvme_gib": 1001}), node)
         with pytest.raises(CapacityError):
-            node_fraction(NodeUsage(cores_used=1, extra_used={"ssd_gib": 10}), node)
+            node_share(NodeUsage(cores_used=1, extra_used={"ssd_gib": 10}), node)
 
     def test_extra_beyond_float_range_is_a_capacity_error(self):
         node = NodeType("big", cpus=(REFERENCE_CPU,), memory_total_gib=1, extra_resources={"nvme_gib": 10**400})
         message = f"{10**401} of 'nvme_gib' requested but node type 'big' has {10**400}"
         with pytest.raises(CapacityError) as excinfo:
-            node_fraction(NodeUsage(cores_used=1, extra_used={"nvme_gib": 10**401}), node)
+            node_share(NodeUsage(cores_used=1, extra_used={"nvme_gib": 10**401}), node)
         assert str(excinfo.value) == message
 
 
@@ -300,6 +318,16 @@ class TestPartition:
         with pytest.raises(ValidationError, match="node_count must be an integer"):
             Partition("cpu", cpu_node, node_count=node_count)
 
+    def test_node_type_must_be_a_node_type(self):
+        with pytest.raises(ValidationError) as raised:
+            Partition("p", None)
+        assert str(raised.value) == "partition 'p': node_type must be a NodeType, got NoneType"
+
+    def test_model_must_be_a_charge_model(self, cpu_node):
+        with pytest.raises(ValidationError) as raised:
+            Partition("p", cpu_node, model="energy")
+        assert str(raised.value) == "partition 'p': model must be a ChargeModel, got str"
+
     def test_a_model_pricing_the_node_at_zero_is_refused(self, cpu_node):
         with pytest.raises(ValidationError) as raised:
             Partition("free", cpu_node, model=PuhtiModel(PuhtiRates(0, 0, 0, 0)))
@@ -316,6 +344,20 @@ class TestCounts:
     def test_uniform_node_count_must_be_an_int(self, cpu_partition, nodes):
         with pytest.raises(ValidationError, match="nodes must be an integer"):
             JobRequest.uniform(cpu_partition, nodes, NodeUsage(cores_used=1), 1)
+
+    @pytest.mark.parametrize(
+        "build, got",
+        [
+            (lambda partition: JobRequest(partition, [1], 1), "int"),
+            (lambda partition: JobRequest(partition, [NodeUsage(cores_used=1), "x"], 1), "str"),
+            (lambda partition: JobRequest.uniform(partition, 1, None, 1), "NoneType"),
+        ],
+        ids=["int", "second-node", "uniform"],
+    )
+    def test_every_node_usage_must_be_a_node_usage(self, cpu_partition, build, got):
+        with pytest.raises(ValidationError) as raised:
+            build(cpu_partition)
+        assert str(raised.value) == f"per-node usages must be NodeUsage values, got {got}"
 
 
 class TestJobCost:
@@ -388,7 +430,7 @@ class TestNodeUsageValidation:
         with pytest.raises(ValidationError, match="usage: resource name must be a string, got int"):
             NodeUsage(cores_used=1, extra_used={1: 1, "1": 2})
 
-    @pytest.mark.parametrize("extras", ["ab", [("nvme_gib", 1, 2)]], ids=["text", "triple"])
+    @pytest.mark.parametrize("extras", ["ab", [("nvme_gib", 1, 2)], 5], ids=["text", "triple", "container"])
     def test_extras_come_in_pairs(self, extras):
         with pytest.raises(ValidationError) as raised:
             NodeUsage(cores_used=1, extra_used=extras)

@@ -3,9 +3,9 @@
 Numbers are parsed, charged, summed and read from CSV on plain integers,
 with one normalised Fraction built per value. Each property here compares
 that kernel with the straightforward form: `Fraction(text)` behind the
-length and exponent bounds, each model's per-node rule, the per-resource
-views and `weight * hours * sum(node_fraction)` in Fraction arithmetic, per-project
-sums of Fractions, and `csv.DictReader`.
+length and exponent bounds, each model's per-node rule, the memory view,
+the energy estimate and `weight * hours * sum(node shares)` in Fraction
+arithmetic, per-project sums of Fractions, and `csv.DictReader`.
 """
 
 import copy
@@ -37,16 +37,16 @@ from sumeter import (
     ValidationError,
     aggregate,
     core_equivalent,
-    core_fraction,
     energy_estimate_wh,
     get_model,
-    gpu_fraction,
     iter_jobs,
     memory_fraction,
     parse_config,
     parse_real,
+    reference_gpu_node,
 )
-from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH, add_ratios
+import sumeter.core
+from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH, add_ratios, node_share
 from test_properties import (
     DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, fuzz_config_data, kernel_node_types,
     rule_fraction,
@@ -218,32 +218,37 @@ def test_node_share_equals_the_plain_rule(model, case):
     try:
         expected = plain_model_fraction(model, usage, node)
     except CapacityError as err:
-        for price in (model.node_share, model.node_fraction):
-            with pytest.raises(CapacityError) as excinfo:
-                price(usage, node)
-            assert str(excinfo.value) == str(err)
+        with pytest.raises(CapacityError) as excinfo:
+            model.node_share(usage, node)
+        assert str(excinfo.value) == str(err)
     else:
         numerator, denominator = model.node_share(usage, node)
         assert type(numerator) is int and type(denominator) is int and denominator > 0
-        assert Fraction(numerator, denominator) == expected == model.node_fraction(usage, node)
+        assert Fraction(numerator, denominator) == expected
 
 
 VIEWS = (
-    core_fraction,
-    gpu_fraction,
     memory_fraction,
     lambda usage, node: energy_estimate_wh(JobRequest(Partition("p", node), [usage], 1)),
 )
 
 
+def plain_energy_wh(usages, node):
+    """One hour of the usages' nodes, in Wh and plain Fraction arithmetic: per node, cores / C of the CPU TDP
+    plus GPUs / G of the GPU TDP."""
+    cpu_tdp, gpu_tdp = [sum(spec.tdp_watts for spec in specs) for specs in (node.cpus, node.gpus)]
+    draw = Fraction(0)
+    for usage in usages:
+        draw += Fraction(usage.cores_used, node.total_cores) * cpu_tdp
+        if usage.gpus_used:
+            draw += Fraction(usage.gpus_used, len(node.gpus)) * gpu_tdp
+    return draw
+
+
 def plain_views(usage, node):
-    """What `VIEWS` read, in plain Fraction arithmetic: core, GPU and memory fractions and one hour's energy."""
-    cores, gpus = Fraction(usage.cores_used, node.total_cores), Fraction(0)
-    if usage.gpus_used:
-        gpus = Fraction(usage.gpus_used, len(node.gpus))
+    """What `VIEWS` read, in plain Fraction arithmetic: the memory fraction and one hour's energy."""
     memory = Fraction(math.ceil(usage.memory_used_gib / (node.memory_total_gib / node.total_cores)), node.total_cores)
-    tdp = [sum(spec.tdp_watts for spec in specs) for specs in (node.cpus, node.gpus)]
-    return cores, gpus, memory, cores * tdp[0] + gpus * tdp[1]
+    return memory, plain_energy_wh([usage], node)
 
 
 @settings(max_examples=300)
@@ -259,6 +264,45 @@ def test_the_views_refuse_what_the_rule_refuses(case):
             assert str(excinfo.value) == str(err)
     else:
         assert tuple(view(usage, node) for view in VIEWS) == plain_views(usage, node)
+
+
+@st.composite
+def uniform_jobs(draw):
+    """A usage on and past every capacity edge of a node, the same object on each of 1-64 nodes."""
+    node = draw(kernel_node_types())
+    usage, nodes = draw(edge_usages(node)), draw(st.integers(1, 64))
+    hours = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
+    return JobRequest.uniform(Partition("p", node, node_count=nodes), nodes, usage, hours)
+
+
+@settings(max_examples=300)
+@given(priced_jobs() | uniform_jobs())
+def test_energy_equals_the_per_node_sum(job):
+    try:
+        get_model("energy").total(job)
+    except CapacityError as err:
+        with pytest.raises(CapacityError) as excinfo:
+            energy_estimate_wh(job)
+        assert str(excinfo.value) == str(err)
+    else:
+        energy = energy_estimate_wh(job)
+        assert type(energy) is Fraction
+        assert energy == plain_energy_wh(job.per_node_usage, job.partition.node_type) * job.walltime_hours
+
+
+def test_energy_checks_a_uniform_job_once(monkeypatch):
+    calls = []
+
+    def counting(usage, node):
+        calls.append(usage)
+        return node_share(usage, node)
+
+    monkeypatch.setattr(sumeter.core, "node_share", counting)
+    usage = NodeUsage(cores_used=9, gpus_used=1)
+    job = JobRequest.uniform(Partition("gpu", reference_gpu_node(), node_count=250), 250, usage, Fraction(1, 3))
+    # (75 W CPU + 400 W GPU) per node, 250 nodes, 1/3 h
+    assert energy_estimate_wh(job) == Fraction(118750, 3)
+    assert calls == [usage]
 
 
 @settings(max_examples=50)
@@ -290,7 +334,7 @@ def test_add_ratios_adds_over_the_lcm(pairs):
 @given(priced_jobs())
 def test_integer_charge_equals_the_naive_fraction_sum(job):
     model, node = job.partition.model, job.partition.node_type
-    naive = tuple(model.node_fraction(usage, node) for usage in job.per_node_usage)
+    naive = tuple(Fraction(*model.node_share(usage, node)) for usage in job.per_node_usage)
     if model.id == "puhti":
         assert naive == tuple(plain_puhti_fraction(model, usage, node) for usage in job.per_node_usage)
     report = model.charge(job)

@@ -36,14 +36,11 @@ EXPORTS = {
         "ProcessorKind",
         "ProcessorSpec",
         "core_equivalent",
-        "core_fraction",
         "energy_estimate_wh",
         "exact",
-        "gpu_fraction",
         "gpu_partition_weight",
         "job_cost",
         "memory_fraction",
-        "node_fraction",
         "parse_real",
         "watt_to_su_rate",
     ],
@@ -122,7 +119,7 @@ def test_load_config_loads_only_the_config_modules(config_path):
 
 def test_the_exported_names_are_the_published_ones():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 69
+    assert len(names) == 66
     assert probe("import json, sumeter; print(json.dumps(sorted(sumeter.__all__)))") == names
     listed = probe("import json, sumeter; print(json.dumps(dir(sumeter)))")
     assert set(names) <= set(listed) and listed == sorted(listed)

@@ -33,12 +33,12 @@ from sumeter import (
     iter_jobs,
     job_cost,
     memory_fraction,
-    node_fraction,
     parse_config,
     puhti_bu,
     titan_node_charge,
 )
 from sumeter.cli import main
+from sumeter.core import node_share
 from sumeter.display import exact_text
 from sumeter.ingest import DetailRowError, Ledger, RowError, aggregate, ingest_jobs
 from conftest import TEST_CONFIG
@@ -116,7 +116,7 @@ def mixed_usage_jobs(draw, model_id):
 @given(st.sampled_from(MODEL_IDS).flatmap(mixed_usage_jobs))
 def test_charge_equals_the_naive_per_node_sum(job):
     model, node = job.partition.model, job.partition.node_type
-    naive = tuple(model.node_fraction(usage, node) for usage in job.per_node_usage)
+    naive = tuple(Fraction(*model.node_share(usage, node)) for usage in job.per_node_usage)
     report = model.charge(job)
     assert report.per_node_fraction == naive
     assert report.total_su == model.node_weight(node) * job.walltime_hours * sum(naive)
@@ -241,7 +241,7 @@ def test_energy_threshold_equals_decision_threshold(node):
 def test_unused_gpus_change_only_the_weight(node):
     cpu_only = NodeType("bare", cpus=node.cpus, memory_total_gib=node.memory_total_gib)
     usage = NodeUsage(cores_used=1, memory_used_gib=Fraction(node.memory_total_gib, 2))
-    assert node_fraction(usage, node) == node_fraction(usage, cpu_only)
+    assert Fraction(*node_share(usage, node)) == Fraction(*node_share(usage, cpu_only))
 
 
 @given(
@@ -283,7 +283,7 @@ def test_puhti_model_bills_as_puhti_bu(bill):
     full_node = puhti_bu(node.total_cores, node.memory_total_gib, nvme_capacity, node.gpu_count, 1, model.rates)
     assert model.node_weight(node) == full_node
     try:
-        node_fraction(usage, node)  # the max rule checks every capacity first
+        node_share(usage, node)  # the max rule checks every capacity first
     except CapacityError as err:
         expected = CapacityError, str(err)
     else:
@@ -414,10 +414,10 @@ def test_integer_kernel_equals_the_fraction_rule(case):
         expected = rule_fraction(usage, node)
     except CapacityError as err:
         with pytest.raises(CapacityError) as excinfo:
-            node_fraction(usage, node)
+            node_share(usage, node)
         assert str(excinfo.value) == str(err)
     else:
-        assert node_fraction(usage, node) == expected
+        assert Fraction(*node_share(usage, node)) == expected
 
 
 def fuzz_config_data():
