@@ -32,7 +32,14 @@ class SystemConfig(Value):
     __slots__ = (*_fields, "_by_name")
 
     def __init__(self, partitions: Sequence[Partition]) -> None:
-        partitions = tuple(partitions)
+        try:
+            partitions = tuple(partitions)
+        except TypeError:
+            partitions = (partitions,)  # not iterable: refused below, as an entry that is not a partition
+        for partition in partitions:
+            if not isinstance(partition, Partition):
+                got = type(partition).__name__
+                raise ValidationError(f"partitions must be a sequence of Partition values, got {got}")
         super().__init__(partitions)
         # the first partition of a name wins, as in a scan of `partitions`
         set_field(self, "_by_name", {partition.name: partition for partition in reversed(partitions)})

@@ -327,21 +327,15 @@ class NodeUsage(Value):
     ) -> None:
         set_field(self, "cores_used", cores_used)
         set_field(self, "gpus_used", gpus_used)
-        set_field(self, "memory_used_gib", memory_used_gib)
-        set_field(self, "extra_used", extra_used)
+        memory = memory_used_gib if isinstance(memory_used_gib, Fraction) else exact(memory_used_gib)
+        set_field(self, "memory_used_gib", memory)
+        set_field(self, "extra_used", () if extra_used == () else _normalize_pairs(extra_used, "usage"))
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # Signs are read off numerators (denominators are positive).
-        memory = self.memory_used_gib
-        if not isinstance(memory, Fraction):
-            memory = exact(memory)
-            set_field(self, "memory_used_gib", memory)
-        extras = self.extra_used
-        if extras != ():
-            extras = _normalize_pairs(extras, "usage")
-            set_field(self, "extra_used", extras)
-        cores, gpus, memory_units = self.cores_used, self.gpus_used, memory.numerator
+        cores, gpus, extras = self.cores_used, self.gpus_used, self.extra_used
+        memory_units = self.memory_used_gib.numerator
         if type(cores) is not int or type(gpus) is not int:  # a bool is not a count
             raise ValidationError("core and GPU counts must be integers")
         if cores < 0 or gpus < 0:
@@ -417,14 +411,6 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     return numerator, denominator
 
 
-def _distinct(usages: tuple[NodeUsage, ...]) -> tuple[tuple[NodeUsage, ...], int]:
-    """The usages to price and how many times over: a uniform job's one usage, once per node, or each usage once."""
-    first = usages[0]
-    if usages[-1] is first and usages.count(first) == len(usages):
-        return (first,), len(usages)
-    return usages, 1
-
-
 def add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """x + y for (numerator, denominator) pairs, over lcm(b, d) and not reduced: equal denominators add numerators."""
     (a, b), (c, d) = x, y
@@ -491,7 +477,7 @@ class ChargeModel(Value):
     def _priced(self, job: JobRequest):
         """The total, the node shares (`repeat` times over) and the weight; a uniform job is priced once."""
         partition = job.partition
-        node, (usages, repeat) = partition.node_type, _distinct(job.per_node_usage)
+        node, (usages, repeat) = partition.node_type, job._priced_by
         shares = [self.node_share(usage, node) for usage in usages]
         units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
@@ -542,33 +528,44 @@ class JobRequest(Value):
     """A charging request: one partition, one usage entry per node, hours.
 
     Jobs may be heterogeneous (different usage on different nodes) but
-    bind to a single partition.
+    bind to a single partition. The constructor also works out the usages
+    the job is priced by, a derived value that is not a field: a uniform
+    job's one usage and its node count, or each node's usage once.
     """
 
-    __slots__ = _fields = ("partition", "per_node_usage", "walltime_hours")
+    _fields = ("partition", "per_node_usage", "walltime_hours")
+    __slots__ = (*_fields, "_priced_by")
 
     def __init__(self, partition: Partition, per_node_usage: Sequence[NodeUsage], walltime_hours: RealLike) -> None:
+        try:
+            per_node_usage = tuple(per_node_usage)  # a tuple is kept as it is
+        except TypeError:  # not iterable
+            raise ValidationError(
+                f"per-node usages must be a sequence of NodeUsage values, got {type(per_node_usage).__name__}"
+            ) from None
         set_field(self, "partition", partition)
         set_field(self, "per_node_usage", per_node_usage)
-        set_field(self, "walltime_hours", walltime_hours)
+        hours = walltime_hours if isinstance(walltime_hours, Fraction) else exact(walltime_hours)
+        set_field(self, "walltime_hours", hours)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         usages, hours = self.per_node_usage, self.walltime_hours
-        if type(usages) is not tuple:
-            usages = tuple(usages)
-            set_field(self, "per_node_usage", usages)
-        if not isinstance(hours, Fraction):
-            hours = exact(hours)
-            set_field(self, "walltime_hours", hours)
         if not usages:
             raise ValidationError("a job must span at least one node")
-        for usage in _distinct(usages)[0]:  # a uniform job's one usage, or each one
+        first = usages[0]
+        # uniform: the same usage object first and last and an equal one on every node, as `uniform` builds
+        if usages[-1] is first and usages.count(first) == len(usages):
+            priced_by = (first,), len(usages)
+        else:
+            priced_by = usages, 1
+        for usage in priced_by[0]:
             if not isinstance(usage, NodeUsage):
                 raise ValidationError(f"per-node usages must be NodeUsage values, got {type(usage).__name__}")
         if hours.numerator < 0:
             raise ValidationError("walltime_hours must be nonnegative")
         _check_span(self.partition, len(usages))
+        set_field(self, "_priced_by", priced_by)
 
     @classmethod
     def uniform(
@@ -582,6 +579,8 @@ class JobRequest(Value):
 
 
 def _check_span(partition: Partition, nodes: int) -> None:
+    if not isinstance(partition, Partition):
+        raise ValidationError(f"a job's partition must be a Partition, got {type(partition).__name__}")
     if nodes > partition.node_count:
         raise CapacityError(
             f"job spans {nodes} nodes but partition {partition.name!r} has {partition.node_count}"
@@ -599,7 +598,7 @@ def energy_estimate_wh(job: JobRequest) -> Fraction:
 
     (sum cores / C * CPU TDP + sum GPUs / G * GPU TDP) * hours; a charge's distinct usages, each checked once.
     """
-    node, (usages, repeat) = job.partition.node_type, _distinct(job.per_node_usage)
+    node, (usages, repeat) = job.partition.node_type, job._priced_by
     cores = gpus = 0
     for usage in usages:
         node_share(usage, node)

@@ -189,6 +189,12 @@ class PuhtiModel(ChargeModel):
     id = "puhti"
 
     def __init__(self, rates: PuhtiRates = DEFAULT_PUHTI_RATES, nvme_resource: str = "nvme_gib") -> None:
+        if not isinstance(rates, PuhtiRates):
+            raise ValidationError(f"rates must be PuhtiRates, got {type(rates).__name__}")
+        if type(nvme_resource) is not str:  # a resource name is a string, as in `extra_resources`
+            raise ValidationError(f"nvme_resource must be a string, got {type(nvme_resource).__name__}")
+        if not nvme_resource:
+            raise ValidationError("nvme_resource must be non-empty")
         super().__init__(rates, nvme_resource)
         ordered = (rates.core, rates.gpu, rates.memory_gib, rates.nvme_gib)
         common = math.lcm(*[rate.denominator for rate in ordered])
@@ -237,7 +243,7 @@ def get_model(model_id: str) -> ChargeModel:
     """A charge model with its default parameters, by its id string."""
     try:
         model_class = _MODEL_CLASSES[model_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         known = ", ".join(sorted(_MODEL_CLASSES))
         raise ValidationError(f"unknown charge model {model_id!r} (known: {known})") from None
     return model_class()

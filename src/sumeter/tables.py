@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .analysis import ApplicationBenchmark
 from .config import SystemConfig
-from .core import NodeType, Partition, ProcessorSpec, RealLike, Value, exact
+from .core import NodeType, Partition, ProcessorSpec, RealLike, Value, exact, parse_real
 from .display import exact_text, format_fixed, format_real, format_su, round_half_up
 from .errors import ValidationError
 from .models import ChargeModel, get_model
@@ -121,7 +121,9 @@ def printed_ratio_matches(computed: RealLike, printed: str) -> bool:
     must land within `RATIO_TOLERANCE`.
     """
     value = exact(computed)
-    target = Fraction(printed)
+    if type(printed) is not str:
+        raise ValidationError(f"printed ratio must be a string, got {type(printed).__name__}")
+    target = parse_real(printed)
     decimals = len(printed.partition(".")[2])
     quantum = Fraction(10) ** decimals
     truncated = Fraction(math.floor(value * quantum), 1) / quantum

@@ -1,6 +1,8 @@
 """Core charging engine: resource fractions, weights and job costs."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +361,24 @@ class TestCounts:
             build(cpu_partition)
         assert str(raised.value) == f"per-node usages must be NodeUsage values, got {got}"
 
+    def test_per_node_usages_come_as_a_sequence(self, cpu_partition):
+        with pytest.raises(ValidationError) as raised:
+            JobRequest(cpu_partition, 5, 1)
+        assert str(raised.value) == "per-node usages must be a sequence of NodeUsage values, got int"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: JobRequest(None, [NodeUsage(cores_used=1)], 1),
+            lambda: JobRequest.uniform(None, 1, NodeUsage(cores_used=1), 1),
+        ],
+        ids=["job", "uniform"],
+    )
+    def test_a_job_needs_a_partition(self, build):
+        with pytest.raises(ValidationError) as raised:
+            build()
+        assert str(raised.value) == "a job's partition must be a Partition, got NoneType"
+
 
 class TestJobCost:
     def test_one_core_hour_is_one_su(self, cpu_partition):
@@ -435,3 +455,21 @@ class TestNodeUsageValidation:
         with pytest.raises(ValidationError) as raised:
             NodeUsage(cores_used=1, extra_used=extras)
         assert str(raised.value) == "usage: expected (name, amount) pairs"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_library_example_gives_the_values_in_its_comments():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    example = next(block for block in blocks if "job_cost(job)" in block)
+    namespace = {}
+    exec(example, namespace)
+    shown = []
+    for line in example.splitlines():
+        expression, comment = line.partition("  # ")[::2]
+        if comment and "=" not in expression:  # a value the comment states
+            value = eval(expression, namespace)
+            assert comment.startswith(repr(value)), line
+            shown.append(value)
+    assert shown == [Fraction(432), Fraction(324), (Fraction(1, 4), Fraction(1, 4)), Fraction(1425)]

@@ -47,9 +47,9 @@ from sumeter import (
 )
 import sumeter.core
 from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH, add_ratios, node_share
+from sumeter.display import exact_text
 from test_properties import (
     DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, fuzz_config_data, kernel_node_types,
-    rule_fraction,
 )
 from conftest import TEST_CONFIG
 
@@ -139,7 +139,7 @@ NVME = "nvme_gib"
 
 @st.composite
 def nvme_node_types(draw):
-    """Node types with 0-8 GPUs, non-integer memory and an NVMe extra."""
+    """Node types with 0-8 GPUs, non-integer memory, and with or without an NVMe extra."""
     cores = draw(st.integers(1, 64))
     cpu = ProcessorSpec.cpu("cpu", cores, draw(st.integers(50, 500)), draw(st.integers(10**11, 10**13)))
     gpus = ()
@@ -147,16 +147,17 @@ def nvme_node_types(draw):
         gpu = ProcessorSpec.gpu("gpu", draw(st.integers(1, 160)), draw(st.integers(100, 800)), 10**13)
         gpus = (gpu,) * gpu_count
     memory = draw(st.fractions(min_value=Fraction(1, 8), max_value=2048, max_denominator=1000))
-    nvme = draw(st.fractions(min_value=Fraction(1, 100), max_value=4000, max_denominator=100))
+    nvme = draw(st.none() | st.fractions(min_value=Fraction(1, 100), max_value=4000, max_denominator=100))
     return NodeType("node", cpus=(cpu,) * draw(st.integers(1, 2)), memory_total_gib=memory, gpus=gpus,
-                    extra_resources={NVME: nvme})
+                    extra_resources={} if nvme is None else {NVME: nvme})
 
 
 @st.composite
 def nvme_usages(draw, node):
     share = st.fractions(min_value=0, max_value=1, max_denominator=64)
     memory = draw(share) * node.memory_total_gib
-    nvme = draw(st.none() | share.map(lambda f: f * node.extra_capacities[NVME]))
+    capacity = node.extra_capacities.get(NVME)
+    nvme = None if capacity is None else draw(st.none() | share.map(lambda f: f * capacity))
     cores, gpus = draw(st.integers(0, node.total_cores)), draw(st.integers(0, node.gpu_count))
     if not (cores or gpus or memory or nvme):
         cores = 1
@@ -199,6 +200,34 @@ def plain_puhti_fraction(model, usage, node):
     whole = r.core * node.total_cores + r.memory_gib * node.memory_total_gib
     whole += r.nvme_gib * node.extra_capacities.get(model.nvme_resource, 0) + r.gpu * node.gpu_count
     return hourly / whole
+
+
+def rule_fraction(usage, node):
+    """The max-fraction rule in plain Fraction arithmetic, checking cores, GPUs, memory, extras in order."""
+    cores, gpus, memory = node.total_cores, len(node.gpus), node.memory_total_gib
+    if usage.cores_used > cores:
+        raise CapacityError(f"{usage.cores_used} cores requested but node type {node.name!r} has {cores}")
+    if usage.gpus_used > gpus:
+        raise CapacityError(f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {gpus}")
+    if usage.memory_used_gib > memory:
+        raise CapacityError(
+            f"{exact_text(usage.memory_used_gib)} GiB requested but node type {node.name!r} has {exact_text(memory)} GiB"
+        )
+    terms = [
+        Fraction(usage.cores_used, cores),
+        Fraction(usage.gpus_used, gpus) if usage.gpus_used else Fraction(0),
+        Fraction(math.ceil(usage.memory_used_gib / (memory / cores)), cores),
+    ]
+    capacities = dict(node.extra_resources)
+    for name, amount in usage.extra_used:
+        if name not in capacities:
+            raise CapacityError(f"node type {node.name!r} has no resource {name!r}")
+        if amount > capacities[name]:
+            raise CapacityError(
+                f"{exact_text(amount)} of {name!r} requested but node type {node.name!r} has {exact_text(capacities[name])}"
+            )
+        terms.append(amount / capacities[name])
+    return max(terms)
 
 
 def plain_model_fraction(model, usage, node):

@@ -323,6 +323,12 @@ class TestConfigRoundTrip:
         assert config.partition("cpu").weight == 36
         assert config.partition("gpu").weight == 192
 
+    @pytest.mark.parametrize("partitions, got", [(None, "NoneType"), ([1], "int")], ids=["container", "entry"])
+    def test_a_config_holds_only_partitions(self, partitions, got):
+        with pytest.raises(ValidationError) as raised:
+            SystemConfig(partitions)
+        assert str(raised.value) == f"partitions must be a sequence of Partition values, got {got}"
+
 
 class TestIngestJobs:
     def test_single_core_row_costs_one_su(self, config_path, tmp_path):

@@ -209,6 +209,20 @@ class TestPuhtiModel:
             PuhtiModel(PuhtiRates(0, 0, 0, 0)).charge(job)
         assert str(raised.value) == "the configured rates price a whole node at zero"
 
+    @pytest.mark.parametrize(
+        "arguments, problem",
+        [
+            ({"rates": None}, "rates must be PuhtiRates, got NoneType"),
+            ({"nvme_resource": 3}, "nvme_resource must be a string, got int"),
+            ({"nvme_resource": ""}, "nvme_resource must be non-empty"),
+        ],
+        ids=["rates", "resource-type", "resource-empty"],
+    )
+    def test_parameters_that_could_never_bill_are_refused(self, arguments, problem):
+        with pytest.raises(ValidationError) as raised:
+            PuhtiModel(**arguments)
+        assert str(raised.value) == problem
+
 
 class TestModelRegistry:
     def test_ids(self):
@@ -217,6 +231,12 @@ class TestModelRegistry:
     def test_unknown_id(self):
         with pytest.raises(ValidationError):
             get_model("flops")
+
+    @pytest.mark.parametrize("model_id", [[], {}], ids=["list", "dict"])
+    def test_an_unhashable_id_is_unknown(self, model_id):
+        with pytest.raises(ValidationError) as raised:
+            get_model(model_id)
+        assert str(raised.value) == f"unknown charge model {model_id!r} (known: energy, peak-perf, puhti, sm, titan)"
 
     def test_cpu_node_weight_is_core_count_under_weight_models(self, cpu_node):
         for model_id in ("energy", "sm", "peak-perf", "titan"):

@@ -5,7 +5,6 @@ import copy
 import csv
 import io
 import json
-import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +38,6 @@ from sumeter import (
 )
 from sumeter.cli import main
 from sumeter.core import node_share
-from sumeter.display import exact_text
 from sumeter.ingest import DetailRowError, Ledger, RowError, aggregate, ingest_jobs
 from conftest import TEST_CONFIG
 
@@ -93,33 +91,6 @@ def jobs(draw, model_id="energy"):
     per_node = tuple(draw(usages(node)) for _ in range(node_count))
     walltime = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
     return JobRequest(partition, per_node, walltime)
-
-
-@st.composite
-def mixed_usage_jobs(draw, model_id):
-    """Jobs mixing one repeated usage object, equal-but-distinct copies of it and other usages."""
-    node = draw(node_types())
-    partition = Partition("p", node, node_count=MAX_NODES, model=get_model(model_id))
-    shared = draw(usages(node))
-    per_node = []
-    for kind in draw(st.lists(st.sampled_from(("same", "copy", "other")), min_size=1, max_size=MAX_NODES)):
-        if kind == "same":
-            per_node.append(shared)
-        elif kind == "copy":
-            per_node.append(copy.copy(shared))
-        else:
-            per_node.append(draw(usages(node)))
-    walltime = draw(st.fractions(min_value=0, max_value=100, max_denominator=1000))
-    return JobRequest(partition, tuple(per_node), walltime)
-
-
-@given(st.sampled_from(MODEL_IDS).flatmap(mixed_usage_jobs))
-def test_charge_equals_the_naive_per_node_sum(job):
-    model, node = job.partition.model, job.partition.node_type
-    naive = tuple(Fraction(*model.node_share(usage, node)) for usage in job.per_node_usage)
-    report = model.charge(job)
-    assert report.per_node_fraction == naive
-    assert report.total_su == model.node_weight(node) * job.walltime_hours * sum(naive)
 
 
 @given(node_types(), st.dictionaries(st.sampled_from(("nvme_gib", "scratch")), st.integers(1, 4000)))
@@ -376,48 +347,6 @@ def edge_usages(draw, node):
         memory_used_gib=memory,
         extra_used=extras,
     )
-
-
-def rule_fraction(usage, node):
-    """The max-fraction rule in plain Fraction arithmetic, checking cores, GPUs, memory, extras in order."""
-    cores, gpus, memory = node.total_cores, len(node.gpus), node.memory_total_gib
-    if usage.cores_used > cores:
-        raise CapacityError(f"{usage.cores_used} cores requested but node type {node.name!r} has {cores}")
-    if usage.gpus_used > gpus:
-        raise CapacityError(f"{usage.gpus_used} GPUs requested but node type {node.name!r} has {gpus}")
-    if usage.memory_used_gib > memory:
-        raise CapacityError(
-            f"{exact_text(usage.memory_used_gib)} GiB requested but node type {node.name!r} has {exact_text(memory)} GiB"
-        )
-    terms = [
-        Fraction(usage.cores_used, cores),
-        Fraction(usage.gpus_used, gpus) if usage.gpus_used else Fraction(0),
-        Fraction(math.ceil(usage.memory_used_gib / (memory / cores)), cores),
-    ]
-    capacities = dict(node.extra_resources)
-    for name, amount in usage.extra_used:
-        if name not in capacities:
-            raise CapacityError(f"node type {node.name!r} has no resource {name!r}")
-        if amount > capacities[name]:
-            raise CapacityError(
-                f"{exact_text(amount)} of {name!r} requested but node type {node.name!r} has {exact_text(capacities[name])}"
-            )
-        terms.append(amount / capacities[name])
-    return max(terms)
-
-
-@settings(max_examples=300)
-@given(kernel_node_types().flatmap(lambda node: st.tuples(st.just(node), edge_usages(node))))
-def test_integer_kernel_equals_the_fraction_rule(case):
-    node, usage = case
-    try:
-        expected = rule_fraction(usage, node)
-    except CapacityError as err:
-        with pytest.raises(CapacityError) as excinfo:
-            node_share(usage, node)
-        assert str(excinfo.value) == str(err)
-    else:
-        assert Fraction(*node_share(usage, node)) == expected
 
 
 def fuzz_config_data():

@@ -89,6 +89,16 @@ class TestPrintedRatioMatching:
         assert not printed_ratio_matches(Fraction(300, 100), "3.42")
         assert not printed_ratio_matches(Fraction(1285, 100), "12.7")
 
+    @pytest.mark.parametrize(
+        "printed, problem",
+        [("x", "not a number: 'x'"), ("1/0", "not a number: '1/0'"), (1, "printed ratio must be a string, got int")],
+        ids=["text", "zero-denominator", "int"],
+    )
+    def test_a_printed_ratio_that_is_not_number_text_is_refused(self, printed, problem):
+        with pytest.raises(ValidationError) as raised:
+            printed_ratio_matches(1, printed)
+        assert str(raised.value) == problem
+
 
 class TestPublishedComparison:
     @pytest.mark.parametrize("number", [2, 3, 4])

@@ -64,6 +64,10 @@ def job():
     return JobRequest(partition(), [usage(), NodeUsage(cores_used=1)], "2.5")
 
 
+def uniform_job():
+    return JobRequest.uniform(partition(), 3, usage(), "2.5")
+
+
 def table_row():
     return BenchmarkTableRow("AMBER", 153, Fraction(5508), Fraction(192), Fraction(5508, 192))
 
@@ -80,6 +84,7 @@ VALUES = [
     (EnergyModel, EnergyModel, ()),
     (Partition, partition, ("name", "node_type", "node_count", "model", "weight")),
     (JobRequest, job, ("partition", "per_node_usage", "walltime_hours")),
+    (JobRequest, uniform_job, ("partition", "per_node_usage", "walltime_hours")),
     (
         ChargeReport,
         lambda: job_cost(job()),
@@ -123,7 +128,14 @@ VALUES = [
         ("speedup", "su_cpu", "su_gpu", "chosen", "ec_total_wh"),
     ),
 ]
-IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+def ids(entries):
+    """The class names, and the factory for the second entry of `JobRequest`."""
+    return ["JobRequest-uniform" if make is uniform_job else cls.__name__ for cls, make, _ in entries]
+
+
+IDS = ids(VALUES)
 
 
 @pytest.mark.parametrize("cls, make, fields", VALUES, ids=IDS)
@@ -169,7 +181,7 @@ def test_copies_and_pickles_are_equal_values(cls, make, fields):
 NAMED = [entry for entry in VALUES if entry[0] is not Partition]  # a partition derives its weight
 
 
-@pytest.mark.parametrize("cls, make, fields", NAMED, ids=[cls.__name__ for cls, _, _ in NAMED])
+@pytest.mark.parametrize("cls, make, fields", NAMED, ids=ids(NAMED))
 def test_fields_can_be_passed_by_name(cls, make, fields):
     value = make()
     assert cls(**{name: getattr(value, name) for name in fields}) == value
@@ -223,6 +235,8 @@ def test_caches_stay_out_of_equality_repr_and_copies():
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert all(getattr(clone, name) == getattr(value, name) for name in derived), cls.__name__
     assert derived_by_class[NodeType] == 10 and derived_by_class[PuhtiModel] == derived_by_class[SystemConfig] == 1
+    # a uniform job and its copies are priced by its one usage, counted once per node
+    assert uniform_job()._priced_by == ((usage(),), 3) and derived_by_class[JobRequest] == 1
 
 
 def test_a_config_built_from_a_list_keeps_its_own_tuple():
