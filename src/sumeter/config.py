@@ -47,7 +47,7 @@ class SystemConfig(Value):
     def partition(self, name: str) -> Partition:
         try:
             return self._by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValidationError(f"unknown partition {name!r}") from None
 
     def model_for(self, partition_name: str) -> ChargeModel:

@@ -54,6 +54,8 @@ def parse_real(text: str) -> Fraction:
     An underscore between two digits is dropped, on every Python, as Python
     3.11+ reads number text; any other underscore is refused.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"number text must be a string, got {type(text).__name__}")
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
     # Plain ASCII digits[.digits], the common cell, is read without the regex.
@@ -179,6 +181,8 @@ class ProcessorSpec(Value):
         cores: int = 0,
         streaming_multiprocessors: int = 0,
     ) -> None:
+        if not isinstance(name, str):
+            raise ValidationError(f"processor name must be a string, got {type(name).__name__}")
         if type(kind) is not ProcessorKind:  # the text "cpu" is not a kind
             raise ValidationError(
                 f"processor {name!r}: kind must be ProcessorKind.CPU or ProcessorKind.GPU, got {kind!r}"
@@ -284,6 +288,8 @@ class NodeType(Value):
         gpus: Sequence[ProcessorSpec] = (),
         extra_resources: Mapping[str, RealLike] | Sequence[tuple[str, RealLike]] = (),
     ) -> None:
+        if not isinstance(name, str):
+            raise ValidationError(f"node type name must be a string, got {type(name).__name__}")
         cpus = _processors(cpus, ProcessorKind.CPU, name, "cpus")
         gpus = _processors(gpus, ProcessorKind.GPU, name, "gpus")
         memory_total_gib = exact(memory_total_gib)
@@ -464,6 +470,10 @@ class ChargeModel(Value):
         """Share of one node the usage is charged for, as (numerator, denominator): the max rule."""
         return node_share(usage, node)
 
+    def _node_shares(self, usages: Sequence[NodeUsage], node: NodeType) -> list[tuple[int, int]]:
+        """`node_share` of each usage, in order; a model whose shares share work replaces this."""
+        return [self.node_share(usage, node) for usage in usages]
+
     def total(self, job: JobRequest) -> tuple[int, int]:
         """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
         return self._priced(job)[0]
@@ -478,7 +488,7 @@ class ChargeModel(Value):
         """The total, the node shares (`repeat` times over) and the weight; a uniform job is priced once."""
         partition = job.partition
         node, (usages, repeat) = partition.node_type, job._priced_by
-        shares = [self.node_share(usage, node) for usage in usages]
+        shares = self._node_shares(usages, node)
         units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
@@ -507,6 +517,8 @@ class Partition(Value):
     __slots__ = _fields = ("name", "node_type", "node_count", "model", "weight")
 
     def __init__(self, name: str, node_type: NodeType, node_count: int = 1, model: ChargeModel = EnergyModel()) -> None:
+        if not isinstance(name, str):
+            raise ValidationError(f"partition name must be a string, got {type(name).__name__}")
         if type(node_count) is not int:
             raise ValidationError(f"partition {name!r}: node_count must be an integer")
         if node_count < 1:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
-from .core import ChargeReport, JobRequest, NodeUsage, Value, add_ratios, job_cost, parse_real
+from .core import ChargeReport, JobRequest, NodeUsage, Value, add_ratios, job_cost, parse_real, set_field
 from .errors import CapacityError, ConfigError, ValidationError
 
 JOBS_CSV_COLUMNS = (
@@ -40,6 +40,23 @@ class JobRecord(Value):
     """One accounted job: who ran it, where, with what, for how long, and its charge."""
 
     __slots__ = _fields = ("job_id", "project", "partition", "node_usages", "elapsed_hours", "total_su")
+
+    # Built once per charged row, so each field is set by name, which is faster than the base constructor.
+    def __init__(
+        self,
+        job_id: str,
+        project: str,
+        partition: str,
+        node_usages: tuple[NodeUsage, ...],
+        elapsed_hours: Fraction,
+        total_su: Fraction,
+    ) -> None:
+        set_field(self, "job_id", job_id)
+        set_field(self, "project", project)
+        set_field(self, "partition", partition)
+        set_field(self, "node_usages", node_usages)
+        set_field(self, "elapsed_hours", elapsed_hours)
+        set_field(self, "total_su", total_su)
 
 
 class RowError(Value):
@@ -77,7 +94,7 @@ class Ledger:
                 self.charged += 1
                 su, per_partition = item.total_su, self._sums.setdefault(item.project, {})
                 running = per_partition.get(item.partition, (0, 1))
-                per_partition[item.partition] = add_ratios(running, (su.numerator, su.denominator))
+                per_partition[item.partition] = add_ratios(running, su.as_integer_ratio())
             elif isinstance(item, DetailRowError):
                 self.orphans.append(item)
             else:
@@ -119,10 +136,20 @@ def _row_real(raw: str, column: str) -> Fraction:
     return value
 
 
-def _row_usage(cores: str, gpus: str, memory: str, columns: tuple[str, str, str]) -> NodeUsage:
-    """The usage a row's cores, GPUs and memory cells give; `columns` names the three cells."""
+def _row_usage(
+    cores: str, gpus: str, memory: str, columns: tuple[str, str, str], memory_cells: dict[str, Fraction]
+) -> NodeUsage:
+    """The usage a row's cores, GPUs and memory cells give; `columns` names the three cells.
+
+    `memory_cells` maps each memory cell text read so far to its value: a cell
+    met again is not parsed again, and one that does not parse is not kept.
+    """
     cores_column, gpus_column, memory_column = columns
-    return NodeUsage(_row_int(cores, cores_column, 0), _row_int(gpus, gpus_column, 0), _row_real(memory, memory_column))
+    cores_used, gpus_used = _row_int(cores, cores_column, 0), _row_int(gpus, gpus_column, 0)
+    memory_gib = memory_cells.get(memory)
+    if memory_gib is None:
+        memory_gib = memory_cells[memory] = _row_real(memory, memory_column)
+    return NodeUsage(cores_used, gpus_used, memory_gib)
 
 
 def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -164,12 +191,14 @@ def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[t
 
 def _load_details(path: str | Path) -> dict[str, list[tuple[int, int | str, NodeUsage | None]]]:
     """Each job id's detail rows in file order ("" for a blank id): `(line, node_index,
-    usage)`, or `(line, message, None)` for a row whose cells do not parse."""
+    usage)`, or `(line, message, None)` for a row whose cells do not parse. Each distinct
+    memory cell is parsed once, and equal cells share one value."""
     details: dict[str, list[tuple[int, int | str, NodeUsage | None]]] = {}
+    memory_cells: dict[str, Fraction] = {}
     for line, (job_id, index, cores, gpus, memory) in _csv_rows(path, DETAIL_CSV_COLUMNS, "details file"):
         try:
             index = _row_int(index, "node_index", 0)
-            usage = _row_usage(cores, gpus, memory, ("cores", "gpus", "mem_gib"))
+            usage = _row_usage(cores, gpus, memory, ("cores", "gpus", "mem_gib"), memory_cells)
         except ValidationError as err:
             index, usage = str(err), None
         details.setdefault(job_id.strip(), []).append((line, index, usage))
@@ -207,7 +236,8 @@ def _parse_job_row(
             )
         job = JobRequest(partition, tuple([per_node[i] for i in range(nodes)]), elapsed)
     else:
-        usage = _row_usage(cores, gpus, memory, ("cores_per_node", "gpus_per_node", "mem_gib_per_node"))
+        # a jobs row is read once and let go, so its memory cell is not kept
+        usage = _row_usage(cores, gpus, memory, ("cores_per_node", "gpus_per_node", "mem_gib_per_node"), {})
         job = JobRequest.uniform(partition, nodes, usage, elapsed)
     # Pricing checks every capacity: a row that does not fit raises here.
     total_su = Fraction(*partition.model.total(job))

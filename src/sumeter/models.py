@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, exact, node_share, set_field
 from .errors import ModelError, ValidationError
@@ -220,12 +221,20 @@ class PuhtiModel(ChargeModel):
         return Fraction(*bill)
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        node_share(usage, node)  # the max rule's fit check; the bill below is the share
-        full = self._hourly_bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
-        if full[0] <= 0:
-            raise ModelError("the configured rates price a whole node at zero")
-        used = self._hourly_bill(usage.cores_used, usage.gpus_used, usage.memory_used_gib, usage.extra_used)
-        return used[0] * full[1], used[1] * full[0]
+        return self._node_shares((usage,), node)[0]
+
+    def _node_shares(self, usages: Sequence[NodeUsage], node: NodeType) -> list[tuple[int, int]]:
+        """Each usage's hourly bill over the whole node's, which is worked out once for all of them."""
+        bill = self._hourly_bill
+        full_num, full_den = bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
+        shares = []
+        for usage in usages:
+            node_share(usage, node)  # the max rule's fit check, before the zero-rate refusal; the bill is the share
+            if full_num <= 0:
+                raise ModelError("the configured rates price a whole node at zero")
+            used_num, used_den = bill(usage.cores_used, usage.gpus_used, usage.memory_used_gib, usage.extra_used)
+            shares.append((used_num * full_den, used_den * full_num))
+        return shares
 
 
 _MODEL_CLASSES = {

@@ -158,7 +158,7 @@ def compare_with_published(table_number: int) -> list[RowComparison]:
     """
     try:
         published = PUBLISHED_TABLES[table_number]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable number
         raise ValidationError(f"no published table {table_number}; have {sorted(PUBLISHED_TABLES)}") from None
     _, _, apps = embedded_fixture()
     rows = build_table(get_model(published.model_id), apps, reference_cpu_node(), reference_gpu_node())

@@ -27,7 +27,7 @@ from sumeter import (
     memory_fraction,
     watt_to_su_rate,
 )
-from sumeter.core import node_share
+from sumeter.core import node_share, parse_real
 from sumeter.tables import REFERENCE_CPU, REFERENCE_GPU
 
 
@@ -36,6 +36,12 @@ class TestExact:
     def test_non_finite_is_a_validation_error(self, value):
         with pytest.raises(ValidationError, match="not a number"):
             exact(value)
+
+    @pytest.mark.parametrize("value, kind", [(5, "int"), (None, "NoneType"), (b"1.5", "bytes")])
+    def test_number_text_must_be_a_string(self, value, kind):
+        with pytest.raises(ValidationError) as raised:
+            parse_real(value)
+        assert str(raised.value) == f"number text must be a string, got {kind}"
 
 
 class TestProcessorSpec:
@@ -50,6 +56,11 @@ class TestProcessorSpec:
             ProcessorSpec.cpu("x", 18, 0, 1.5e12)
         with pytest.raises(ValidationError):
             ProcessorSpec.cpu("x", 18, -10, 1.5e12)
+
+    def test_name_must_be_a_string(self):
+        with pytest.raises(ValidationError) as raised:
+            ProcessorSpec.cpu(5, 4, 100, 1e12)
+        assert str(raised.value) == "processor name must be a string, got int"
 
     def test_rejects_coreless_cpu_and_smless_gpu(self):
         with pytest.raises(ValidationError):
@@ -91,6 +102,11 @@ class TestProcessorSpec:
 
 
 class TestNodeType:
+    def test_name_must_be_a_string(self, cpu_node):
+        with pytest.raises(ValidationError) as raised:
+            NodeType(None, cpu_node.cpus, 10)
+        assert str(raised.value) == "node type name must be a string, got NoneType"
+
     def test_derived_totals(self, gpu_node):
         assert gpu_node.total_cores == 36
         assert gpu_node.gpu_count == 4
@@ -319,6 +335,11 @@ class TestPartition:
     def test_node_count_must_be_an_int(self, cpu_node, node_count):
         with pytest.raises(ValidationError, match="node_count must be an integer"):
             Partition("cpu", cpu_node, node_count=node_count)
+
+    def test_name_must_be_a_string(self, cpu_node):
+        with pytest.raises(ValidationError) as raised:
+            Partition(None, cpu_node)
+        assert str(raised.value) == "partition name must be a string, got NoneType"
 
     def test_node_type_must_be_a_node_type(self):
         with pytest.raises(ValidationError) as raised:

@@ -54,6 +54,34 @@ class TestLoadConfig:
         assert config.partition("legacy").weight == 30
         assert config.partition("shared").weight  # puhti full-node rate, positive
 
+    @pytest.mark.parametrize("name", [[], {}], ids=["list", "dict"])
+    def test_an_unhashable_partition_name_is_unknown(self, config_path, name):
+        with pytest.raises(ValidationError) as raised:
+            load_config(config_path).partition(name)
+        assert str(raised.value) == f"unknown partition {name!r}"
+
+    @pytest.mark.parametrize(
+        "path, line",
+        [
+            (("name",), "name: expected a non-empty string, got 5"),
+            (("node", "name"), "node.name: expected a non-empty string, got 5"),
+            (("node", "cpus", 0, "name"), "node.cpus[0].name: expected a non-empty string, got 5"),
+        ],
+        ids=["partition", "node", "processor"],
+    )
+    def test_a_number_as_a_name_is_a_collected_error(self, tmp_path, path, line):
+        entry = copy.deepcopy(TEST_CONFIG["partitions"][0])
+        *parents, key = path
+        owner = entry
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = 5
+        config = tmp_path / "system.json"
+        config.write_text(json.dumps({"partitions": [entry]}), encoding="utf-8")
+        with pytest.raises(ValidationError) as raised:
+            load_config(config)
+        assert str(raised.value).splitlines()[1:] == [f"- partitions[0].{line}"]
+
     def test_empty_partitions_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"partitions": []}), encoding="utf-8")
@@ -478,6 +506,38 @@ class TestIngestJobs:
         result = ingest_jobs(jobs, config, details_path=details)
         assert len(result.errors) == 1
         assert "node_index" in result.errors[0].message
+
+    def test_repeated_memory_cells_read_as_each_one_alone(self, config_path, tmp_path):
+        # equal values spelt three ways, and a bad and a negative cell each on two rows
+        config = load_config(config_path)
+        nodes = {"j1": 3, "j2": 2, "j3": 1, "j4": 1, "j5": 2, "j6": 1, "j7": 2}
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"{job_id},p,work,{n},1,0,0,1" for job_id, n in nodes.items()])
+        details = tmp_path / "details.csv"
+        details.write_text(
+            "job_id,node_index,cores,gpus,mem_gib\n"
+            "j1,0,1,0,1.5\nj1,1,1,0,1.50\nj1,2,1,0, 1.5\n"  # lines 2-4
+            "j2,0,1,0,x\nj2,1,1,0,1.5\n"  # lines 5-6
+            "j3,0,1,0,x\n"  # line 7
+            "j4,0,1,0,-1\n"  # line 8
+            "j5,0,1,0,1.5\nj5,1,1,0,-1\n"  # lines 9-10
+            "j6,0,y,0,1.5\n"  # line 11: the cores cell is read first
+            "j7,0,36,0,1.50\nj7,1,0,0, 1.5\n",  # lines 12-13
+            encoding="utf-8",
+        )
+        result = ingest_jobs(jobs, config, details_path=details)
+        assert [(record.job_id, record.total_su) for record in result.records] == [("j1", 3), ("j7", 37)]
+        assert [(error.line, error.message) for error in result.errors] == [
+            (3, "detail line 5: mem_gib: not a number: 'x'"),
+            (4, "detail line 7: mem_gib: not a number: 'x'"),
+            (5, "detail line 8: mem_gib: must be nonnegative, got -1"),
+            (6, "detail line 10: mem_gib: must be nonnegative, got -1"),
+            (7, "detail line 11: cores: not an integer: 'y'"),
+        ]
+        assert result.total_rows == 7 and result.orphans == ()
+        first, seventh = result.records
+        assert {usage.memory_used_gib for usage in first.node_usages + seventh.node_usages} == {Fraction(3, 2)}
+        # one cell text, one value: a cell is parsed once however often it repeats
+        assert first.node_usages[1].memory_used_gib is seventh.node_usages[0].memory_used_gib
 
 
 class TestAggregate:

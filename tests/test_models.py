@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sumeter import (
+    CapacityError,
     JobRequest,
     ModelError,
     NodeType,
@@ -208,6 +209,30 @@ class TestPuhtiModel:
         with pytest.raises(ModelError) as raised:
             PuhtiModel(PuhtiRates(0, 0, 0, 0)).charge(job)
         assert str(raised.value) == "the configured rates price a whole node at zero"
+
+    def test_zero_rates_refuse_after_the_fit_check(self, cpu_partition):
+        fits, too_big, zero = NodeUsage(cores_used=1), NodeUsage(cores_used=99), PuhtiModel(PuhtiRates(0, 0, 0, 0))
+        with pytest.raises(CapacityError):  # the first node does not fit
+            zero.charge(JobRequest(cpu_partition, (too_big, fits), 1))
+        with pytest.raises(ModelError):  # the first node fits, so the zero bill is refused there
+            zero.charge(JobRequest(cpu_partition, (fits, too_big), 1))
+
+    def test_a_heterogeneous_job_bills_the_whole_node_once(self, monkeypatch, gpu_node):
+        model = get_model("puhti")
+        partition = Partition("shared", gpu_node, node_count=4, model=model)
+        usages = tuple(NodeUsage(cores_used=n, gpus_used=n % 2, memory_used_gib=n) for n in (1, 2, 3, 4))
+        whole_node = (gpu_node.total_cores, gpu_node.gpu_count, gpu_node.memory_total_gib, gpu_node.extra_resources)
+        bills = []
+        hourly_bill = PuhtiModel._hourly_bill
+
+        def counted(self, *quantities):
+            bills.append(quantities)
+            return hourly_bill(self, *quantities)
+
+        monkeypatch.setattr(PuhtiModel, "_hourly_bill", counted)
+        report = model.charge(JobRequest(partition, usages, 2))
+        assert bills.count(whole_node) == 1 and len(bills) == 1 + len(usages)
+        assert report.per_node_fraction == tuple(Fraction(*model.node_share(usage, gpu_node)) for usage in usages)
 
     @pytest.mark.parametrize(
         "arguments, problem",

@@ -373,7 +373,8 @@ DETAIL_VALUES = {
     "node_index": (("0", "1", "2", "3"), ("4", "-1", "x")),
     "cores": (("0", "1", "16"), ("40",)),
     "gpus": (("0", "1"), ("5",)),
-    "mem_gib": (("0", "2", "1/3"), ("400", "x")),
+    # a small pool, so cells repeat: one value spelt three ways, and bad cells met again
+    "mem_gib": (("0", "2", " 2", "2.0", "1/3"), ("400", "x", "-1")),
 }
 
 

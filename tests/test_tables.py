@@ -119,6 +119,11 @@ class TestPublishedComparison:
         with pytest.raises(ValidationError):
             compare_with_published(5)
 
+    def test_an_unhashable_table_number_is_unknown(self):
+        with pytest.raises(ValidationError) as raised:
+            compare_with_published([])
+        assert str(raised.value) == "no published table []; have [2, 3, 4]"
+
 
 class TestRendering:
     def test_text_contains_rows_and_summary(self):
