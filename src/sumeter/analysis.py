@@ -15,7 +15,7 @@ import enum
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .core import NodeType, RealLike, Value, exact
+from .core import NodeType, RealLike, Value, _require, exact
 from .display import exact_text
 from .errors import ModelError, ValidationError
 from .models import ChargeModel
@@ -92,6 +92,9 @@ def _decision(
 
 def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeType) -> Fraction:
     """Speedup above which the model prices the GPU node cheaper: w_gpu / w_cpu."""
+    _require(model, ChargeModel, "model")
+    _require(cpu_node, NodeType, "cpu_node")
+    _require(gpu_node, NodeType, "gpu_node")
     cpu_weight = model.node_weight(cpu_node)
     if cpu_weight == 0:
         raise ModelError(f"model {model.id!r} prices CPU node type {cpu_node.name!r} at zero; no decision threshold")
@@ -146,6 +149,9 @@ def efficiency_band(
     CPU node cheaper. The band is empty when the upper end does not
     exceed the lower.
     """
+    _require(models, Sequence, "models")
+    for model in models:
+        _require(model, ChargeModel, "each of models")
     energy_model = next((m for m in models if m.id == "energy"), None)
     if energy_model is None:
         raise ModelError("the band is defined against the energy model; include it")

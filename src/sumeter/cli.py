@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -20,9 +21,9 @@ from . import tables
 from .analysis import decision_threshold, efficiency_band, sweep_bounds, write_sweep_csv
 from .config import SystemConfig, load_config
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
-from .display import exact_text, format_real, format_su, format_threshold, round_half_up
+from .display import _ratio_text, exact_text, format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ConfigError, ValidationError
-from .ingest import Ledger, iter_jobs
+from .ingest import Ledger, _priced_rows
 from .models import MODEL_IDS, ChargeModel, get_model
 
 DEFAULT_CONFIG = "system.json"
@@ -235,25 +236,33 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _csv_name(name: str) -> str:
     """`name` as one CSV field: in quotes, with its quotes doubled, if it holds `,`, `"`, CR or LF."""
-    if any(char in name for char in ',"\r\n'):
+    if "," in name or '"' in name or "\r" in name or "\n" in name:
         return '"' + name.replace('"', '""') + '"'
     return name
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
-    ledger = Ledger(iter_jobs(args.jobs, config, args.details))
+    # The pass builds many objects and no cycle, so the cyclic collector would only rescan
+    # the live detail rows; it is paused for the pass and left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        ledger = Ledger(_priced_rows(args.jobs, config, args.details))
+    finally:
+        if collecting:
+            gc.enable()
     for error in ledger.errors:
         print(f"{args.jobs}:{error.line}: {error.message}", file=sys.stderr)
     for orphan in ledger.orphans:
         print(f"{args.details}:{orphan.line}: {orphan.message}", file=sys.stderr)
     print(f"{ledger.total_rows} rows: {ledger.charged} charged, {len(ledger.errors)} rejected", file=sys.stderr)
     lines = ["project,partition,total_su"]
-    for project, project_usage in ledger.usage().items():
+    for project, subtotals, total in ledger._reduced_sums():
         project = _csv_name(project)
-        for partition, subtotal in project_usage.by_partition.items():
-            lines.append(f"{project},{_csv_name(partition)},{exact_text(subtotal)}")
-        lines.append(f"{project},ALL,{exact_text(project_usage.total_su)}")
+        for partition, subtotal in subtotals:
+            lines.append(f"{project},{_csv_name(partition)},{_ratio_text(*subtotal)}")
+        lines.append(f"{project},ALL,{_ratio_text(*total)}")
     with _writing(args.out) as handle:
         handle.write("\n".join(lines) + "\n")
     return 1 if ledger.errors or ledger.orphans else 0

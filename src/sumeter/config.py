@@ -15,7 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .core import ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, parse_real, set_field
+from .core import (
+    ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, _partition_name_problem, parse_real,
+    set_field,
+)
 from .errors import AccountingError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
 
@@ -228,12 +231,9 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
             continue
         before = len(errors)
         name = _text(entry.get("name"), f"{path}.name", errors)
-        if name in seen_names:
-            errors.append(f"{path}.name: duplicate partition {name!r}")
-        elif name == "ALL":  # ingest prints each project's total as partition ALL
-            errors.append(f"{path}.name: 'ALL' is reserved for the project total")
-        elif name != name.strip():  # ingest strips the partition cell of a jobs row
-            errors.append(f"{path}.name: must not start or end with whitespace, got {name!r}")
+        problem = f"duplicate partition {name!r}" if name in seen_names else _partition_name_problem(name)
+        if problem:
+            errors.append(f"{path}.name: {problem}")
         model_id = _text(entry.get("model", "energy"), f"{path}.model", errors)
         node_count = _integer(entry.get("node_count", 1), f"{path}.node_count", errors)
         node = _node_type(entry.get("node"), f"{path}.node", errors)

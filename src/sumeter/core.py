@@ -95,6 +95,12 @@ def exact(value: RealLike) -> Fraction:
         raise ValidationError(f"not a number: {value!r}") from err
 
 
+def _require(value, kind: type, what: str) -> None:
+    """Refuse a `value` that is not a `kind` with a ValidationError naming both types."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 # Sets a field while a value is built; a built value refuses assignment.
 set_field = object.__setattr__
 
@@ -375,6 +381,8 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     node charges the whole node: it leaves nothing for anyone else even if
     a single core was asked for. Zero requested memory charges zero.
     """
+    _require(usage, NodeUsage, "usage")
+    _require(node, NodeType, "node")
     node_share(usage, node)
     return Fraction(core_equivalent(usage, node), node.total_cores)
 
@@ -426,6 +434,7 @@ def add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 def watt_to_su_rate(cpu: ProcessorSpec) -> Fraction:
     """Service units bought by one watt-hour on the reference CPU: cores / TDP."""
+    _require(cpu, ProcessorSpec, "cpu")
     if cpu.kind is not ProcessorKind.CPU:
         raise ValidationError("the watt-to-SU rate is defined against a CPU spec")
     return Fraction(cpu.cores) / cpu.tdp_watts
@@ -437,6 +446,7 @@ def gpu_partition_weight(node: NodeType) -> Fraction:
     Kept as an exact rational (for example 192 on a 4x400 W GPU, 2x150 W
     CPU, 36-core node); round only when displaying.
     """
+    _require(node, NodeType, "node")
     if node.gpu_count == 0:
         raise ModelError(
             f"node type {node.name!r} has no GPUs; a CPU partition weighs its core count"
@@ -508,6 +518,17 @@ class EnergyModel(ChargeModel):
         return gpu_partition_weight(node)
 
 
+def _partition_name_problem(name: str) -> str | None:
+    """Why `name` cannot name a partition of the ledger `ingest` prints, or None when it can."""
+    if not name:
+        return "must be non-empty"
+    if name == "ALL":  # ingest prints each project's total as partition ALL
+        return "'ALL' is reserved for the project total"
+    if name != name.strip():  # ingest strips the partition cell of a jobs row
+        return f"must not start or end with whitespace, got {name!r}"
+    return None
+
+
 class Partition(Value):
     """A named set of identical nodes billed under one charge model.
 
@@ -519,14 +540,15 @@ class Partition(Value):
     def __init__(self, name: str, node_type: NodeType, node_count: int = 1, model: ChargeModel = EnergyModel()) -> None:
         if not isinstance(name, str):
             raise ValidationError(f"partition name must be a string, got {type(name).__name__}")
+        problem = _partition_name_problem(name)
+        if problem:
+            raise ValidationError(f"partition name: {problem}")
         if type(node_count) is not int:
             raise ValidationError(f"partition {name!r}: node_count must be an integer")
         if node_count < 1:
             raise ValidationError(f"partition {name!r}: node_count must be at least 1")
-        if not isinstance(node_type, NodeType):
-            raise ValidationError(f"partition {name!r}: node_type must be a NodeType, got {type(node_type).__name__}")
-        if not isinstance(model, ChargeModel):
-            raise ValidationError(f"partition {name!r}: model must be a ChargeModel, got {type(model).__name__}")
+        _require(node_type, NodeType, f"partition {name!r}: node_type")
+        _require(model, ChargeModel, f"partition {name!r}: model")
         weight = model.node_weight(node_type)
         if weight <= 0:
             raise ValidationError(f"partition {name!r}: weight must be positive")
@@ -610,6 +632,7 @@ def energy_estimate_wh(job: JobRequest) -> Fraction:
 
     (sum cores / C * CPU TDP + sum GPUs / G * GPU TDP) * hours; a charge's distinct usages, each checked once.
     """
+    _require(job, JobRequest, "job")
     node, (usages, repeat) = job.partition.node_type, job._priced_by
     cores = gpus = 0
     for usage in usages:
@@ -624,4 +647,5 @@ def energy_estimate_wh(job: JobRequest) -> Fraction:
 
 def job_cost(job: JobRequest) -> ChargeReport:
     """Charge a job under its partition's model."""
+    _require(job, JobRequest, "job")
     return job.partition.model.charge(job)

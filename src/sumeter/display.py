@@ -24,6 +24,8 @@ def round_half_up(value: int | Fraction) -> int:
 
 def integer_text(value: int, grouped: bool = False) -> str:
     """All the decimal digits of `value`, with thousands separators when `grouped`."""
+    if not grouped and type(value) is int and -_DIGIT_CHUNK < value < _DIGIT_CHUNK:
+        return str(value)
     magnitude, chunks = abs(value), []
     while magnitude >= _DIGIT_CHUNK:
         magnitude, chunk = divmod(magnitude, _DIGIT_CHUNK)
@@ -44,7 +46,11 @@ def _point(sign: str, units: int, places: int, grouped: bool = False) -> str:
 
 def exact_text(value: int | Fraction) -> str:
     """`value` exactly: an integer, a terminating decimal or `p/q`, each of which `Fraction` reads back."""
-    numerator, denominator = value.as_integer_ratio()
+    return _ratio_text(*value.as_integer_ratio())
+
+
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """`exact_text` of numerator / denominator, a reduced pair with a positive denominator."""
     twos = (denominator & -denominator).bit_length() - 1
     fives, rest = 0, denominator >> twos
     while rest % 5 == 0:

@@ -12,6 +12,7 @@ The JSON configuration is read by `sumeter.config`; `load_config`,
 from __future__ import annotations
 
 import csv
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
-from .core import ChargeReport, JobRequest, NodeUsage, Value, add_ratios, job_cost, parse_real, set_field
+from .core import ChargeReport, JobRequest, NodeUsage, Value, _require, add_ratios, job_cost, parse_real, set_field
 from .errors import CapacityError, ConfigError, ValidationError
 
 JOBS_CSV_COLUMNS = (
@@ -34,6 +35,9 @@ JOBS_CSV_COLUMNS = (
 )
 
 DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
+
+# A charged jobs row: its job_id, project, partition name, job and (numerator, denominator) charge.
+_PricedRow = tuple[str, str, str, JobRequest, tuple[int, int]]
 
 
 class JobRecord(Value):
@@ -80,39 +84,55 @@ class ProjectUsage(Value):
 
 
 class Ledger:
-    """The outcome of one ingest pass, read once from `iter_jobs`: the charged count, the
-    `RowError`s, the orphan `DetailRowError`s and each project's charge per partition, kept
-    as an integer numerator over a running denominator until `usage` is read. It keeps no record."""
+    """The outcome of one ingest pass, read once: the charged count, the `RowError`s, the
+    orphan `DetailRowError`s and each project's charge per partition, kept as an integer
+    numerator over a running denominator until it is read. It keeps no record.
 
-    def __init__(self, items: Iterable[JobRecord | RowError]) -> None:
+    `items` are what `iter_jobs` yields; a priced row of `_priced_rows` counts as the
+    record it would make."""
+
+    def __init__(self, items: Iterable[JobRecord | RowError | _PricedRow]) -> None:
         self.charged = 0
         self.errors: list[RowError] = []
         self.orphans: list[DetailRowError] = []
         self._sums: dict[str, dict[str, tuple[int, int]]] = {}
         for item in items:
+            if isinstance(item, RowError):
+                (self.orphans if isinstance(item, DetailRowError) else self.errors).append(item)
+                continue
             if isinstance(item, JobRecord):
-                self.charged += 1
-                su, per_partition = item.total_su, self._sums.setdefault(item.project, {})
-                running = per_partition.get(item.partition, (0, 1))
-                per_partition[item.partition] = add_ratios(running, su.as_integer_ratio())
-            elif isinstance(item, DetailRowError):
-                self.orphans.append(item)
+                project, partition, total = item.project, item.partition, item.total_su.as_integer_ratio()
             else:
-                self.errors.append(item)
+                _, project, partition, _, total = item
+            self.charged += 1
+            per_partition = self._sums.setdefault(project, {})
+            per_partition[partition] = add_ratios(per_partition.get(partition, (0, 1)), total)
 
     @property
     def total_rows(self) -> int:
         return self.charged + len(self.errors)
 
+    def _reduced_sums(self) -> Iterator[tuple[str, list[tuple[str, tuple[int, int]]], tuple[int, int]]]:
+        """Each project, its partitions' subtotals and its total, projects and partitions sorted;
+        each amount a reduced (numerator, denominator)."""
+        for project, parts in sorted(self._sums.items()):
+            subtotals = [(partition, _reduced(parts[partition])) for partition in sorted(parts)]
+            yield project, subtotals, _reduced(reduce(add_ratios, parts.values()))
+
     def usage(self) -> dict[str, ProjectUsage]:
         """Per-project totals with per-partition subtotals, projects and partitions sorted."""
         return {
             project: ProjectUsage(
-                total_su=Fraction(*reduce(add_ratios, parts.values())),
-                by_partition={partition: Fraction(*parts[partition]) for partition in sorted(parts)},
+                total_su=Fraction(*total), by_partition={partition: Fraction(*su) for partition, su in subtotals}
             )
-            for project, parts in sorted(self._sums.items())
+            for project, subtotals, total in self._reduced_sums()
         }
+
+
+def _reduced(ratio: tuple[int, int]) -> tuple[int, int]:
+    numerator, denominator = ratio
+    common = math.gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 def _row_int(raw: str, column: str, minimum: int) -> int:
@@ -210,8 +230,9 @@ def _parse_job_row(
     cells: tuple[str, ...],
     config: SystemConfig,
     detail_rows: Sequence[tuple[int, int | str, NodeUsage | None]],
-) -> JobRecord:
-    """Build and charge one jobs row; `job_id` is its first cell, stripped."""
+) -> tuple[str, str, JobRequest, tuple[int, int]]:
+    """Build and price one jobs row, whose first cell, stripped, is `job_id`: its project,
+    partition name, job and the (numerator, denominator) charge `model.total` gives."""
     _, project, partition, nodes, cores, gpus, memory, elapsed = cells
     if not job_id:
         raise ValidationError("job_id: must be non-empty")
@@ -240,8 +261,7 @@ def _parse_job_row(
         usage = _row_usage(cores, gpus, memory, ("cores_per_node", "gpus_per_node", "mem_gib_per_node"), {})
         job = JobRequest.uniform(partition, nodes, usage, elapsed)
     # Pricing checks every capacity: a row that does not fit raises here.
-    total_su = Fraction(*partition.model.total(job))
-    return JobRecord(job_id, project, partition.name, job.per_node_usage, elapsed, total_su)
+    return project, partition.name, job, partition.model.total(job)
 
 
 def iter_jobs(
@@ -257,6 +277,18 @@ def iter_jobs(
     row (blank job_id, or a job_id no jobs row names, whether that row was
     charged or rejected), as `DetailRowError`s in detail-file order.
     """
+    for item in _priced_rows(path, config, details_path):
+        if isinstance(item, RowError):
+            yield item
+        else:
+            job_id, project, partition, job, total = item
+            yield JobRecord(job_id, project, partition, job.per_node_usage, job.walltime_hours, Fraction(*total))
+
+
+def _priced_rows(
+    path: str | Path, config: SystemConfig, details_path: str | Path | None
+) -> Iterator[_PricedRow | RowError]:
+    """What `iter_jobs` yields, in its order, with each record as the priced row it is made from."""
     details = {} if details_path is None else _load_details(details_path)
     charged_ids: set[str] = set()
     rejected_ids: set[str] = set()
@@ -266,14 +298,14 @@ def iter_jobs(
             yield RowError(line, f"duplicate job_id {job_id!r}")
             continue
         try:
-            record = _parse_job_row(job_id, cells, config, details.get(job_id, ()))
+            priced = _parse_job_row(job_id, cells, config, details.get(job_id, ()))
         except (ValidationError, CapacityError) as err:
             rejected_ids.add(job_id)
             yield RowError(line, str(err))
         else:
             details.pop(job_id, None)  # a charged job's detail rows are done with
             charged_ids.add(job_id)
-            yield record
+            yield (job_id, *priced)
     # what is left belongs to a blank job_id, to rejected rows, or to no row
     left = ((job_id, rows) for job_id, rows in details.items() if not job_id or job_id not in rejected_ids)
     for line, job_id in sorted((row[0], job_id) for job_id, rows in left for row in rows):
@@ -293,6 +325,8 @@ def ingest_jobs(
 
 def charge_record(record: JobRecord, config: SystemConfig) -> ChargeReport:
     """Charge one job record again, under its partition's model in `config`."""
+    _require(record, JobRecord, "record")
+    _require(config, SystemConfig, "config")
     partition = config.partition(record.partition)
     return job_cost(JobRequest(partition, record.node_usages, record.elapsed_hours))
 

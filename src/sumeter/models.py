@@ -17,12 +17,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, exact, node_share, set_field
+from .core import (
+    ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, _require, exact, node_share, set_field
+)
 from .errors import ModelError, ValidationError
 
 
 def sm_based_weight(node: NodeType) -> Fraction:
     """GPU node-hour weight as the total streaming-multiprocessor count."""
+    _require(node, NodeType, "node")
     if node.gpu_count == 0:
         raise ModelError(f"node type {node.name!r} has no GPUs to count SMs on")
     return Fraction(node.total_streaming_multiprocessors)
@@ -35,6 +38,8 @@ def peak_perf_weight(node: NodeType, reference_cpu_node: NodeType) -> Fraction:
     reference node) * reference core count. Exact value retained
     (465.6 stays 465.6); display rounding is the caller's business.
     """
+    _require(node, NodeType, "node")
+    _require(reference_cpu_node, NodeType, "reference_cpu_node")
     if node.gpu_count == 0:
         raise ModelError(f"node type {node.name!r} has no GPUs")
     return node.gpu_peak_flops / reference_cpu_node.cpu_peak_flops * reference_cpu_node.total_cores
@@ -84,6 +89,7 @@ def puhti_bu(
     (core_rate*cores + mem_rate*mem + nvme_rate*nvme + gpu_rate*gpus) * hours,
     with default rates 1 / 0.1 / 0.006 / 60 per hour.
     """
+    _require(rates, PuhtiRates, "rates")
     quantities = [exact(q) for q in (cores, mem_gib, nvme_gib, gpus, walltime_hours)]
     if any(q.numerator < 0 for q in quantities):
         raise ValidationError("billing quantities must be nonnegative")

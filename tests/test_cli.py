@@ -2,12 +2,13 @@
 
 import copy
 import csv
+import gc
 import io
 import json
 
 import pytest
 
-from sumeter import tables
+from sumeter import cli, tables
 from sumeter.analysis import MAX_SWEEP_STEPS
 from sumeter.cli import main
 from conftest import TEST_CONFIG, write_jobs_csv
@@ -440,6 +441,78 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs))
         assert (code, out) == (1, "")
         assert err == f"error: {jobs}:3: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "tail, code",
+    [
+        (b"", 0),
+        (b"j2,projA,work,1,99,0,2,1.0\n", 1),  # a rejected row
+        # a ConfigError raised after some rows are charged: the bad byte lies past the first read
+        (b"".join(b"k%d,projA,work,1,1,0,2,1.0\n" % i for i in range(500)) + b"j2,proj\xff,work,1,1,0,2,1.0\n", 1),
+    ],
+    ids=["charged", "row-error", "config-error"],
+)
+def test_ingest_pauses_the_collector_for_the_pass_only(
+    capsys, config_path, tmp_path, monkeypatch, collecting, tail, code
+):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_bytes(JOBS_HEADER + b"j1,projA,work,1,1,0,2,1.0\n" + tail)
+    priced_rows, seen = cli._priced_rows, []
+
+    def watched(*args):
+        for item in priced_rows(*args):
+            seen.append(gc.isenabled())
+            yield item
+
+    monkeypatch.setattr(cli, "_priced_rows", watched)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        result = run(capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result[0] == code
+    assert seen and not any(seen)
+
+
+def test_a_paused_ingest_leaves_no_garbage_that_grows_with_its_rows(capsys, config_path, tmp_path):
+    """The same rows four times over leave as many unreachable objects as once, so no row makes a cycle."""
+
+    def unreachable(copies):
+        rows, details = [], ["job_id,node_index,cores,gpus,mem_gib"]
+        for i in range(copies * 25):
+            rows += [
+                f"u{i},p{i % 3},work,2,4,0,1.5,2.5",
+                f"g{i},p{i % 3},gpu,1,9,1,64/3,1/3",
+                f"h{i},p{i % 3},gpu-sm,2,0,0,0,1",
+                f"u{i},p{i % 3},work,1,1,0,0,1",  # duplicate job_id
+                f"x{i},p{i % 3},work,1,1,0,nan,1",
+                f"c{i},p{i % 3},work,1,99,0,0,1",
+                f"n{i},p{i % 3},nowhere,1,1,0,0,1",
+                f"d{i},p{i % 3},gpu,2,0,0,0,1",  # its second detail row does not parse
+            ]
+            details += [f"h{i},0,9,1,2", f"h{i},1,1,0,0", f"d{i},0,1,0,0", f"d{i},1,1,0,x", f"ghost{i},0,1,0,0"]
+        jobs = write_jobs_csv(tmp_path / f"jobs{copies}.csv", rows)
+        detail_file = tmp_path / f"details{copies}.csv"
+        detail_file.write_text("\n".join(details) + "\n", encoding="utf-8")
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            code, out, _ = run(
+                capsys, "--config", str(config_path), "ingest", "--jobs", str(jobs), "--details", str(detail_file)
+            )
+            assert (code, out.count("\n")) == (1, 1 + 3 * 4)
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    unreachable(1)  # a first pass may leave one-time garbage
+    assert unreachable(4) == unreachable(1)
 
 
 def test_an_empty_out_writes_to_stdout(capsys, config_path, tmp_path, monkeypatch):

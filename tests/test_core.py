@@ -8,6 +8,7 @@ import pytest
 
 from sumeter import (
     CapacityError,
+    JobRecord,
     JobRequest,
     ModelError,
     NodeType,
@@ -18,13 +19,22 @@ from sumeter import (
     PuhtiModel,
     PuhtiRates,
     ValidationError,
+    builtin_config,
+    charge_record,
     core_equivalent,
+    decision_threshold,
+    efficiency_band,
     energy_estimate_wh,
     exact,
     get_model,
     gpu_partition_weight,
     job_cost,
     memory_fraction,
+    peak_perf_weight,
+    puhti_bu,
+    reference_cpu_node,
+    reference_gpu_node,
+    sm_based_weight,
     watt_to_su_rate,
 )
 from sumeter.core import node_share, parse_real
@@ -341,6 +351,21 @@ class TestPartition:
             Partition(None, cpu_node)
         assert str(raised.value) == "partition name must be a string, got NoneType"
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("", "partition name: must be non-empty"),
+            ("ALL", "partition name: 'ALL' is reserved for the project total"),
+            (" x ", "partition name: must not start or end with whitespace, got ' x '"),
+            ("x\t", "partition name: must not start or end with whitespace, got 'x\\t'"),
+        ],
+    )
+    def test_a_name_the_ledger_cannot_print_apart_is_refused(self, cpu_node, name, message):
+        # ingest strips a jobs row's partition cell and prints each project's total as partition ALL
+        with pytest.raises(ValidationError) as raised:
+            Partition(name, cpu_node)
+        assert str(raised.value) == message
+
     def test_node_type_must_be_a_node_type(self):
         with pytest.raises(ValidationError) as raised:
             Partition("p", None)
@@ -494,3 +519,51 @@ def test_the_readme_library_example_gives_the_values_in_its_comments():
             assert comment.startswith(repr(value)), line
             shown.append(value)
     assert shown == [Fraction(432), Fraction(324), (Fraction(1, 4), Fraction(1, 4)), Fraction(1425)]
+
+
+CPU_NODE, GPU_NODE = reference_cpu_node(), reference_gpu_node()
+RECORD = JobRecord("j1", "p", "cpu", (NodeUsage(cores_used=1),), Fraction(1), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: job_cost(None), "job must be a JobRequest, got NoneType"),
+        (lambda: energy_estimate_wh(None), "job must be a JobRequest, got NoneType"),
+        (lambda: charge_record(None, builtin_config()), "record must be a JobRecord, got NoneType"),
+        (lambda: charge_record(RECORD, None), "config must be a SystemConfig, got NoneType"),
+        (lambda: memory_fraction(None, CPU_NODE), "usage must be a NodeUsage, got NoneType"),
+        (lambda: memory_fraction(NodeUsage(cores_used=1), None), "node must be a NodeType, got NoneType"),
+        (lambda: gpu_partition_weight(None), "node must be a NodeType, got NoneType"),
+        (lambda: sm_based_weight(None), "node must be a NodeType, got NoneType"),
+        (lambda: peak_perf_weight(GPU_NODE, None), "reference_cpu_node must be a NodeType, got NoneType"),
+        (lambda: watt_to_su_rate(None), "cpu must be a ProcessorSpec, got NoneType"),
+        (lambda: decision_threshold(get_model("energy"), None, GPU_NODE), "cpu_node must be a NodeType, got NoneType"),
+        (lambda: decision_threshold("energy", CPU_NODE, GPU_NODE), "model must be a ChargeModel, got str"),
+        (lambda: puhti_bu(1, 1, 1, 1, 1, rates=None), "rates must be a PuhtiRates, got NoneType"),
+        (lambda: efficiency_band(None, CPU_NODE, GPU_NODE), "models must be a Sequence, got NoneType"),
+        (lambda: efficiency_band([get_model("energy"), None], CPU_NODE, GPU_NODE),
+         "each of models must be a ChargeModel, got NoneType"),
+    ],
+    ids=[
+        "job_cost",
+        "energy_estimate_wh",
+        "charge_record-record",
+        "charge_record-config",
+        "memory_fraction-usage",
+        "memory_fraction-node",
+        "gpu_partition_weight",
+        "sm_based_weight",
+        "peak_perf_weight",
+        "watt_to_su_rate",
+        "decision_threshold-node",
+        "decision_threshold-model",
+        "puhti_bu",
+        "efficiency_band-models",
+        "efficiency_band-entry",
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_refused_by_its_expected_type(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert str(raised.value) == message

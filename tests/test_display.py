@@ -65,11 +65,17 @@ def test_integers_print_as_str_and_format_do(number):
 
 
 @pytest.mark.parametrize(
-    "number", [10**1000 - 1, 10**1000, 10**1000 + 7, -(10**2000) - 1, 10**3000 + 10**1000 + 1, 123 * 10**4000]
+    "number",
+    [10**1000 - 1, 10**1000, 10**1000 + 7, 1 - 10**1000, -(10**1000), -(10**2000) - 1, 10**3000 + 10**1000 + 1,
+     123 * 10**4000],
 )
 def test_integers_across_digit_chunks(number):
     assert integer_text(number) == str(number)
     assert integer_text(number, grouped=True) == f"{number:,}"
+
+
+def test_a_bool_prints_as_its_integer():
+    assert (integer_text(True), integer_text(False, grouped=True)) == ("1", "0")
 
 
 def test_integers_past_the_str_digit_limit_print_every_digit():

@@ -36,8 +36,9 @@ from sumeter import (
     puhti_bu,
     titan_node_charge,
 )
-from sumeter.cli import main
+from sumeter.cli import _csv_name, main
 from sumeter.core import node_share
+from sumeter.display import exact_text
 from sumeter.ingest import DetailRowError, Ledger, RowError, aggregate, ingest_jobs
 from conftest import TEST_CONFIG
 
@@ -426,6 +427,37 @@ def test_ingest_yields_only_records_and_row_errors(jobs_text, details_text):
     assert usage == aggregate(records, FUZZ_CONFIG)
     assert {project: u.by_partition for project, u in usage.items()} == expected
     assert all(u.total_su == sum(expected[project].values()) for project, u in usage.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_text(JOBS_VALUES), st.none() | csv_text(DETAIL_VALUES))
+def test_the_printed_ledger_is_the_text_of_ledger_usage(jobs_text, details_text):
+    """`ingest` prints from its integer sums the bytes `Ledger(iter_jobs(...)).usage()` reads as."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "system.json"
+        config.write_text(json.dumps(fuzz_config_data()), encoding="utf-8")
+        jobs = Path(tmp) / "jobs.csv"
+        jobs.write_text(jobs_text, encoding="utf-8")
+        argv = ["--config", str(config), "ingest", "--jobs", str(jobs)]
+        details = None
+        if details_text is not None:
+            details = Path(tmp) / "details.csv"
+            details.write_text(details_text, encoding="utf-8")
+            argv += ["--details", str(details)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        try:
+            usage = Ledger(iter_jobs(jobs, FUZZ_CONFIG, details)).usage()
+        except AccountingError:
+            assert (code, out.getvalue()) == (1, "")
+            return
+    lines = ["project,partition,total_su"]
+    for project, project_usage in usage.items():
+        for partition, subtotal in project_usage.by_partition.items():
+            lines.append(f"{_csv_name(project)},{_csv_name(partition)},{exact_text(subtotal)}")
+        lines.append(f"{_csv_name(project)},ALL,{exact_text(project_usage.total_su)}")
+    assert out.getvalue() == "\n".join(lines) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
