@@ -70,6 +70,7 @@ def decide_and_energy(
     node's relevant processors times its runtime: CPU TDP for the CPU
     choice, GPU TDP over the speedup for the GPU choice.
     """
+    _require_pricing(model, cpu_node, gpu_node)
     s = exact(speedup)
     if s <= 0:
         raise ValidationError("speedup must be positive")
@@ -90,11 +91,16 @@ def _decision(
     return DecisionPoint(s, su_cpu, su_gpu, NodeChoice.GPU, hours / s * gpu_node.gpu_tdp_watts)
 
 
-def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeType) -> Fraction:
-    """Speedup above which the model prices the GPU node cheaper: w_gpu / w_cpu."""
+def _require_pricing(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeType) -> None:
+    """Refuse a `model` that is not a ChargeModel or a node that is not a NodeType."""
     _require(model, ChargeModel, "model")
     _require(cpu_node, NodeType, "cpu_node")
     _require(gpu_node, NodeType, "gpu_node")
+
+
+def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeType) -> Fraction:
+    """Speedup above which the model prices the GPU node cheaper: w_gpu / w_cpu."""
+    _require_pricing(model, cpu_node, gpu_node)
     cpu_weight = model.node_weight(cpu_node)
     if cpu_weight == 0:
         raise ModelError(f"model {model.id!r} prices CPU node type {cpu_node.name!r} at zero; no decision threshold")
@@ -129,6 +135,7 @@ def crossover_sweep(
     each is `decide_and_energy` over a one-hour baseline, with the model's
     two node weights worked out once for the sweep.
     """
+    _require_pricing(model, cpu_node, gpu_node)
     low, high = sweep_bounds(s_min, s_max, steps)
     span, hours = high - low, Fraction(1)
     cpu_weight, gpu_weight = model.node_weight(cpu_node), model.node_weight(gpu_node)
@@ -175,6 +182,8 @@ def write_sweep_csv(
     """Emit plot data, one row per speedup and one column group per model."""
     if not models:
         raise ValidationError("the sweep needs at least one model")
+    if not callable(getattr(out, "write", None)):
+        raise ValidationError(f"out must be a text stream with a write method, got {type(out).__name__}")
     sweeps = [crossover_sweep(m, cpu_node, gpu_node, s_min, s_max, steps) for m in models]
     writer = csv.writer(out, lineterminator="\n")
     header = ["speedup"]

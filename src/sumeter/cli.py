@@ -12,22 +12,40 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
+from types import ModuleType
 
-from . import tables
-from .analysis import decision_threshold, efficiency_band, sweep_bounds, write_sweep_csv
 from .config import SystemConfig, load_config
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import _ratio_text, exact_text, format_real, format_su, format_threshold, round_half_up
 from .errors import AccountingError, ConfigError, ValidationError
-from .ingest import Ledger, _priced_rows
 from .models import MODEL_IDS, ChargeModel, get_model
 
 DEFAULT_CONFIG = "system.json"
 CONFIG_ENV_VAR = "SUMETER_CONFIG"
+
+
+def _lazy(name: str) -> ModuleType:
+    """The submodule `name`, in sys.modules: one already imported as it is, otherwise one
+    whose body runs on the first read of an attribute, so a command runs only the modules
+    it reads."""
+    qualified = f"{__package__}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    spec = importlib.util.find_spec(qualified)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+analysis = _lazy("analysis")
+ingest = _lazy("ingest")
+tables = _lazy("tables")
 
 
 def _real_arg(text: str) -> Fraction:
@@ -177,7 +195,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     cpu_partition, gpu_partition = _partition_pair(config, args)
     cpu_node, gpu_node = cpu_partition.node_type, gpu_partition.node_type
     models = [_model_for(gpu_partition, model_id) for model_id in _models_arg(args.models)]
-    sweep_bounds(args.s_min, args.s_max, args.steps)  # a refused sweep prints no summary
+    analysis.sweep_bounds(args.s_min, args.s_max, args.steps)  # a refused sweep prints no summary
 
     # Every threshold and the band are worked out before anything is printed, and an --out
     # file is written before the summary, so a refused run prints nothing to stdout.
@@ -191,13 +209,13 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         ]
     for model in models:
         weight = model.node_weight(gpu_node)
-        threshold = decision_threshold(model, cpu_node, gpu_node)
+        threshold = analysis.decision_threshold(model, cpu_node, gpu_node)
         summary.append(
             f"model {model.id}: gpu node-hour weight {format_su(round_half_up(weight))}, "
             f"decision threshold s = {format_threshold(threshold)}"
         )
     if any(m.id == "energy" for m in models) and len(models) > 1:
-        low, high = efficiency_band(models, cpu_node, gpu_node)
+        low, high = analysis.efficiency_band(models, cpu_node, gpu_node)
         if high > low:
             summary.append(
                 f"efficiency band (energy model alone picks the lower-energy node): "
@@ -209,7 +227,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     if not args.out:  # the summary goes to stderr, ahead of the CSV on stdout
         print(*summary, sep="\n", file=sys.stderr)
     with _writing(args.out) as handle:
-        write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
+        analysis.write_sweep_csv(models, cpu_node, gpu_node, handle, args.s_min, args.s_max, args.steps)
     if args.out:
         print(*summary, sep="\n")
     return 0
@@ -244,11 +262,13 @@ def _csv_name(name: str) -> str:
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     # The pass builds many objects and no cycle, so the cyclic collector would only rescan
-    # the live detail rows; it is paused for the pass and left as it was found.
+    # the live detail rows; it is paused for the pass and left as it was found. The parser
+    # `main` built is cyclic garbage by now, still young: a young collection frees it first.
     collecting = gc.isenabled()
+    gc.collect(1)
     gc.disable()
     try:
-        ledger = Ledger(_priced_rows(args.jobs, config, args.details))
+        ledger = ingest.Ledger(ingest._priced_rows(args.jobs, config, args.details))
     finally:
         if collecting:
             gc.enable()
@@ -311,17 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser("report", help="regenerate the published benchmark tables")
     group = report.add_mutually_exclusive_group()
-    group.add_argument("--table", type=int, choices=sorted(tables.PUBLISHED_TABLES))
+    group.add_argument("--table", type=int, choices=(2, 3, 4))  # the keys of tables.PUBLISHED_TABLES
     group.add_argument("--all", action="store_true", help="all tables (default)")
     report.add_argument("--format", choices=("text", "csv"), default="text")
     report.add_argument("--out", help="directory for per-table CSV files")
     report.set_defaults(func=cmd_report)
 
-    ingest = subparsers.add_parser("ingest", help="charge a jobs CSV and aggregate per project")
-    ingest.add_argument("--jobs", required=True, help="jobs CSV path")
-    ingest.add_argument("--details", help="optional per-node detail CSV for heterogeneous jobs")
-    ingest.add_argument("--out", help="aggregation CSV output path (default: stdout)")
-    ingest.set_defaults(func=cmd_ingest)
+    ingest_parser = subparsers.add_parser("ingest", help="charge a jobs CSV and aggregate per project")
+    ingest_parser.add_argument("--jobs", required=True, help="jobs CSV path")
+    ingest_parser.add_argument("--details", help="optional per-node detail CSV for heterogeneous jobs")
+    ingest_parser.add_argument("--out", help="aggregation CSV output path (default: stdout)")
+    ingest_parser.set_defaults(func=cmd_ingest)
 
     return parser
 

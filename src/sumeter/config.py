@@ -254,7 +254,10 @@ def load_config(path: str | Path) -> SystemConfig:
     Every number is read exactly: float text such as `0.1` or `1.5e12`
     goes through `parse_real`, under its length and exponent bound.
     """
-    path = Path(path)
+    try:
+        path = Path(path)
+    except TypeError:
+        raise ValidationError(f"config path must be a str or a PathLike, got {type(path).__name__}") from None
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as err:

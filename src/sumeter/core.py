@@ -98,7 +98,8 @@ def exact(value: RealLike) -> Fraction:
 def _require(value, kind: type, what: str) -> None:
     """Refuse a `value` that is not a `kind` with a ValidationError naming both types."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 # Sets a field while a value is built; a built value refuses assignment.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
@@ -96,14 +97,20 @@ class Ledger:
         self.errors: list[RowError] = []
         self.orphans: list[DetailRowError] = []
         self._sums: dict[str, dict[str, tuple[int, int]]] = {}
+        try:
+            items = iter(items)
+        except TypeError:
+            raise ValidationError(f"items must be an iterable, got {type(items).__name__}") from None
         for item in items:
-            if isinstance(item, RowError):
+            if type(item) is tuple:
+                _, project, partition, _, total = item
+            elif isinstance(item, JobRecord):
+                project, partition, total = item.project, item.partition, item.total_su.as_integer_ratio()
+            elif isinstance(item, RowError):
                 (self.orphans if isinstance(item, DetailRowError) else self.errors).append(item)
                 continue
-            if isinstance(item, JobRecord):
-                project, partition, total = item.project, item.partition, item.total_su.as_integer_ratio()
             else:
-                _, project, partition, _, total = item
+                raise ValidationError(f"each item must be a JobRecord or a RowError, got {type(item).__name__}")
             self.charged += 1
             per_partition = self._sums.setdefault(project, {})
             per_partition[partition] = add_ratios(per_partition.get(partition, (0, 1)), total)
@@ -181,6 +188,8 @@ def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[t
     be opened or is not UTF-8, or a row the csv module refuses, is a
     ConfigError naming the file (and line).
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() reads an int as a file descriptor, and closes it
+        raise ValidationError(f"{kind} path must be a str or a PathLike, got {type(path).__name__}")
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
@@ -289,6 +298,7 @@ def _priced_rows(
     path: str | Path, config: SystemConfig, details_path: str | Path | None
 ) -> Iterator[_PricedRow | RowError]:
     """What `iter_jobs` yields, in its order, with each record as the priced row it is made from."""
+    _require(config, SystemConfig, "config")
     details = {} if details_path is None else _load_details(details_path)
     charged_ids: set[str] = set()
     rejected_ids: set[str] = set()

@@ -459,14 +459,14 @@ def test_ingest_pauses_the_collector_for_the_pass_only(
 ):
     jobs = tmp_path / "jobs.csv"
     jobs.write_bytes(JOBS_HEADER + b"j1,projA,work,1,1,0,2,1.0\n" + tail)
-    priced_rows, seen = cli._priced_rows, []
+    priced_rows, seen = cli.ingest._priced_rows, []
 
     def watched(*args):
         for item in priced_rows(*args):
             seen.append(gc.isenabled())
             yield item
 
-    monkeypatch.setattr(cli, "_priced_rows", watched)
+    monkeypatch.setattr(cli.ingest, "_priced_rows", watched)
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sumeter import (
+    ApplicationBenchmark,
     CapacityError,
     JobRecord,
     JobRequest,
@@ -19,16 +20,23 @@ from sumeter import (
     PuhtiModel,
     PuhtiRates,
     ValidationError,
+    aggregate,
+    build_table,
     builtin_config,
     charge_record,
     core_equivalent,
+    crossover_sweep,
+    decide_and_energy,
     decision_threshold,
     efficiency_band,
     energy_estimate_wh,
     exact,
     get_model,
     gpu_partition_weight,
+    ingest_jobs,
+    iter_jobs,
     job_cost,
+    load_config,
     memory_fraction,
     peak_perf_weight,
     puhti_bu,
@@ -36,8 +44,10 @@ from sumeter import (
     reference_gpu_node,
     sm_based_weight,
     watt_to_su_rate,
+    write_sweep_csv,
 )
 from sumeter.core import node_share, parse_real
+from sumeter.ingest import Ledger
 from sumeter.tables import REFERENCE_CPU, REFERENCE_GPU
 
 
@@ -523,6 +533,15 @@ def test_the_readme_library_example_gives_the_values_in_its_comments():
 
 CPU_NODE, GPU_NODE = reference_cpu_node(), reference_gpu_node()
 RECORD = JobRecord("j1", "p", "cpu", (NodeUsage(cores_used=1),), Fraction(1), Fraction(1))
+ENERGY = get_model("energy")
+APPS = (ApplicationBenchmark("FUN3D", 41),)
+
+
+class Unwritten:
+    """An output that fails the test on any write: a refused call must write nothing."""
+
+    def write(self, text):
+        raise AssertionError(f"wrote {text!r}")
 
 
 @pytest.mark.parametrize(
@@ -544,6 +563,26 @@ RECORD = JobRecord("j1", "p", "cpu", (NodeUsage(cores_used=1),), Fraction(1), Fr
         (lambda: efficiency_band(None, CPU_NODE, GPU_NODE), "models must be a Sequence, got NoneType"),
         (lambda: efficiency_band([get_model("energy"), None], CPU_NODE, GPU_NODE),
          "each of models must be a ChargeModel, got NoneType"),
+        (lambda: decide_and_energy(2, None, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
+        (lambda: decide_and_energy(2, ENERGY, CPU_NODE, None), "gpu_node must be a NodeType, got NoneType"),
+        (lambda: crossover_sweep(None, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
+        (lambda: crossover_sweep(ENERGY, None, GPU_NODE), "cpu_node must be a NodeType, got NoneType"),
+        (lambda: write_sweep_csv([ENERGY, "sm"], CPU_NODE, GPU_NODE, Unwritten()),
+         "model must be a ChargeModel, got str"),
+        (lambda: write_sweep_csv([ENERGY], CPU_NODE, GPU_NODE, None),
+         "out must be a text stream with a write method, got NoneType"),
+        (lambda: build_table(None, APPS, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
+        (lambda: build_table(ENERGY, APPS + ("RTM",), CPU_NODE, GPU_NODE),
+         "each of apps must be an ApplicationBenchmark, got str"),
+        (lambda: list(iter_jobs("jobs.csv", None)), "config must be a SystemConfig, got NoneType"),
+        (lambda: ingest_jobs("jobs.csv", {"partitions": []}), "config must be a SystemConfig, got dict"),
+        (lambda: list(iter_jobs(None, builtin_config())), "jobs file path must be a str or a PathLike, got NoneType"),
+        # an int path would be read, and closed, as a file descriptor
+        (lambda: list(iter_jobs("jobs.csv", builtin_config(), 2**20)),
+         "details file path must be a str or a PathLike, got int"),
+        (lambda: load_config(None), "config path must be a str or a PathLike, got NoneType"),
+        (lambda: aggregate([None], builtin_config()), "each item must be a JobRecord or a RowError, got NoneType"),
+        (lambda: Ledger(None), "items must be an iterable, got NoneType"),
     ],
     ids=[
         "job_cost",
@@ -561,6 +600,21 @@ RECORD = JobRecord("j1", "p", "cpu", (NodeUsage(cores_used=1),), Fraction(1), Fr
         "puhti_bu",
         "efficiency_band-models",
         "efficiency_band-entry",
+        "decide_and_energy-model",
+        "decide_and_energy-node",
+        "crossover_sweep-model",
+        "crossover_sweep-node",
+        "write_sweep_csv-entry",
+        "write_sweep_csv-out",
+        "build_table-model",
+        "build_table-app",
+        "iter_jobs-config",
+        "ingest_jobs-config",
+        "iter_jobs-path",
+        "iter_jobs-details-fd",
+        "load_config-path",
+        "aggregate-record",
+        "Ledger-items",
     ],
 )
 def test_an_argument_of_the_wrong_type_is_refused_by_its_expected_type(call, message):

@@ -1,4 +1,5 @@
-"""The package's import boundary: `import sumeter` is cheap, and each name loads its own module.
+"""The package's import boundary: `import sumeter` is cheap, each name loads its own module, and
+each command runs only the modules it reads.
 
 Each probe runs in a fresh interpreter, so that `sys.modules` starts clean.
 """
@@ -8,6 +9,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import write_jobs_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -163,3 +168,85 @@ def test_every_submodule_is_an_attribute_of_the_package():
         "    if getattr(sumeter, name) is not sys.modules['sumeter.' + name])))"
     )
     assert probe(code, *modules) == [3]
+
+
+# A probe that runs `main(argv)`, its output swallowed, then prints the sumeter modules whose
+# body has run (a module registered by `cli` and not yet read is not a plain ModuleType) and
+# whether `csv` is loaded.
+RAN = (
+    "import contextlib, io, json, sys, types\n"
+    "from sumeter.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    main(sys.argv[1:])\n"
+    "print(json.dumps([sorted(name for name, module in sys.modules.items()\n"
+    "    if (name == 'sumeter' or name.startswith('sumeter.')) and type(module) is types.ModuleType),\n"
+    "    'csv' in sys.modules]))\n"
+)
+JOB = ["--cores-per-node", "4", "--hours", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, also_ran, csv_loaded",
+    [
+        (["estimate", "--partition", "work", *JOB], [], False),
+        (["compare", "--partition", "gpu", "--gpus-per-node", "1", *JOB], [], False),
+        (["crossover", "--steps", "2"], ["sumeter.analysis"], True),
+        (["report", "--table", "2"], ["sumeter.analysis", "sumeter.tables"], True),
+        (["ingest", "--jobs", "jobs.csv"], ["sumeter.ingest"], True),
+    ],
+    ids=["estimate", "compare", "crossover", "report", "ingest"],
+)
+def test_a_command_runs_only_the_modules_it_reads(config_path, tmp_path, argv, also_ran, csv_loaded):
+    if argv[0] == "ingest":
+        argv = [*argv[:-1], str(write_jobs_csv(tmp_path / "jobs.csv", ["j1,p,work,1,4,0,0,1"]))]
+    ran = sorted(["sumeter", "sumeter.cli", *LOADED_BY_LOAD_CONFIG[1:], *also_ran])
+    assert probe(RAN, "--config", str(config_path), *argv) == [ran, csv_loaded]
+
+
+@pytest.mark.parametrize("first", ["sumeter.cli", "sumeter.ingest"])
+def test_cli_and_an_import_of_its_modules_share_one_module_and_its_classes(first):
+    code = (
+        "import importlib, json, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "import sumeter, sumeter.cli as cli\n"
+        "from sumeter import analysis, ingest, tables\n"
+        "from sumeter.ingest import Ledger, JobRecord\n"
+        "from sumeter.analysis import ApplicationBenchmark\n"
+        "print(json.dumps([cli.analysis is analysis is sys.modules['sumeter.analysis'],\n"
+        "    cli.ingest is ingest is sys.modules['sumeter.ingest'],\n"
+        "    cli.tables is tables is sys.modules['sumeter.tables'],\n"
+        "    cli.ingest.Ledger is Ledger, cli.ingest.JobRecord is JobRecord is sumeter.JobRecord,\n"
+        "    cli.tables.ApplicationBenchmark is ApplicationBenchmark is cli.analysis.ApplicationBenchmark]))\n"
+    )
+    assert probe(code, first) == [True] * 6
+
+
+def test_the_table_choices_are_the_published_tables_and_building_the_parser_runs_no_tables():
+    code = (
+        "import json, sys, types\n"
+        "from sumeter import cli\n"
+        "parser = cli.build_parser()\n"
+        "ran = type(sys.modules['sumeter.tables']) is types.ModuleType\n"
+        "report = next(a for a in parser._actions if a.dest == 'command').choices['report']\n"
+        "choices = next(a.choices for a in report._actions if a.dest == 'table')\n"
+        "print(json.dumps([ran, list(choices), sorted(cli.tables.PUBLISHED_TABLES)]))\n"
+    )
+    ran, choices, published = probe(code)
+    assert (ran, choices) == (False, published)
+
+
+def test_an_ingest_leaves_no_parser_garbage_while_the_collector_is_paused(config_path, tmp_path):
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,p,work,1,4,0,0,1"])
+    code = (
+        "import argparse, contextlib, gc, io, json, sys\n"
+        "from sumeter.cli import main\n"
+        "disable, parsers = gc.disable, []\n"
+        "def counting():\n"
+        "    disable()\n"
+        "    parsers.append(sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects()))\n"
+        "gc.disable = counting\n"
+        "with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, parsers]))\n"
+    )
+    assert probe(code, "--config", str(config_path), "ingest", "--jobs", str(jobs)) == [0, [0]]
