@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
-from .core import ChargeReport, JobRequest, NodeUsage, Value, _require, add_ratios, job_cost, parse_real, set_field
+from .core import ChargeReport, JobRequest, NodeUsage, Value, _require, add_ratios, job_cost, parse_real
 from .errors import CapacityError, ConfigError, ValidationError
 
 JOBS_CSV_COLUMNS = (
@@ -45,23 +45,6 @@ class JobRecord(Value):
     """One accounted job: who ran it, where, with what, for how long, and its charge."""
 
     __slots__ = _fields = ("job_id", "project", "partition", "node_usages", "elapsed_hours", "total_su")
-
-    # Built once per charged row, so each field is set by name, which is faster than the base constructor.
-    def __init__(
-        self,
-        job_id: str,
-        project: str,
-        partition: str,
-        node_usages: tuple[NodeUsage, ...],
-        elapsed_hours: Fraction,
-        total_su: Fraction,
-    ) -> None:
-        set_field(self, "job_id", job_id)
-        set_field(self, "project", project)
-        set_field(self, "partition", partition)
-        set_field(self, "node_usages", node_usages)
-        set_field(self, "elapsed_hours", elapsed_hours)
-        set_field(self, "total_su", total_su)
 
 
 class RowError(Value):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sumeter import NodeUsage, Partition, reference_cpu_node, reference_gpu_node
+from sumeter.cli import main
 
 TEST_CONFIG = {
     "partitions": [
@@ -119,6 +120,13 @@ def config_path(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(TEST_CONFIG), encoding="utf-8")
     return path
+
+
+def run(capsys, *argv):
+    """The exit code, stdout and stderr of `sumeter *argv`, run in process."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def write_jobs_csv(path, rows):

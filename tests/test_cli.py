@@ -10,14 +10,7 @@ import pytest
 
 from sumeter import cli, tables
 from sumeter.analysis import MAX_SWEEP_STEPS
-from sumeter.cli import main
-from conftest import TEST_CONFIG, write_jobs_csv
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import TEST_CONFIG, run, write_jobs_csv
 
 
 class TestEstimate:

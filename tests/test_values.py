@@ -187,18 +187,23 @@ def test_fields_can_be_passed_by_name(cls, make, fields):
     assert cls(**{name: getattr(value, name) for name in fields}) == value
 
 
+RECORD = ("j1", "p", "cpu", (), Fraction(1))  # a record's fields but its total_su
+
+
 @pytest.mark.parametrize(
-    "values, named, problem",
+    "cls, values, named, problem",
     [
-        ((3,), {}, "RowError: missing field 'message'"),
-        ((3, "x", 4), {}, r"RowError takes 2 fields \('line', 'message'\), got 3 values"),
-        ((3,), {"line": 4}, "RowError: repeated field 'line'"),
-        ((3,), {"msg": "x"}, "RowError: unknown field 'msg'"),
+        (RowError, (3,), {}, "RowError: missing field 'message'"),
+        (RowError, (3, "x", 4), {}, r"RowError takes 2 fields \('line', 'message'\), got 3 values"),
+        (RowError, (3,), {"line": 4}, "RowError: repeated field 'line'"),
+        (RowError, (3,), {"msg": "x"}, "RowError: unknown field 'msg'"),
+        (JobRecord, RECORD, {}, "JobRecord: missing field 'total_su'"),
+        (JobRecord, RECORD, {"total_su": Fraction(1), "hours": 1}, "JobRecord: unknown field 'hours'"),
     ],
 )
-def test_a_missing_extra_or_repeated_field_is_a_type_error(values, named, problem):
+def test_a_missing_extra_or_repeated_field_is_a_type_error(cls, values, named, problem):
     with pytest.raises(TypeError, match=problem):
-        RowError(*values, **named)
+        cls(*values, **named)
 
 
 def test_values_of_different_classes_are_unequal():
