@@ -15,7 +15,7 @@ import enum
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .core import NodeType, RealLike, Value, _require, exact
+from .core import NodeType, RealLike, Value, _amount, _count, _require, exact
 from .display import exact_text
 from .errors import ModelError, ValidationError
 from .models import ChargeModel
@@ -30,10 +30,7 @@ class ApplicationBenchmark(Value):
     __slots__ = _fields = ("name", "perf_ratio")
 
     def __init__(self, name: str, perf_ratio: int) -> None:
-        if type(perf_ratio) is not int:  # a bool is not a count
-            raise ValidationError(f"benchmark {name!r}: perf_ratio must be an integer")
-        if perf_ratio < 1:
-            raise ValidationError(f"benchmark {name!r}: perf_ratio must be at least 1")
+        _count(perf_ratio, f"benchmark {name!r}: perf_ratio", 1)
         super().__init__(name, perf_ratio)
 
 
@@ -50,10 +47,7 @@ class DecisionPoint(Value):
 
 def speedup_from_time(gpu_hours: RealLike) -> Fraction:
     """Speedup of the GPU run against a one-hour CPU baseline: 1 / t."""
-    hours = exact(gpu_hours)
-    if hours <= 0:
-        raise ValidationError("GPU runtime must be positive")
-    return 1 / hours
+    return 1 / _amount(gpu_hours, "GPU runtime", positive=True)
 
 
 def decide_and_energy(
@@ -71,12 +65,8 @@ def decide_and_energy(
     choice, GPU TDP over the speedup for the GPU choice.
     """
     _require_pricing(model, cpu_node, gpu_node)
-    s = exact(speedup)
-    if s <= 0:
-        raise ValidationError("speedup must be positive")
-    hours = exact(baseline_hours)
-    if hours <= 0:
-        raise ValidationError("baseline_hours must be positive")
+    s = _amount(speedup, "speedup", positive=True)
+    hours = _amount(baseline_hours, "baseline_hours", positive=True)
     return _decision(s, hours, model.node_weight(cpu_node), model.node_weight(gpu_node), cpu_node, gpu_node)
 
 
@@ -112,9 +102,7 @@ def sweep_bounds(s_min: RealLike, s_max: RealLike, steps: int) -> tuple[Fraction
     low, high = exact(s_min), exact(s_max)
     if not 0 < low < high:
         raise ValidationError("need 0 < s_min < s_max")
-    if type(steps) is not int:  # a bool is not a count
-        raise ValidationError("sweep steps must be an integer")
-    if steps < 2:
+    if _count(steps, "sweep steps") < 2:
         raise ValidationError("need at least 2 sweep steps")
     if steps > MAX_SWEEP_STEPS:
         raise ValidationError(f"at most {MAX_SWEEP_STEPS} sweep steps, got {steps}")

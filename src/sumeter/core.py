@@ -54,8 +54,7 @@ def parse_real(text: str) -> Fraction:
     An underscore between two digits is dropped, on every Python, as Python
     3.11+ reads number text; any other underscore is refused.
     """
-    if not isinstance(text, str):
-        raise ValidationError(f"number text must be a string, got {type(text).__name__}")
+    _require(text, str, "number text")
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
     # Plain ASCII digits[.digits], the common cell, is read without the regex.
@@ -89,6 +88,8 @@ def exact(value: RealLike) -> Fraction:
         return value
     if isinstance(value, str):
         return parse_real(value)
+    if isinstance(value, bool):  # a bool is not an amount, as `parse_config` reads it
+        raise ValidationError(f"not a number: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as err:
@@ -96,10 +97,28 @@ def exact(value: RealLike) -> Fraction:
 
 
 def _require(value, kind: type, what: str) -> None:
-    """Refuse a `value` that is not a `kind` with a ValidationError naming both types."""
+    """Refuse a `value` that is not a `kind` with a ValidationError naming both types; `str` reads "a string"."""
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValidationError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+        name = "string" if kind is str else kind.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} must be {article} {name}, got {type(value).__name__}")
+
+
+def _count(value, what: str, minimum: int | None = None) -> int:
+    """`value`, refused unless it is an `int` (a bool is not a count) of at least `minimum`."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{what} must be at least {minimum}")
+    return value
+
+
+def _amount(value: RealLike, what: str, positive: bool = False) -> Fraction:
+    """`exact(value)`, refused when it is negative, or zero too when it must be `positive`."""
+    amount = exact(value)
+    if amount < 0 or (positive and amount == 0):
+        raise ValidationError(f"{what} must be {'positive' if positive else 'nonnegative'}")
+    return amount
 
 
 # Sets a field while a value is built; a built value refuses assignment.
@@ -188,19 +207,15 @@ class ProcessorSpec(Value):
         cores: int = 0,
         streaming_multiprocessors: int = 0,
     ) -> None:
-        if not isinstance(name, str):
-            raise ValidationError(f"processor name must be a string, got {type(name).__name__}")
+        _require(name, str, "processor name")
         if type(kind) is not ProcessorKind:  # the text "cpu" is not a kind
             raise ValidationError(
                 f"processor {name!r}: kind must be ProcessorKind.CPU or ProcessorKind.GPU, got {kind!r}"
             )
-        tdp_watts, peak_flops = exact(tdp_watts), exact(peak_flops)
-        if type(cores) is not int or type(streaming_multiprocessors) is not int:  # a bool is not a count
-            raise ValidationError(f"processor {name!r}: cores and streaming_multiprocessors must be integers")
-        if tdp_watts <= 0:
-            raise ValidationError(f"processor {name!r}: tdp_watts must be positive")
-        if peak_flops <= 0:
-            raise ValidationError(f"processor {name!r}: peak_flops must be positive")
+        tdp_watts = _amount(tdp_watts, f"processor {name!r}: tdp_watts", positive=True)
+        peak_flops = _amount(peak_flops, f"processor {name!r}: peak_flops", positive=True)
+        _count(cores, f"processor {name!r}: cores")
+        _count(streaming_multiprocessors, f"processor {name!r}: streaming_multiprocessors")
         if kind is ProcessorKind.CPU:
             if cores < 1:
                 raise ValidationError(f"CPU {name!r} needs at least one core")
@@ -239,8 +254,7 @@ def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
     out = []
     seen = set()
     for name, amount in items:
-        if type(name) is not str:
-            raise ValidationError(f"{what}: resource name must be a string, got {type(name).__name__}")
+        _require(name, str, f"{what}: resource name")
         if not name:
             raise ValidationError(f"{what}: resource name must be non-empty")
         if name in seen:
@@ -295,19 +309,15 @@ class NodeType(Value):
         gpus: Sequence[ProcessorSpec] = (),
         extra_resources: Mapping[str, RealLike] | Sequence[tuple[str, RealLike]] = (),
     ) -> None:
-        if not isinstance(name, str):
-            raise ValidationError(f"node type name must be a string, got {type(name).__name__}")
+        _require(name, str, "node type name")
         cpus = _processors(cpus, ProcessorKind.CPU, name, "cpus")
         gpus = _processors(gpus, ProcessorKind.GPU, name, "gpus")
-        memory_total_gib = exact(memory_total_gib)
+        memory_total_gib = _amount(memory_total_gib, f"node type {name!r}: memory_total_gib", positive=True)
         extra_resources = _normalize_pairs(extra_resources, f"node type {name!r}")
         if not cpus:
             raise ValidationError(f"node type {name!r} needs at least one CPU")
-        if memory_total_gib <= 0:
-            raise ValidationError(f"node type {name!r}: memory_total_gib must be positive")
         for resource, capacity in extra_resources:
-            if capacity <= 0:
-                raise ValidationError(f"node type {name!r}: capacity of {resource!r} must be positive")
+            _amount(capacity, f"node type {name!r}: capacity of {resource!r}", positive=True)
         super().__init__(name, cpus, memory_total_gib, gpus, extra_resources)
         total_cores = sum(spec.cores for spec in cpus)
         set_field(self, "total_cores", total_cores)
@@ -539,20 +549,14 @@ class Partition(Value):
     __slots__ = _fields = ("name", "node_type", "node_count", "model", "weight")
 
     def __init__(self, name: str, node_type: NodeType, node_count: int = 1, model: ChargeModel = EnergyModel()) -> None:
-        if not isinstance(name, str):
-            raise ValidationError(f"partition name must be a string, got {type(name).__name__}")
+        _require(name, str, "partition name")
         problem = _partition_name_problem(name)
         if problem:
             raise ValidationError(f"partition name: {problem}")
-        if type(node_count) is not int:
-            raise ValidationError(f"partition {name!r}: node_count must be an integer")
-        if node_count < 1:
-            raise ValidationError(f"partition {name!r}: node_count must be at least 1")
+        _count(node_count, f"partition {name!r}: node_count", 1)
         _require(node_type, NodeType, f"partition {name!r}: node_type")
         _require(model, ChargeModel, f"partition {name!r}: model")
-        weight = model.node_weight(node_type)
-        if weight <= 0:
-            raise ValidationError(f"partition {name!r}: weight must be positive")
+        weight = _amount(model.node_weight(node_type), f"partition {name!r}: weight", positive=True)
         super().__init__(name, node_type, node_count, model, weight)
 
     def __reduce__(self):
@@ -607,15 +611,12 @@ class JobRequest(Value):
         cls, partition: Partition, nodes: int, usage: NodeUsage, walltime_hours: RealLike
     ) -> "JobRequest":
         """Identical usage replicated across `nodes` nodes."""
-        if type(nodes) is not int:
-            raise ValidationError("nodes must be an integer")
-        _check_span(partition, nodes)  # before `nodes` copies are made
+        _check_span(partition, _count(nodes, "nodes"))  # before `nodes` copies are made
         return cls(partition, (usage,) * nodes, walltime_hours)
 
 
 def _check_span(partition: Partition, nodes: int) -> None:
-    if not isinstance(partition, Partition):
-        raise ValidationError(f"a job's partition must be a Partition, got {type(partition).__name__}")
+    _require(partition, Partition, "a job's partition")
     if nodes > partition.node_count:
         raise CapacityError(
             f"job spans {nodes} nodes but partition {partition.name!r} has {partition.node_count}"

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, _require, exact, node_share, set_field
+    ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, _amount, _count, _require, exact, node_share,
+    set_field,
 )
 from .errors import ModelError, ValidationError
 
@@ -47,11 +48,7 @@ def peak_perf_weight(node: NodeType, reference_cpu_node: NodeType) -> Fraction:
 
 def titan_node_charge(cpu_cores: int, gpu_sms: int) -> int:
     """Whole-node hourly charge: one unit per CPU core plus one per GPU SM, both integer counts."""
-    if type(cpu_cores) is not int or type(gpu_sms) is not int:  # a bool is not a count
-        raise ValidationError("counts must be integers")
-    if cpu_cores < 0 or gpu_sms < 0:
-        raise ValidationError("counts must be nonnegative")
-    return cpu_cores + gpu_sms
+    return _count(cpu_cores, "cpu_cores", 0) + _count(gpu_sms, "gpu_sms", 0)
 
 
 class PuhtiRates(Value):
@@ -67,10 +64,7 @@ class PuhtiRates(Value):
         gpu: RealLike = Fraction(60),
     ) -> None:
         for name, value in zip(self._fields, (core, memory_gib, nvme_gib, gpu)):
-            value = exact(value)
-            if value < 0:
-                raise ValidationError(f"rate {name!r} must be nonnegative")
-            set_field(self, name, value)
+            set_field(self, name, _amount(value, f"rate {name!r}"))
 
 
 DEFAULT_PUHTI_RATES = PuhtiRates()
@@ -90,10 +84,8 @@ def puhti_bu(
     with default rates 1 / 0.1 / 0.006 / 60 per hour.
     """
     _require(rates, PuhtiRates, "rates")
-    quantities = [exact(q) for q in (cores, mem_gib, nvme_gib, gpus, walltime_hours)]
-    if any(q.numerator < 0 for q in quantities):
-        raise ValidationError("billing quantities must be nonnegative")
-    cores, mem_gib, nvme_gib, gpus, hours = quantities
+    quantities = (cores, mem_gib, nvme_gib, gpus, walltime_hours)
+    cores, mem_gib, nvme_gib, gpus, hours = [_amount(q, "billing quantities") for q in quantities]
     return (rates.core * cores + rates.memory_gib * mem_gib + rates.nvme_gib * nvme_gib + rates.gpu * gpus) * hours
 
 
@@ -108,16 +100,10 @@ def puhti_tdp_equivalence(
     One V100 plus a quarter of a dual 125 W socket node comes to 362.5 Wh.
     `sockets` is an integer of at least 1 and `node_share` is nonnegative.
     """
-    gpu_tdp = exact(gpu_tdp_watts)
-    cpu_tdp = exact(cpu_tdp_watts_per_socket)
-    share = exact(node_share)
-    if gpu_tdp <= 0 or cpu_tdp <= 0:
-        raise ValidationError("TDP values must be positive")
-    if type(sockets) is not int or sockets < 1:  # a bool is not a count
-        raise ValidationError("sockets must be an integer of at least 1")
-    if share < 0:
-        raise ValidationError("node_share must be nonnegative")
-    return gpu_tdp + share * (sockets * cpu_tdp)
+    gpu_tdp = _amount(gpu_tdp_watts, "gpu_tdp_watts", positive=True)
+    cpu_tdp = _amount(cpu_tdp_watts_per_socket, "cpu_tdp_watts_per_socket", positive=True)
+    _count(sockets, "sockets", 1)
+    return gpu_tdp + _amount(node_share, "node_share") * (sockets * cpu_tdp)
 
 
 def puhti_tdp_core_ratio(
@@ -128,11 +114,7 @@ def puhti_tdp_core_ratio(
     node_share: RealLike = Fraction(1, 4),
 ) -> Fraction:
     """How many single-core TDP envelopes the GPU-hour envelope is worth; `cores_per_socket` is an integer."""
-    if type(cores_per_socket) is not int:  # a bool is not a count
-        raise ValidationError("cores_per_socket must be an integer")
-    if cores_per_socket < 1:
-        raise ValidationError("cores_per_socket must be at least 1")
-    per_core = exact(cpu_tdp_watts_per_socket) / cores_per_socket
+    per_core = exact(cpu_tdp_watts_per_socket) / _count(cores_per_socket, "cores_per_socket", 1)
     return puhti_tdp_equivalence(gpu_tdp_watts, cpu_tdp_watts_per_socket, sockets, node_share) / per_core
 
 
@@ -196,10 +178,8 @@ class PuhtiModel(ChargeModel):
     id = "puhti"
 
     def __init__(self, rates: PuhtiRates = DEFAULT_PUHTI_RATES, nvme_resource: str = "nvme_gib") -> None:
-        if not isinstance(rates, PuhtiRates):
-            raise ValidationError(f"rates must be PuhtiRates, got {type(rates).__name__}")
-        if type(nvme_resource) is not str:  # a resource name is a string, as in `extra_resources`
-            raise ValidationError(f"nvme_resource must be a string, got {type(nvme_resource).__name__}")
+        _require(rates, PuhtiRates, "rates")
+        _require(nvme_resource, str, "nvme_resource")  # a resource name is a string, as in `extra_resources`
         if not nvme_resource:
             raise ValidationError("nvme_resource must be non-empty")
         super().__init__(rates, nvme_resource)

@@ -124,8 +124,7 @@ def printed_ratio_matches(computed: RealLike, printed: str) -> bool:
     must land within `RATIO_TOLERANCE`.
     """
     value = exact(computed)
-    if type(printed) is not str:
-        raise ValidationError(f"printed ratio must be a string, got {type(printed).__name__}")
+    _require(printed, str, "printed ratio")
     target = parse_real(printed)
     decimals = len(printed.partition(".")[2])
     quantum = Fraction(10) ** decimals

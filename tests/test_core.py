@@ -39,13 +39,19 @@ from sumeter import (
     load_config,
     memory_fraction,
     peak_perf_weight,
+    printed_ratio_matches,
     puhti_bu,
+    puhti_tdp_core_ratio,
+    puhti_tdp_equivalence,
     reference_cpu_node,
     reference_gpu_node,
     sm_based_weight,
+    speedup_from_time,
+    titan_node_charge,
     watt_to_su_rate,
     write_sweep_csv,
 )
+from sumeter.analysis import sweep_bounds
 from sumeter.core import node_share, parse_real
 from sumeter.ingest import Ledger
 from sumeter.tables import REFERENCE_CPU, REFERENCE_GPU
@@ -56,6 +62,26 @@ class TestExact:
     def test_non_finite_is_a_validation_error(self, value):
         with pytest.raises(ValidationError, match="not a number"):
             exact(value)
+
+    def test_a_bool_is_not_a_number(self):
+        with pytest.raises(ValidationError) as raised:
+            exact(True)
+        assert str(raised.value) == "not a number: True"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NodeUsage(cores_used=1, memory_used_gib=True),
+            lambda: JobRequest.uniform(Partition("p", CPU_NODE), 1, NodeUsage(cores_used=1), True),
+            lambda: ProcessorSpec.cpu("x", 4, True, True),
+            lambda: PuhtiRates(core=True),
+        ],
+        ids=["memory_used_gib", "walltime_hours", "tdp_watts", "rate"],
+    )
+    def test_a_bool_amount_builds_nothing(self, build):
+        """As `parse_config` refuses `true` in these fields."""
+        with pytest.raises(ValidationError, match="^not a number: True$"):
+            build()
 
     @pytest.mark.parametrize("value, kind", [(5, "int"), (None, "NoneType"), (b"1.5", "bytes")])
     def test_number_text_must_be_a_string(self, value, kind):
@@ -114,10 +140,13 @@ class TestProcessorSpec:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize(
-        "kind, count", [("cpu", 1.5), ("cpu", "4"), ("cpu", True), ("gpu", 2.5)], ids=["1.5", "text", "bool", "sms"]
+        "kind, count, field",
+        [("cpu", 1.5, "cores"), ("cpu", "4", "cores"), ("cpu", True, "cores"),
+         ("gpu", 2.5, "streaming_multiprocessors")],
+        ids=["1.5", "text", "bool", "sms"],
     )
-    def test_counts_must_be_ints(self, kind, count):
-        with pytest.raises(ValidationError, match="cores and streaming_multiprocessors must be integers"):
+    def test_counts_must_be_ints(self, kind, count, field):
+        with pytest.raises(ValidationError, match=f"^processor 'x': {field} must be an integer$"):
             getattr(ProcessorSpec, kind)("x", count, 150, 1e12)
 
 
@@ -618,6 +647,111 @@ class Unwritten:
     ],
 )
 def test_an_argument_of_the_wrong_type_is_refused_by_its_expected_type(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def cpu(cores=4, tdp_watts=150, peak_flops=1e12, name="x"):
+    return ProcessorSpec.cpu(name, cores, tdp_watts, peak_flops)
+
+
+USAGE = NodeUsage(cores_used=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # counts: an int, and a bool is not one
+        pytest.param(lambda: cpu(cores=True), "processor 'x': cores must be an integer", id="ProcessorSpec-cores"),
+        pytest.param(lambda: ProcessorSpec.gpu("g", True, 300, 1e13),
+                     "processor 'g': streaming_multiprocessors must be an integer",
+                     id="ProcessorSpec-sms"),
+        pytest.param(lambda: cpu(cores=0), "CPU 'x' needs at least one core", id="ProcessorSpec-cores-range"),
+        pytest.param(lambda: Partition("p", CPU_NODE, True), "partition 'p': node_count must be an integer",
+                     id="Partition-node_count"),
+        pytest.param(lambda: Partition("p", CPU_NODE, 0), "partition 'p': node_count must be at least 1",
+                     id="Partition-node_count-range"),
+        pytest.param(lambda: JobRequest.uniform(Partition("p", CPU_NODE), True, USAGE, 1), "nodes must be an integer",
+                     id="uniform-nodes"),
+        pytest.param(lambda: JobRequest.uniform(Partition("p", CPU_NODE), 0, USAGE, 1),
+                     "a job must span at least one node", id="uniform-nodes-range"),
+        pytest.param(lambda: titan_node_charge(True, 0), "cpu_cores must be an integer", id="titan-cpu_cores"),
+        pytest.param(lambda: titan_node_charge(0, -1), "gpu_sms must be at least 0", id="titan-gpu_sms-range"),
+        pytest.param(lambda: puhti_tdp_equivalence(300, 125, True), "sockets must be an integer", id="tdp-sockets"),
+        pytest.param(lambda: puhti_tdp_equivalence(300, 125, 0), "sockets must be at least 1", id="tdp-sockets-range"),
+        pytest.param(lambda: puhti_tdp_core_ratio(300, 125, True), "cores_per_socket must be an integer",
+                     id="core_ratio-cores_per_socket"),
+        pytest.param(lambda: puhti_tdp_core_ratio(300, 125, 0), "cores_per_socket must be at least 1",
+                     id="core_ratio-cores_per_socket-range"),
+        pytest.param(lambda: ApplicationBenchmark("A", True), "benchmark 'A': perf_ratio must be an integer",
+                     id="ApplicationBenchmark"),
+        pytest.param(lambda: ApplicationBenchmark("A", 0), "benchmark 'A': perf_ratio must be at least 1",
+                     id="ApplicationBenchmark-range"),
+        pytest.param(lambda: sweep_bounds(1, 2, True), "sweep steps must be an integer", id="sweep-steps"),
+        pytest.param(lambda: sweep_bounds(1, 2, 1), "need at least 2 sweep steps", id="sweep-steps-range"),
+        # names: a string
+        pytest.param(lambda: cpu(name=True), "processor name must be a string, got bool", id="ProcessorSpec-name"),
+        pytest.param(lambda: NodeType(True, [cpu()], 10),
+                     "node type name must be a string, got bool", id="NodeType-name"),
+        pytest.param(lambda: NodeType("n", [cpu()], 10, extra_resources={True: 1}),
+                     "node type 'n': resource name must be a string, got bool",
+                     id="NodeType-resource"),
+        pytest.param(lambda: NodeUsage(cores_used=1, extra_used=[(True, 1)]),
+                     "usage: resource name must be a string, got bool",
+                     id="NodeUsage-resource"),
+        pytest.param(lambda: Partition(True, CPU_NODE),
+                     "partition name must be a string, got bool", id="Partition-name"),
+        pytest.param(lambda: PuhtiModel(nvme_resource=True),
+                     "nvme_resource must be a string, got bool", id="PuhtiModel-nvme"),
+        pytest.param(lambda: parse_real(True), "number text must be a string, got bool", id="parse_real"),
+        pytest.param(lambda: printed_ratio_matches(1, True), "printed ratio must be a string, got bool",
+                     id="printed_ratio_matches"),
+        # built values: their type
+        pytest.param(lambda: PuhtiModel(rates=True), "rates must be a PuhtiRates, got bool", id="PuhtiModel-rates"),
+        pytest.param(lambda: JobRequest.uniform(True, 1, USAGE, 1), "a job's partition must be a Partition, got bool",
+                     id="uniform-partition"),
+        # amounts: read exactly, then the sign
+        pytest.param(lambda: cpu(tdp_watts=True), "not a number: True", id="ProcessorSpec-tdp"),
+        pytest.param(lambda: cpu(tdp_watts=0),
+                     "processor 'x': tdp_watts must be positive", id="ProcessorSpec-tdp-range"),
+        pytest.param(lambda: cpu(peak_flops=0),
+                     "processor 'x': peak_flops must be positive", id="ProcessorSpec-peak-range"),
+        pytest.param(lambda: NodeType("n", [cpu()], True), "not a number: True", id="NodeType-memory"),
+        pytest.param(lambda: NodeType("n", [cpu()], 0), "node type 'n': memory_total_gib must be positive",
+                     id="NodeType-memory-range"),
+        pytest.param(lambda: NodeType("n", [cpu()], 10, extra_resources={"s": True}),
+                     "not a number: True", id="NodeType-capacity"),
+        pytest.param(lambda: NodeType("n", [cpu()], 10, extra_resources={"s": 0}),
+                     "node type 'n': capacity of 's' must be positive",
+                     id="NodeType-capacity-range"),
+        pytest.param(lambda: PuhtiRates(gpu=True), "not a number: True", id="PuhtiRates"),
+        pytest.param(lambda: PuhtiRates(gpu=-1), "rate 'gpu' must be nonnegative", id="PuhtiRates-range"),
+        pytest.param(lambda: Partition("free", CPU_NODE, model=PuhtiModel(PuhtiRates(0, 0, 0, 0))),
+                     "partition 'free': weight must be positive", id="Partition-weight-range"),
+        pytest.param(lambda: puhti_bu(1, True, 0, 0, 1), "not a number: True", id="puhti_bu"),
+        pytest.param(lambda: puhti_bu(1, 0, 0, 0, -1), "billing quantities must be nonnegative", id="puhti_bu-range"),
+        pytest.param(lambda: puhti_tdp_equivalence(True, 125), "not a number: True", id="tdp-gpu"),
+        pytest.param(lambda: puhti_tdp_equivalence(0, 125), "gpu_tdp_watts must be positive", id="tdp-gpu-range"),
+        pytest.param(lambda: puhti_tdp_equivalence(300, -125), "cpu_tdp_watts_per_socket must be positive",
+                     id="tdp-cpu-range"),
+        pytest.param(lambda: puhti_tdp_equivalence(300, 125, 2, True), "not a number: True", id="tdp-node_share"),
+        pytest.param(lambda: puhti_tdp_equivalence(300, 125, 2, -1), "node_share must be nonnegative",
+                     id="tdp-node_share-range"),
+        pytest.param(lambda: speedup_from_time(True), "not a number: True", id="speedup_from_time"),
+        pytest.param(lambda: speedup_from_time(0), "GPU runtime must be positive", id="speedup_from_time-range"),
+        pytest.param(lambda: decide_and_energy(True, ENERGY, CPU_NODE, GPU_NODE), "not a number: True",
+                     id="decide-speedup"),
+        pytest.param(lambda: decide_and_energy(0, ENERGY, CPU_NODE, GPU_NODE), "speedup must be positive",
+                     id="decide-speedup-range"),
+        pytest.param(lambda: decide_and_energy(2, ENERGY, CPU_NODE, GPU_NODE, -1), "baseline_hours must be positive",
+                     id="decide-baseline-range"),
+        pytest.param(lambda: sweep_bounds(True, 2, 2), "not a number: True", id="sweep-s_min"),
+        pytest.param(lambda: printed_ratio_matches(True, "1"),
+                     "not a number: True", id="printed_ratio_matches-computed"),
+    ],
+)
+def test_a_count_name_or_amount_is_refused_by_its_one_rule(call, message):
     with pytest.raises(ValidationError) as raised:
         call()
     assert str(raised.value) == message

@@ -90,11 +90,14 @@ class TestTitan:
         with pytest.raises(ValidationError):
             titan_node_charge(-1, 0)
 
-    @pytest.mark.parametrize("counts", [(1.5, 0), (1, 2.5), (True, 2), (-1.5, 0)])
-    def test_counts_must_be_integers(self, counts):
+    @pytest.mark.parametrize(
+        "counts, field",
+        [((1.5, 0), "cpu_cores"), ((1, 2.5), "gpu_sms"), ((True, 2), "cpu_cores"), ((-1.5, 0), "cpu_cores")],
+    )
+    def test_counts_must_be_integers(self, counts, field):
         with pytest.raises(ValidationError) as raised:
             titan_node_charge(*counts)
-        assert str(raised.value) == "counts must be integers"
+        assert str(raised.value) == f"{field} must be an integer"
 
     def test_additivity(self):
         for a, b, s in ((3, 5, 7), (16, 0, 14), (0, 12, 100)):
@@ -149,11 +152,14 @@ class TestPuhtiTdpEquivalence:
     def test_gpu_only_share(self):
         assert puhti_tdp_equivalence(300, 125, node_share=0) == 300
 
-    @pytest.mark.parametrize("gpu_tdp, cpu_tdp", [(0, 125), (300, 0), (-300, 125)])
-    def test_a_tdp_of_zero_or_less_is_refused(self, gpu_tdp, cpu_tdp):
+    @pytest.mark.parametrize(
+        "gpu_tdp, cpu_tdp, field",
+        [(0, 125, "gpu_tdp_watts"), (300, 0, "cpu_tdp_watts_per_socket"), (-300, 125, "gpu_tdp_watts")],
+    )
+    def test_a_tdp_of_zero_or_less_is_refused(self, gpu_tdp, cpu_tdp, field):
         with pytest.raises(ValidationError) as raised:
             puhti_tdp_equivalence(gpu_tdp, cpu_tdp)
-        assert str(raised.value) == "TDP values must be positive"
+        assert str(raised.value) == f"{field} must be positive"
 
     def test_core_ratio_needs_a_core_per_socket(self):
         with pytest.raises(ValidationError) as raised:
@@ -166,9 +172,11 @@ class TestPuhtiTdpEquivalence:
             puhti_tdp_core_ratio(300, 125, cores)
         assert str(raised.value) == "cores_per_socket must be an integer"
 
-    @pytest.mark.parametrize("sockets", [2.5, 0, -2, True])
-    def test_sockets_must_be_a_whole_count_of_at_least_one(self, sockets):
-        message = "^sockets must be an integer of at least 1$"
+    @pytest.mark.parametrize(
+        "sockets, problem", [(2.5, "an integer"), (0, "at least 1"), (-2, "at least 1"), (True, "an integer")]
+    )
+    def test_sockets_must_be_a_whole_count_of_at_least_one(self, sockets, problem):
+        message = f"^sockets must be {problem}$"
         with pytest.raises(ValidationError, match=message):
             puhti_tdp_equivalence(300, 125, sockets=sockets)
         with pytest.raises(ValidationError, match=message):
@@ -237,7 +245,7 @@ class TestPuhtiModel:
     @pytest.mark.parametrize(
         "arguments, problem",
         [
-            ({"rates": None}, "rates must be PuhtiRates, got NoneType"),
+            ({"rates": None}, "rates must be a PuhtiRates, got NoneType"),
             ({"nvme_resource": 3}, "nvme_resource must be a string, got int"),
             ({"nvme_resource": ""}, "nvme_resource must be non-empty"),
         ],

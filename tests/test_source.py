@@ -1,0 +1,71 @@
+"""Checks on the package's source text: each input rule has one home, and no line is packed."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sumeter"
+
+# The functions that may test a count or a text by hand, each with the reason. Everywhere else a
+# text or a built value goes through `core._require` and a count through `core._count`.
+HAND_CHECKS = {
+    ("core", "_count"): "the count rule itself",
+    ("core", "NodeUsage.__post_init__"): "runs once per ingest row and checks both counts in one comparison",
+    ("config", "_text"): "collects the error under its config path, where a helper would raise it",
+}
+
+
+def _calls(node: ast.AST, function: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == function
+
+
+def _names(node: ast.AST, *names: str) -> bool:
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _is_hand_check(node: ast.AST) -> bool:
+    """Whether `node` is `type(<x>) is not int|str` or `not isinstance(<x>, str)`."""
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], ast.IsNot):
+        return _calls(node.left, "type") and _names(node.comparators[0], "int", "str")
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) and _calls(node.operand, "isinstance"):
+        return len(node.operand.args) == 2 and _names(node.operand.args[1], "str")
+    return False
+
+
+def _hand_checks(tree: ast.AST, scope: str = "") -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function or class, line) of each hand check under `tree`."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif _is_hand_check(node):
+            found.append((scope, node.lineno))
+        found += _hand_checks(node, inner)
+    return found
+
+
+def test_a_count_or_a_text_is_checked_by_hand_only_where_listed():
+    found: dict[tuple[str, str], list[int]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, line in _hand_checks(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault((path.stem, scope), []).append(line)
+    stray = [
+        f"{module}.py:{line} in {scope or 'the module'}"
+        for (module, scope), lines in sorted(found.items())
+        if (module, scope) not in HAND_CHECKS
+        for line in lines
+    ]
+    assert not stray, "checked by hand, not through core._require or core._count: " + ", ".join(stray)
+    unused = sorted(set(HAND_CHECKS) - set(found))
+    assert not unused, f"listed in HAND_CHECKS but no longer checking by hand: {unused}"
+
+
+def test_no_source_line_is_longer_than_120_characters():
+    """So a shorter file is not a packed one."""
+    long = [
+        f"src/sumeter/{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 120
+    ]
+    assert not long, "lines over 120 characters: " + ", ".join(long)
