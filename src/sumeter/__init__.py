@@ -25,6 +25,7 @@ _EXPORTS = {
         "decide_and_energy",
         "decision_threshold",
         "efficiency_band",
+        "energy_threshold",
         "speedup_from_time",
         "write_sweep_csv",
     ),

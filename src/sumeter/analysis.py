@@ -97,6 +97,18 @@ def decision_threshold(model: ChargeModel, cpu_node: NodeType, gpu_node: NodeTyp
     return model.node_weight(gpu_node) / cpu_weight
 
 
+def energy_threshold(cpu_node: NodeType, gpu_node: NodeType) -> Fraction:
+    """Speedup above which the GPU run takes less energy than the CPU run, as `decide_and_energy`
+    counts it: T_G / T_C, the GPU node's GPU TDP over the CPU node's CPU TDP.
+
+    It equals the energy model's `decision_threshold` exactly when both nodes draw the same CPU
+    TDP per core; otherwise the energy model picks the higher-energy node between the two.
+    """
+    _require(cpu_node, NodeType, "cpu_node")
+    _require(gpu_node, NodeType, "gpu_node")
+    return gpu_node.gpu_tdp_watts / cpu_node.cpu_tdp_watts
+
+
 def sweep_bounds(s_min: RealLike, s_max: RealLike, steps: int) -> tuple[Fraction, Fraction]:
     """The sweep's end points, exact, once 0 < s_min < s_max and `steps` is an int from 2 to MAX_SWEEP_STEPS."""
     low, high = exact(s_min), exact(s_max)
@@ -138,11 +150,12 @@ def efficiency_band(
 ) -> tuple[Fraction, Fraction]:
     """Speedup interval where TDP-ratio pricing beats a rival on energy.
 
-    Between the energy model's own threshold and the largest rival
-    threshold, the energy model sends the job to the GPU node (the
-    lower-energy choice there) while at least one rival still prices the
-    CPU node cheaper. The band is empty when the upper end does not
-    exceed the lower.
+    Above the energy model's own threshold and up to the largest rival
+    threshold, the energy model sends the job to the GPU node while at
+    least one rival still prices the CPU node cheaper. The GPU node is the
+    lower-energy choice only above `energy_threshold`, so the band starts
+    at the larger of the two thresholds. The band is empty when the upper
+    end does not exceed the lower.
     """
     _require(models, Sequence, "models")
     for model in models:
@@ -153,7 +166,7 @@ def efficiency_band(
     rivals = [m for m in models if m is not energy_model]
     if not rivals:
         raise ModelError("need at least one rival model")
-    low = decision_threshold(energy_model, cpu_node, gpu_node)
+    low = max(decision_threshold(energy_model, cpu_node, gpu_node), energy_threshold(cpu_node, gpu_node))
     high = max(decision_threshold(m, cpu_node, gpu_node) for m in rivals)
     return (low, high)
 

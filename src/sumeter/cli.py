@@ -214,7 +214,8 @@ def cmd_crossover(args: argparse.Namespace) -> int:
             f"model {model.id}: gpu node-hour weight {format_su(round_half_up(weight))}, "
             f"decision threshold s = {format_threshold(threshold)}"
         )
-    if any(m.id == "energy" for m in models) and len(models) > 1:
+    energy_model = next((model for model in models if model.id == "energy"), None)
+    if energy_model is not None and len(models) > 1:
         low, high = analysis.efficiency_band(models, cpu_node, gpu_node)
         if high > low:
             summary.append(
@@ -223,6 +224,17 @@ def cmd_crossover(args: argparse.Namespace) -> int:
             )
         else:
             summary.append("efficiency band: empty")
+    if energy_model is not None:
+        # At the energy threshold both runs take the same energy; a tie in price goes to the CPU node.
+        priced = analysis.decision_threshold(energy_model, cpu_node, gpu_node)
+        energy = analysis.energy_threshold(cpu_node, gpu_node)
+        if priced != energy:
+            interval = (
+                f"{format_threshold(priced)} < s < {format_threshold(energy)}"
+                if priced < energy
+                else f"{format_threshold(energy)} < s <= {format_threshold(priced)}"
+            )
+            summary.append(f"energy model picks the higher-energy node: {interval}")
 
     if not args.out:  # the summary goes to stderr, ahead of the CSV on stdout
         print(*summary, sep="\n", file=sys.stderr)

@@ -12,7 +12,9 @@ costs exactly one service unit. GPU partitions weigh the ratio of the
 node's cumulative GPU TDP to its cumulative CPU TDP, scaled by the core
 count: the price of a GPU node-hour tracks its power envelope rather than
 its peak throughput, which steers cost-minimising users toward the more
-energy-efficient hardware for their job.
+energy-efficient hardware for their job. The steer is exact when both
+nodes draw the same CPU TDP per core; `sumeter.analysis.energy_threshold`
+gives where it is not.
 
 That is the default `energy` model. Each partition carries a
 `ChargeModel`, which supplies the weight and may replace the per-node
@@ -338,9 +340,10 @@ class NodeUsage(Value):
 
     __slots__ = _fields = ("cores_used", "gpus_used", "memory_used_gib", "extra_used")
 
-    # Built once per row or node, so each field is set by name, which is faster
-    # than the base constructor. Validation stays in `__post_init__`, as in `JobRequest`:
-    # `bench/spans.py` wraps that method to count and time it.
+    # Built once per row or node, so each field is set through its slot's setter, which is
+    # faster than the base constructor and than `set_field`, which finds the slot by name.
+    # Validation stays in `__post_init__`, as in `JobRequest`: `bench/spans.py` wraps that
+    # method to count and time it.
     def __init__(
         self,
         cores_used: int = 0,
@@ -348,11 +351,11 @@ class NodeUsage(Value):
         memory_used_gib: RealLike = Fraction(0),
         extra_used: Mapping[str, RealLike] | Sequence[tuple[str, RealLike]] = (),
     ) -> None:
-        set_field(self, "cores_used", cores_used)
-        set_field(self, "gpus_used", gpus_used)
-        memory = memory_used_gib if isinstance(memory_used_gib, Fraction) else exact(memory_used_gib)
-        set_field(self, "memory_used_gib", memory)
-        set_field(self, "extra_used", () if extra_used == () else _normalize_pairs(extra_used, "usage"))
+        set_cores, set_gpus, set_memory, set_extra = self._setters
+        set_cores(self, cores_used)
+        set_gpus(self, gpus_used)
+        set_memory(self, memory_used_gib if isinstance(memory_used_gib, Fraction) else exact(memory_used_gib))
+        set_extra(self, () if extra_used == () else _normalize_pairs(extra_used, "usage"))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
@@ -146,22 +147,6 @@ def _row_real(raw: str, column: str) -> Fraction:
     return value
 
 
-def _row_usage(
-    cores: str, gpus: str, memory: str, columns: tuple[str, str, str], memory_cells: dict[str, Fraction]
-) -> NodeUsage:
-    """The usage a row's cores, GPUs and memory cells give; `columns` names the three cells.
-
-    `memory_cells` maps each memory cell text read so far to its value: a cell
-    met again is not parsed again, and one that does not parse is not kept.
-    """
-    cores_column, gpus_column, memory_column = columns
-    cores_used, gpus_used = _row_int(cores, cores_column, 0), _row_int(gpus, gpus_column, 0)
-    memory_gib = memory_cells.get(memory)
-    if memory_gib is None:
-        memory_gib = memory_cells[memory] = _row_real(memory, memory_column)
-    return NodeUsage(cores_used, gpus_used, memory_gib)
-
-
 def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Each non-blank row after the header of `path` as (line, its cells in `columns` order).
 
@@ -201,40 +186,111 @@ def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[t
             raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
 
 
-def _load_details(path: str | Path) -> dict[str, list[tuple[int, int | str, NodeUsage | None]]]:
-    """Each job id's detail rows in file order ("" for a blank id): `(line, node_index,
-    usage)`, or `(line, message, None)` for a row whose cells do not parse. Each distinct
-    memory cell is parsed once, and equal cells share one value."""
-    details: dict[str, list[tuple[int, int | str, NodeUsage | None]]] = {}
-    memory_cells: dict[str, Fraction] = {}
-    for line, (job_id, index, cores, gpus, memory) in _csv_rows(path, DETAIL_CSV_COLUMNS, "details file"):
-        try:
-            index = _row_int(index, "node_index", 0)
-            usage = _row_usage(cores, gpus, memory, ("cores", "gpus", "mem_gib"), memory_cells)
-        except ValidationError as err:
-            index, usage = str(err), None
-        details.setdefault(job_id.strip(), []).append((line, index, usage))
-    return details
+class _Details:
+    """A detail file held as parallel columns, one entry per row in file order: its line less
+    its row number (a shared small int while rows are one line each), its node_index (or the
+    message of a row whose cells do not parse), cores, GPUs and memory, and the row before it
+    with the same job id (-1 for none). `last` maps each job id ("" for a blank one) to its
+    last row until the job is charged. A row's `NodeUsage` is built only when its job is
+    priced, so a row costs five list slots and an 8-byte link rather than objects of its own.
+
+    Each distinct count or memory cell text is parsed once, and equal cells share one
+    value; a cell that does not parse is refused again on every row that holds it.
+    """
+
+    __slots__ = ("offsets", "indices", "cores", "gpus", "memory", "previous", "last")
+
+    def __init__(self, path: str | Path) -> None:
+        offsets: list[int] = []
+        # 8-byte ints read through a memoryview: as compact as an `array`, whose extension
+        # module a run without a detail file would then load too
+        links = bytearray()
+        indices: list[int | str] = []
+        cores: list[int | None] = []
+        gpus: list[int | None] = []
+        memory: list[Fraction | None] = []
+        last: dict[str, int] = {}
+        counts: dict[str, int] = {}  # every count column has minimum 0, so a cell reads alike in each
+        memory_cells: dict[str, Fraction] = {}
+        rows = _csv_rows(path, DETAIL_CSV_COLUMNS, "details file")
+        for row, (line, (job_id, index_cell, cores_cell, gpus_cell, memory_cell)) in enumerate(rows):
+            index, core_count, gpu_count = counts.get(index_cell), counts.get(cores_cell), counts.get(gpus_cell)
+            memory_gib = memory_cells.get(memory_cell)
+            if index is None or core_count is None or gpu_count is None or memory_gib is None:
+                try:  # in column order, so the first cell that does not parse names the row's fault
+                    if index is None:
+                        index = counts[index_cell] = _row_int(index_cell, "node_index", 0)
+                    if core_count is None:
+                        core_count = counts[cores_cell] = _row_int(cores_cell, "cores", 0)
+                    if gpu_count is None:
+                        gpu_count = counts[gpus_cell] = _row_int(gpus_cell, "gpus", 0)
+                    if memory_gib is None:
+                        memory_gib = memory_cells[memory_cell] = _row_real(memory_cell, "mem_gib")
+                except ValidationError as err:
+                    index, core_count, gpu_count, memory_gib = str(err), None, None, None
+            offsets.append(line - row)
+            indices.append(index)
+            cores.append(core_count)
+            gpus.append(gpu_count)
+            memory.append(memory_gib)
+            job_id = job_id.strip()
+            links += last.get(job_id, -1).to_bytes(8, sys.byteorder, signed=True)
+            last[job_id] = row
+        self.offsets, self.indices, self.cores, self.gpus, self.memory = offsets, indices, cores, gpus, memory
+        self.previous, self.last = memoryview(links).cast("q"), last
+
+    def _rows(self, row: int) -> list[int]:
+        """The rows of the job whose last row is `row`, last first."""
+        rows, previous = [row], self.previous
+        while (row := previous[row]) >= 0:
+            rows.append(row)
+        return rows
+
+    def per_node(self, job_id: str) -> dict[int, NodeUsage]:
+        """Each node's usage of the job by node_index, built in file order: the first of its
+        rows that does not parse, that `NodeUsage` refuses or that repeats a node_index
+        fails the job."""
+        row = self.last.get(job_id)
+        if row is None:
+            return {}
+        rows = (row,) if self.previous[row] < 0 else reversed(self._rows(row))
+        per_node: dict[int, NodeUsage] = {}
+        offsets, indices, cores, gpus, memory = self.offsets, self.indices, self.cores, self.gpus, self.memory
+        for row in rows:
+            index = indices[row]
+            if type(index) is str:
+                raise ValidationError(f"detail line {row + offsets[row]}: {index}")
+            try:
+                usage = NodeUsage(cores[row], gpus[row], memory[row])
+            except ValidationError as err:
+                raise ValidationError(f"detail line {row + offsets[row]}: {err}") from None
+            if index in per_node:
+                raise ValidationError(f"detail line {row + offsets[row]}: duplicate node_index {index}")
+            per_node[index] = usage
+        return per_node
+
+    def orphans(self, rejected_ids: set[str]) -> Iterator[DetailRowError]:
+        """The rows left, in file order, that belong to a blank job_id or to no jobs row."""
+        left = [
+            (row + self.offsets[row], job_id)
+            for job_id, last in self.last.items()
+            if not job_id or job_id not in rejected_ids
+            for row in self._rows(last)
+        ]
+        for line, job_id in sorted(left):
+            message = f"job_id {job_id!r} matches no jobs row" if job_id else "job_id: must be non-empty"
+            yield DetailRowError(line, message)
 
 
 def _parse_job_row(
-    job_id: str,
-    cells: tuple[str, ...],
-    config: SystemConfig,
-    detail_rows: Sequence[tuple[int, int | str, NodeUsage | None]],
+    job_id: str, cells: tuple[str, ...], config: SystemConfig, details: _Details | None
 ) -> tuple[str, str, JobRequest, tuple[int, int]]:
     """Build and price one jobs row, whose first cell, stripped, is `job_id`: its project,
     partition name, job and the (numerator, denominator) charge `model.total` gives."""
     _, project, partition, nodes, cores, gpus, memory, elapsed = cells
     if not job_id:
         raise ValidationError("job_id: must be non-empty")
-    per_node: dict[int, NodeUsage] = {}
-    for line, index, usage in detail_rows:  # the first bad or repeated row fails the job
-        if usage is None:
-            raise ValidationError(f"detail line {line}: {index}")
-        if index in per_node:
-            raise ValidationError(f"detail line {line}: duplicate node_index {index}")
-        per_node[index] = usage
+    per_node = {} if details is None else details.per_node(job_id)
     project = project.strip()
     if not project:
         raise ValidationError("project: must be non-empty")
@@ -249,8 +305,8 @@ def _parse_job_row(
             )
         job = JobRequest(partition, tuple([per_node[i] for i in range(nodes)]), elapsed)
     else:
-        # a jobs row is read once and let go, so its memory cell is not kept
-        usage = _row_usage(cores, gpus, memory, ("cores_per_node", "gpus_per_node", "mem_gib_per_node"), {})
+        cores, gpus = _row_int(cores, "cores_per_node", 0), _row_int(gpus, "gpus_per_node", 0)
+        usage = NodeUsage(cores, gpus, _row_real(memory, "mem_gib_per_node"))
         job = JobRequest.uniform(partition, nodes, usage, elapsed)
     # Pricing checks every capacity: a row that does not fit raises here.
     return project, partition.name, job, partition.model.total(job)
@@ -282,7 +338,7 @@ def _priced_rows(
 ) -> Iterator[_PricedRow | RowError]:
     """What `iter_jobs` yields, in its order, with each record as the priced row it is made from."""
     _require(config, SystemConfig, "config")
-    details = {} if details_path is None else _load_details(details_path)
+    details = None if details_path is None else _Details(details_path)
     charged_ids: set[str] = set()
     rejected_ids: set[str] = set()
     for line, cells in _csv_rows(path, JOBS_CSV_COLUMNS, "jobs file"):
@@ -291,19 +347,17 @@ def _priced_rows(
             yield RowError(line, f"duplicate job_id {job_id!r}")
             continue
         try:
-            priced = _parse_job_row(job_id, cells, config, details.get(job_id, ()))
+            priced = _parse_job_row(job_id, cells, config, details)
         except (ValidationError, CapacityError) as err:
             rejected_ids.add(job_id)
             yield RowError(line, str(err))
         else:
-            details.pop(job_id, None)  # a charged job's detail rows are done with
+            if details is not None:
+                details.last.pop(job_id, None)  # a charged job's detail rows are done with
             charged_ids.add(job_id)
             yield (job_id, *priced)
-    # what is left belongs to a blank job_id, to rejected rows, or to no row
-    left = ((job_id, rows) for job_id, rows in details.items() if not job_id or job_id not in rejected_ids)
-    for line, job_id in sorted((row[0], job_id) for job_id, rows in left for row in rows):
-        message = f"job_id {job_id!r} matches no jobs row" if job_id else "job_id: must be non-empty"
-        yield DetailRowError(line, message)
+    if details is not None:
+        yield from details.orphans(rejected_ids)
 
 
 def ingest_jobs(

@@ -4,12 +4,15 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sumeter import (
     MODEL_IDS,
     ApplicationBenchmark,
     ModelError,
     NodeChoice,
+    NodeType,
+    ProcessorSpec,
     PuhtiModel,
     PuhtiRates,
     ValidationError,
@@ -17,6 +20,7 @@ from sumeter import (
     decide_and_energy,
     decision_threshold,
     efficiency_band,
+    energy_threshold,
     get_model,
     speedup_from_time,
     write_sweep_csv,
@@ -231,3 +235,44 @@ class TestApplicationBenchmark:
     def test_perf_ratio_must_be_an_int(self, perf_ratio):
         with pytest.raises(ValidationError, match="perf_ratio must be an integer"):
             ApplicationBenchmark("x", perf_ratio)
+
+
+def cpu_gpu_pair(cpu_cores, cpu_watts, sockets, host_cores, host_watts, gpus, gpu_watts):
+    """A CPU node of `sockets` CPUs and a GPU node of one host CPU and `gpus` GPUs."""
+    cpu = NodeType("cpu", [ProcessorSpec.cpu("c", cpu_cores, cpu_watts, 10**12)] * sockets, 256)
+    host = [ProcessorSpec.cpu("h", host_cores, host_watts, 10**12)]
+    return cpu, NodeType("gpu", host, 256, [ProcessorSpec.gpu("g", 220, gpu_watts, 10**13)] * gpus)
+
+
+class TestEnergyThreshold:
+    """T_G / T_C: where the GPU run starts to take less energy than the CPU run."""
+
+    def test_on_the_reference_system_it_is_the_energy_models_threshold(self, cpu_node, gpu_node):
+        assert energy_threshold(cpu_node, gpu_node) == decision_threshold(ENERGY, cpu_node, gpu_node) == Fraction(16, 3)
+
+    def test_with_unequal_cpu_tdp_per_core_the_band_starts_where_the_gpu_takes_less_energy(self):
+        # 128 cores at 450 W against 64 host cores at 280 W: the energy model prices the GPU node
+        # cheaper from 25/7, but it takes less energy only from 2000/450 = 40/9
+        cpu, gpu = cpu_gpu_pair(64, 225, 2, 64, 280, 4, 500)
+        assert decision_threshold(ENERGY, cpu, gpu) == Fraction(25, 7)
+        assert energy_threshold(cpu, gpu) == Fraction(40, 9)
+        assert efficiency_band([ENERGY, SM], cpu, gpu) == (Fraction(40, 9), Fraction(55, 8))
+        point = decide_and_energy(4, ENERGY, cpu, gpu)
+        assert (point.chosen, point.ec_total_wh) == (NodeChoice.GPU, 500)  # the CPU run takes 450 Wh
+
+    @given(
+        st.integers(1, 128), st.integers(50, 500), st.integers(1, 4), st.integers(1, 128), st.integers(50, 500),
+        st.integers(1, 8), st.integers(100, 800), st.fractions(Fraction(1, 4), 40),
+    )
+    def test_the_energy_model_picks_the_higher_energy_node_only_between_the_two_thresholds(
+        self, cpu_cores, cpu_watts, sockets, host_cores, host_watts, gpus, gpu_watts, speedup
+    ):
+        cpu, gpu = cpu_gpu_pair(cpu_cores, cpu_watts, sockets, host_cores, host_watts, gpus, gpu_watts)
+        priced, energy = decision_threshold(ENERGY, cpu, gpu), energy_threshold(cpu, gpu)
+        for s in (speedup, priced, energy):  # the two ends as well
+            point = decide_and_energy(s, ENERGY, cpu, gpu)
+            other = gpu.gpu_tdp_watts / s if point.chosen is NodeChoice.CPU else cpu.cpu_tdp_watts
+            # the interval `crossover` prints; a tie in price goes to the CPU node, and equal energies are no wrong pick
+            assert (point.ec_total_wh > other) == (priced < s < energy or energy < s <= priced)
+        # the two thresholds agree exactly when both nodes draw the same CPU TDP per core
+        assert (priced == energy) == (cpu_watts * host_cores == host_watts * cpu_cores)

@@ -262,6 +262,33 @@ class TestCrossover:
             assert err == "error: model 'puhti' prices CPU node type 'dual-xeon-6240' at zero; no decision threshold\n"
         assert out_path.read_bytes() == b"old\n"
 
+    @pytest.mark.parametrize(
+        "host_watts, band, higher",
+        [
+            (280, "4.44 < s <= 6.88", "3.57 < s < 4.44"),
+            (150, "6.67 < s <= 6.88", "4.44 < s <= 6.67"),
+        ],
+        ids=["priced-below-energy", "energy-below-priced"],
+    )
+    def test_the_energy_models_higher_energy_picks_are_stated(self, capsys, tmp_path, host_watts, band, higher):
+        # a CPU node of 2 x 64 cores at 225 W, and a GPU node of 64 host cores and 4 GPUs at 500 W:
+        # the GPU run takes less energy above 2000 / 450 = 4.44, wherever the energy model switches
+        def partition(name, cpus, gpus):
+            node = {"name": name, "memory_total_gib": 256, "cpus": cpus, "gpus": gpus}
+            return {"name": name, "model": "energy", "node_count": 10, "node": node}
+
+        cpu = {"name": "c", "cores": 64, "tdp_watts": 225, "peak_flops": 1e12, "count": 2}
+        host = {"name": "h", "cores": 64, "tdp_watts": host_watts, "peak_flops": 1e12}
+        gpu = {"name": "g", "streaming_multiprocessors": 220, "tdp_watts": 500, "peak_flops": 1e13, "count": 4}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"partitions": [partition("cpu", [cpu], []), partition("gpu", [host], [gpu])]}))
+        code, _, err = run(capsys, "--config", str(path), "crossover", "--models", "energy,sm", "--steps", "2")
+        assert code == 0
+        assert err.splitlines()[-2:] == [
+            f"efficiency band (energy model alone picks the lower-energy node): {band}",
+            f"energy model picks the higher-energy node: {higher}",
+        ]
+
     def test_csv_to_stdout_keeps_summary_on_stderr(self, capsys, config_path):
         code, out, err = run(capsys, "--config", str(config_path), "crossover", "--steps", "5")
         assert code == 0

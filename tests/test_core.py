@@ -30,6 +30,7 @@ from sumeter import (
     decision_threshold,
     efficiency_band,
     energy_estimate_wh,
+    energy_threshold,
     exact,
     get_model,
     gpu_partition_weight,
@@ -592,6 +593,7 @@ class Unwritten:
         (lambda: efficiency_band(None, CPU_NODE, GPU_NODE), "models must be a Sequence, got NoneType"),
         (lambda: efficiency_band([get_model("energy"), None], CPU_NODE, GPU_NODE),
          "each of models must be a ChargeModel, got NoneType"),
+        (lambda: energy_threshold(CPU_NODE, None), "gpu_node must be a NodeType, got NoneType"),
         (lambda: decide_and_energy(2, None, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
         (lambda: decide_and_energy(2, ENERGY, CPU_NODE, None), "gpu_node must be a NodeType, got NoneType"),
         (lambda: crossover_sweep(None, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
@@ -629,6 +631,7 @@ class Unwritten:
         "puhti_bu",
         "efficiency_band-models",
         "efficiency_band-entry",
+        "energy_threshold",
         "decide_and_energy-model",
         "decide_and_energy-node",
         "crossover_sweep-model",

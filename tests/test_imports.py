@@ -26,6 +26,7 @@ EXPORTS = {
         "decide_and_energy",
         "decision_threshold",
         "efficiency_band",
+        "energy_threshold",
         "speedup_from_time",
         "write_sweep_csv",
     ],
@@ -124,7 +125,7 @@ def test_load_config_loads_only_the_config_modules(config_path):
 
 def test_the_exported_names_are_the_published_ones():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 66
+    assert len(names) == 67
     assert probe("import json, sumeter; print(json.dumps(sorted(sumeter.__all__)))") == names
     listed = probe("import json, sumeter; print(json.dumps(dir(sumeter)))")
     assert set(names) <= set(listed) and listed == sorted(listed)

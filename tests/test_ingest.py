@@ -1,9 +1,14 @@
 """Config loading, jobs CSV ingestion and per-project aggregation."""
 
+import contextlib
 import copy
 import csv
+import io
+import itertools
 import json
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,10 +30,16 @@ from sumeter import (
     load_config,
     parse_config,
 )
-from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS
+from sumeter.cli import main
+from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS, _priced_rows
 from conftest import TEST_CONFIG, write_jobs_csv
 
 HUGE = 10**5000  # beyond the 4,300 digits that int-to-text conversion allows
+
+
+def write_details_csv(path, rows):
+    path.write_text("\n".join([",".join(DETAIL_CSV_COLUMNS), *rows]) + "\n", encoding="utf-8")
+    return path
 
 
 def with_value(entry, path, value=None, delete=False):
@@ -540,6 +551,71 @@ class TestIngestJobs:
         assert first.node_usages[1].memory_used_gib is seventh.node_usages[0].memory_used_gib
 
 
+NOTHING_REQUESTED = "a node usage must request at least one resource"
+
+
+class TestDeferredDetailChecks:
+    """A job's detail rows are checked when the job is priced, in detail-file order."""
+
+    @staticmethod
+    def ingest(config_path, tmp_path, jobs, details):
+        details_path = write_details_csv(tmp_path / "details.csv", details)
+        jobs_path = write_jobs_csv(tmp_path / "jobs.csv", jobs)
+        return ingest_jobs(jobs_path, load_config(config_path), details_path=details_path)
+
+    @pytest.mark.parametrize(
+        "details, message",
+        [
+            (["j1,0,0,0,0", "j1,0,1,0,1", "j1,0,1,0,1"], f"detail line 2: {NOTHING_REQUESTED}"),
+            (["j1,0,1,0,1", "j1,0,1,0,1", "j1,1,0,0,0"], "detail line 3: duplicate node_index 0"),
+            (["j1,0,1,0,1", "j1,0,0,0,0"], f"detail line 3: {NOTHING_REQUESTED}"),
+        ],
+        ids=["zero-then-repeat", "repeat-then-zero", "a-repeat-that-is-zero"],
+    )
+    def test_an_all_zero_row_and_a_repeated_index_fail_in_file_order(self, config_path, tmp_path, details, message):
+        result = self.ingest(config_path, tmp_path, ["j1,p,work,2,1,0,1,1"], details)
+        assert [(error.line, error.message) for error in result.errors] == [(2, message)]
+
+    def test_the_first_bad_row_in_file_order_wins_however_the_rows_are_shuffled(self, config_path, tmp_path):
+        rows = {"good": "j1,0,1,0,1", "cell": "j1,1,x,0,1", "zero": "j1,2,0,0,0", "repeat": "j1,0,2,0,1"}
+        reasons = {"cell": "cores: not an integer: 'x'", "zero": NOTHING_REQUESTED}
+        for order in itertools.permutations(rows):
+            # rows start on line 2; the later of the two rows with node_index 0 repeats it
+            faults = {order.index(kind) + 2: reason for kind, reason in reasons.items()}
+            faults[max(order.index("good"), order.index("repeat")) + 2] = "duplicate node_index 0"
+            line = min(faults)
+            result = self.ingest(config_path, tmp_path, ["j1,p,work,3,1,0,1,1"], [rows[kind] for kind in order])
+            assert [error.message for error in result.errors] == [f"detail line {line}: {faults[line]}"], order
+
+    def test_a_job_id_rejected_and_then_charged_reuses_its_detail_rows(self, config_path, tmp_path):
+        jobs = ["j1,,work,2,1,0,1,1", "j1,p,work,2,1,0,1,1"]
+        result = self.ingest(config_path, tmp_path, jobs, ["j1,0,36,0,256", "j1,1,9,0,1"])
+        assert [(error.line, error.message) for error in result.errors] == [(2, "project: must be non-empty")]
+        # max fractions 1 and 1/4 at weight 36 for one hour
+        assert [(record.job_id, record.total_su) for record in result.records] == [("j1", 45)]
+        assert result.orphans == ()
+
+    def test_blank_and_unknown_id_orphans_come_out_in_line_order(self, config_path, tmp_path):
+        details = ["zz,0,1,0,1", " ,0,1,0,1", "j1,0,1,0,1", "zz,1,1,0,1", "j2,0,1,0,1", ",0,1,0,1", "yy,0,1,0,1"]
+        result = self.ingest(config_path, tmp_path, ["j1,p,work,1,1,0,1,1", "j2,,work,1,1,0,1,1"], details)
+        unknown, blank = "job_id {!r} matches no jobs row", "job_id: must be non-empty"
+        assert [(orphan.line, orphan.message) for orphan in result.orphans] == [
+            (2, unknown.format("zz")), (3, blank), (5, unknown.format("zz")), (7, blank), (8, unknown.format("yy"))
+        ]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"j1,1,{10**30},0,1", f"{10**30} cores requested but node type 'dual-xeon-6240' has 36"),
+            (f"j1,{10**30},1,0,1", "detail rows for job 'j1' must cover node_index 0..1 exactly"),
+        ],
+        ids=["cores", "node_index"],
+    )
+    def test_a_count_beyond_64_bits_is_read_exactly(self, config_path, tmp_path, row, message):
+        result = self.ingest(config_path, tmp_path, ["j1,p,work,2,1,0,1,1"], ["j1,0,1,0,1", row])
+        assert [(error.line, error.message) for error in result.errors] == [(2, message)]
+
+
 class TestAggregate:
     def test_additivity(self, config_path, tmp_path):
         config = load_config(config_path)
@@ -787,3 +863,87 @@ def test_the_detail_join_follows_the_stated_rules(tmp_path_factory, join):
         [(error.line, *error_rule(error.message)) for error in result.errors],
         [orphan.line for orphan in result.orphans],
     ) == reference_join(jobs, details)
+
+
+@st.composite
+def detail_orders(draw):
+    """Jobs rows, their detail rows and a reordering of the detail rows.
+
+    Each job has at most one fault among its detail rows (a cell that does not parse, an
+    all-zero row, a repeated or a missing node_index), so which fault rejects it does not
+    depend on the order of the rows. Orphans with a blank or unknown id are mixed in.
+    """
+    jobs, details = [], []
+    for number in range(draw(st.integers(1, 5))):
+        job_id, nodes = f"j{number}", draw(st.integers(1, 3))
+        jobs.append(f"{job_id},{draw(st.sampled_from('pq'))},work,{nodes},1,0,1,1")
+        rows = [
+            [job_id, str(index), str(draw(st.integers(1, 36))), "0", draw(st.sampled_from(("0", "1.5", "2")))]
+            for index in range(nodes)
+        ]
+        fault = draw(st.sampled_from(("none", "cell", "zero", "repeat", "missing")))
+        target = draw(st.integers(0, nodes - 1))
+        if fault == "cell":
+            rows[target][2] = "x"
+        elif fault == "zero":
+            rows[target][2:] = ["0", "0", "0"]
+        elif fault == "repeat":
+            rows.append([job_id, str(target), "1", "0", "1"])
+        elif fault == "missing":
+            del rows[target]
+        details += [",".join(row) for row in rows]
+    if draw(st.booleans()):  # a duplicate of a charged row, or a second try of a rejected one
+        jobs.append(draw(st.sampled_from(jobs)))
+    details += draw(st.lists(st.sampled_from(("zz,0,1,0,1", ",0,1,0,1", " ,1,2,0,1")), max_size=3))
+    return jobs, details, draw(st.permutations(details))
+
+
+def normalized_ingest(folder, jobs, details):
+    """Exit code, stdout and the sorted stderr lines of `sumeter ingest`, with detail line numbers and
+    `folder` taken out."""
+    write_jobs_csv(folder / "jobs.csv", jobs)
+    write_details_csv(folder / "details.csv", details)
+    (folder / "system.json").write_text(json.dumps(TEST_CONFIG), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(folder / "system.json"), "ingest", "--jobs", str(folder / "jobs.csv"),
+                     "--details", str(folder / "details.csv")])
+    lines = err.getvalue().replace(str(folder), "").splitlines()
+    return code, out.getvalue(), sorted(re.sub(r"(details\.csv:|detail line )\d+", r"\1N", line) for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(detail_orders())
+def test_the_order_of_the_detail_rows_moves_only_line_numbers_and_message_order(tmp_path_factory, case):
+    jobs, details, shuffled = case
+    assert normalized_ingest(tmp_path_factory.mktemp("order"), jobs, shuffled) == normalized_ingest(
+        tmp_path_factory.mktemp("order"), jobs, details
+    )
+
+
+def test_a_detail_file_is_held_in_under_150_bytes_a_row(tmp_path):
+    """The detail file is indexed before the first jobs row is priced: measure what that index holds."""
+    rng = random.Random(11)
+    jobs, details = [], []
+    while len(details) < 20_000:
+        job_id, nodes = f"job{len(jobs)}", rng.randint(1, 4)
+        jobs.append(f"{job_id},p{rng.randrange(50)},work,{nodes},1,0,1,1")
+        details += [f"{job_id},{index},{rng.randint(1, 36)},0,{rng.randrange(512) / 2}" for index in range(nodes)]
+    rng.shuffle(details)  # a scheduler writes each node's row when that node is done
+    write_jobs_csv(tmp_path / "jobs.csv", jobs)
+    write_details_csv(tmp_path / "details.csv", details)
+    config = parse_config(TEST_CONFIG)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        items = _priced_rows(tmp_path / "jobs.csv", config, tmp_path / "details.csv")
+        next(items)
+        held = tracemalloc.get_traced_memory()[0] - before
+        items.close()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # about 100 bytes a row; a NodeUsage in a tuple in a per-job list for each row took about 230
+    assert held / len(details) < 150
