@@ -10,6 +10,7 @@ code 0 means no errors.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import importlib.util
@@ -280,7 +281,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     gc.collect(1)
     gc.disable()
     try:
-        ledger = ingest.Ledger(ingest._priced_rows(args.jobs, config, args.details))
+        ledger = ingest.Ledger._of_priced_rows(ingest._priced_rows(args.jobs, config, args.details))
     finally:
         if collecting:
             gc.enable()
@@ -359,6 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # At exit, move every live object to the collector's permanent generation, so that the
+    # shutdown collections skip a process about to end (and with them the `__del__` of objects
+    # left in cycles, which CPython does not promise at exit). Unregistering first keeps one
+    # registration however often `main` runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

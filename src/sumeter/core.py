@@ -585,10 +585,10 @@ class JobRequest(Value):
             raise ValidationError(
                 f"per-node usages must be a sequence of NodeUsage values, got {type(per_node_usage).__name__}"
             ) from None
-        set_field(self, "partition", partition)
-        set_field(self, "per_node_usage", per_node_usage)
-        hours = walltime_hours if isinstance(walltime_hours, Fraction) else exact(walltime_hours)
-        set_field(self, "walltime_hours", hours)
+        set_partition, set_usages, set_hours = self._setters  # built once per row: slot setters, as in `NodeUsage`
+        set_partition(self, partition)
+        set_usages(self, per_node_usage)
+        set_hours(self, walltime_hours if isinstance(walltime_hours, Fraction) else exact(walltime_hours))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
-from .core import ChargeReport, JobRequest, NodeUsage, Value, _require, add_ratios, job_cost, parse_real
+from .core import ChargeReport, JobRequest, NodeUsage, Value, _require, add_ratios, exact, job_cost, parse_real
 from .errors import CapacityError, ConfigError, ValidationError
 
 JOBS_CSV_COLUMNS = (
@@ -73,10 +73,20 @@ class Ledger:
     orphan `DetailRowError`s and each project's charge per partition, kept as an integer
     numerator over a running denominator until it is read. It keeps no record.
 
-    `items` are what `iter_jobs` yields; a priced row of `_priced_rows` counts as the
-    record it would make."""
+    `items` are what `iter_jobs` yields; anything else is refused."""
 
-    def __init__(self, items: Iterable[JobRecord | RowError | _PricedRow]) -> None:
+    def __init__(self, items: Iterable[JobRecord | RowError]) -> None:
+        self._tally(items, None)
+
+    @classmethod
+    def _of_priced_rows(cls, items: Iterable[_PricedRow | RowError]) -> Ledger:
+        """The ledger of what `_priced_rows` yields, each priced row counted as the record it would make."""
+        ledger = cls.__new__(cls)
+        ledger._tally(items, tuple)
+        return ledger
+
+    def _tally(self, items: Iterable, priced_row: type | None) -> None:
+        """Sum `items`, reading each item of exactly the type `priced_row` as a priced row."""
         self.charged = 0
         self.errors: list[RowError] = []
         self.orphans: list[DetailRowError] = []
@@ -86,10 +96,10 @@ class Ledger:
         except TypeError:
             raise ValidationError(f"items must be an iterable, got {type(items).__name__}") from None
         for item in items:
-            if type(item) is tuple:
+            if type(item) is priced_row:
                 _, project, partition, _, total = item
             elif isinstance(item, JobRecord):
-                project, partition, total = item.project, item.partition, item.total_su.as_integer_ratio()
+                project, partition, total = item.project, item.partition, exact(item.total_su).as_integer_ratio()
             elif isinstance(item, RowError):
                 (self.orphans if isinstance(item, DetailRowError) else self.errors).append(item)
                 continue

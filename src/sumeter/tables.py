@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .analysis import ApplicationBenchmark
 from .config import SystemConfig
@@ -76,12 +77,13 @@ class BenchmarkTableRow(Value):
 
 def build_table(
     model: ChargeModel,
-    apps: tuple[ApplicationBenchmark, ...] | list[ApplicationBenchmark],
+    apps: Sequence[ApplicationBenchmark],
     cpu_node: NodeType,
     gpu_node: NodeType,
 ) -> list[BenchmarkTableRow]:
     """One-hour charges per application: equivalent CPU nodes vs one GPU node."""
     _require(model, ChargeModel, "model")
+    _require(apps, Sequence, "apps")  # read twice: checked, then priced
     if not apps:
         raise ValidationError("no benchmarks given")
     for app in apps:

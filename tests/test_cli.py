@@ -5,12 +5,26 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sumeter import cli, tables
 from sumeter.analysis import MAX_SWEEP_STEPS
 from conftest import TEST_CONFIG, run, write_jobs_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ESTIMATE = ["--config", "builtin", "estimate", "--partition", "gpu", "--gpus-per-node", "4", "--hours", "1"]
+
+
+def run_python(*args, cwd=None):
+    """The exit code, stdout and stderr bytes of a fresh interpreter given `args`, with this tree's sources."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestEstimate:
@@ -716,3 +730,55 @@ class TestCapacityBeyondFloatRange:
             "estimate", "--partition", "work", "--mem-gib-per-node", "1e400", "--hours", "1",
         )
         assert (code, out, err) == (1, "", f"error: {self.MESSAGE}\n")
+
+
+class TestExit:
+    """A process that ran `main` freezes its objects at exit, so the shutdown collections skip them."""
+
+    def test_an_exit_handler_registered_before_main_sees_the_objects_frozen(self):
+        code, out, err = run_python(
+            "-c",
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+            "from sumeter.cli import main\n"
+            "sys.exit(main())\n",
+            *ESTIMATE,
+        )
+        assert (code, err) == (0, b"")
+        assert out.endswith(b"total: 192 SU\nfrozen: True\n")
+
+    def test_main_freezes_nothing_while_the_process_runs(self, capsys):
+        frozen = gc.get_freeze_count()
+        for _ in range(2):
+            assert run(capsys, *ESTIMATE)[0] == 0
+            assert gc.get_freeze_count() == frozen
+
+    def test_the_objects_are_frozen_once_however_often_main_ran(self):
+        code, out, err = run_python(
+            "-c",
+            "import atexit, gc, sys\n"
+            "freeze, calls = gc.freeze, []\n"
+            "gc.freeze = lambda: calls.append(1) or freeze()\n"
+            "atexit.register(lambda: print('freezes:', len(calls)))\n"
+            "from sumeter.cli import main\n"
+            "sys.exit(max([main(sys.argv[1:]) for _ in range(3)]))\n",
+            *ESTIMATE,
+        )
+        assert (code, err) == (0, b"")
+        assert out.count(b"total: 192 SU\n") == 3
+        assert out.endswith(b"freezes: 1\n")
+
+
+def test_dev_mode_with_warnings_as_errors_changes_no_output(tmp_path):
+    """A warning raised anywhere in a call, at shutdown too, would add to its stderr or change its exit status."""
+    write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,cpu,1,1,0,2,1.0", "j2,projA,cpu,1,99,0,2,1.0"])
+    calls = [
+        ESTIMATE,
+        ["--config", "builtin", "crossover", "--steps", "8"],
+        ["report"],
+        ["--config", "builtin", "ingest", "--jobs", "jobs.csv"],
+    ]
+    for argv in calls:
+        plain = run_python("-m", "sumeter.cli", *argv, cwd=tmp_path)
+        assert plain[1] or plain[2], argv
+        assert run_python("-X", "dev", "-W", "error", "-m", "sumeter.cli", *argv, cwd=tmp_path) == plain, argv

@@ -605,6 +605,9 @@ class Unwritten:
         (lambda: build_table(None, APPS, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
         (lambda: build_table(ENERGY, APPS + ("RTM",), CPU_NODE, GPU_NODE),
          "each of apps must be an ApplicationBenchmark, got str"),
+        # checking a generator would consume it, and the table would come out empty
+        (lambda: build_table(ENERGY, (app for app in APPS), CPU_NODE, GPU_NODE),
+         "apps must be a Sequence, got generator"),
         (lambda: list(iter_jobs("jobs.csv", None)), "config must be a SystemConfig, got NoneType"),
         (lambda: ingest_jobs("jobs.csv", {"partitions": []}), "config must be a SystemConfig, got dict"),
         (lambda: list(iter_jobs(None, builtin_config())), "jobs file path must be a str or a PathLike, got NoneType"),
@@ -614,6 +617,13 @@ class Unwritten:
         (lambda: load_config(None), "config path must be a str or a PathLike, got NoneType"),
         (lambda: aggregate([None], builtin_config()), "each item must be a JobRecord or a RowError, got NoneType"),
         (lambda: Ledger(None), "items must be an iterable, got NoneType"),
+        # a ledger sums records and counts row errors; the tuples `sumeter ingest` sums are private to it
+        (lambda: Ledger([("j1", "p")]), "each item must be a JobRecord or a RowError, got tuple"),
+        (lambda: Ledger([("j1", "p", "cpu", None, (1, 0))]), "each item must be a JobRecord or a RowError, got tuple"),
+        (lambda: aggregate([("j1", "p", "cpu", None, (1, 2))], builtin_config()),
+         "each item must be a JobRecord or a RowError, got tuple"),
+        (lambda: Ledger([JobRecord("j1", "p", "cpu", (), 1, "x")]), "not a number: 'x'"),
+        (lambda: aggregate([JobRecord("j1", "p", "cpu", (), 1, True)], builtin_config()), "not a number: True"),
     ],
     ids=[
         "job_cost",
@@ -640,6 +650,7 @@ class Unwritten:
         "write_sweep_csv-out",
         "build_table-model",
         "build_table-app",
+        "build_table-generator",
         "iter_jobs-config",
         "ingest_jobs-config",
         "iter_jobs-path",
@@ -647,6 +658,11 @@ class Unwritten:
         "load_config-path",
         "aggregate-record",
         "Ledger-items",
+        "Ledger-pair",
+        "Ledger-zero-denominator",
+        "aggregate-priced-row",
+        "Ledger-text-total",
+        "aggregate-bool-total",
     ],
 )
 def test_an_argument_of_the_wrong_type_is_refused_by_its_expected_type(call, message):
