@@ -181,6 +181,7 @@ def write_sweep_csv(
     steps: int = 96,
 ) -> None:
     """Emit plot data, one row per speedup and one column group per model."""
+    _require(models, Sequence, "models")
     if not models:
         raise ValidationError("the sweep needs at least one model")
     if not callable(getattr(out, "write", None)):

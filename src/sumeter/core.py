@@ -376,6 +376,13 @@ class NodeUsage(Value):
 
 def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M), so 0 for none."""
+    _require(usage, NodeUsage, "usage")
+    _require(node, NodeType, "node")
+    return _core_equivalent(usage, node)
+
+
+def _core_equivalent(usage: NodeUsage, node: NodeType) -> int:
+    """`core_equivalent`, its arguments unchecked."""
     used_num, used_den = usage.memory_used_gib.as_integer_ratio()
     cores, _, total_num, total_den = node._share_integers
     if used_num * total_den > total_num * used_den:
@@ -398,7 +405,7 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     _require(usage, NodeUsage, "usage")
     _require(node, NodeType, "node")
     node_share(usage, node)
-    return Fraction(core_equivalent(usage, node), node.total_cores)
+    return Fraction(_core_equivalent(usage, node), node.total_cores)
 
 
 def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
@@ -415,7 +422,7 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
         raise CapacityError(f"{cores} cores requested but node type {node.name!r} has {total_cores}")
     if gpus > gpu_count:
         raise CapacityError(f"{gpus} GPUs requested but node type {node.name!r} has {gpu_count}")
-    steps = core_equivalent(usage, node)  # over C, the core count
+    steps = _core_equivalent(usage, node)  # over C, the core count
     if steps < cores:
         steps = cores
     # gpus / G against steps / C, cross-multiplied; gpus > 0 implies G > 0

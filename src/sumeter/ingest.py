@@ -196,13 +196,19 @@ def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[t
             raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
 
 
+# The index entry of a charged job, which no detail row number equals.
+_CHARGED = -2
+
+
 class _Details:
-    """A detail file held as parallel columns, one entry per row in file order: its line less
-    its row number (a shared small int while rows are one line each), its node_index (or the
-    message of a row whose cells do not parse), cores, GPUs and memory, and the row before it
-    with the same job id (-1 for none). `last` maps each job id ("" for a blank one) to its
-    last row until the job is charged. A row's `NodeUsage` is built only when its job is
-    priced, so a row costs five list slots and an 8-byte link rather than objects of its own.
+    """The pass's one index of job ids, and the detail file (if any) held as parallel
+    columns, one entry per row in file order: its line less its row number (a shared small
+    int while rows are one line each), its node_index (or the message of a row whose cells
+    do not parse), cores, GPUs and memory, and the row before it with the same job id (-1
+    for none). `last` maps each job id ("" for a blank one) to its last detail row, or to
+    `_CHARGED` once the job is charged, so it holds each id once. A row's `NodeUsage` is
+    built only when its job is priced, so a row costs five list slots and an 8-byte link
+    rather than objects of its own. `path` None reads as a detail file with no rows.
 
     Each distinct count or memory cell text is parsed once, and equal cells share one
     value; a cell that does not parse is refused again on every row that holds it.
@@ -210,7 +216,7 @@ class _Details:
 
     __slots__ = ("offsets", "indices", "cores", "gpus", "memory", "previous", "last")
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path | None) -> None:
         offsets: list[int] = []
         # 8-byte ints read through a memoryview: as compact as an `array`, whose extension
         # module a run without a detail file would then load too
@@ -222,7 +228,7 @@ class _Details:
         last: dict[str, int] = {}
         counts: dict[str, int] = {}  # every count column has minimum 0, so a cell reads alike in each
         memory_cells: dict[str, Fraction] = {}
-        rows = _csv_rows(path, DETAIL_CSV_COLUMNS, "details file")
+        rows = () if path is None else _csv_rows(path, DETAIL_CSV_COLUMNS, "details file")
         for row, (line, (job_id, index_cell, cores_cell, gpus_cell, memory_cell)) in enumerate(rows):
             index, core_count, gpu_count = counts.get(index_cell), counts.get(cores_cell), counts.get(gpus_cell)
             memory_gib = memory_cells.get(memory_cell)
@@ -256,11 +262,10 @@ class _Details:
             rows.append(row)
         return rows
 
-    def per_node(self, job_id: str) -> dict[int, NodeUsage]:
-        """Each node's usage of the job by node_index, built in file order: the first of its
-        rows that does not parse, that `NodeUsage` refuses or that repeats a node_index
-        fails the job."""
-        row = self.last.get(job_id)
+    def per_node(self, row: int | None) -> dict[int, NodeUsage]:
+        """Each node's usage of the job whose last detail row is `row` (None for a job with
+        none) by node_index, built in file order: the first of its rows that does not parse,
+        that `NodeUsage` refuses or that repeats a node_index fails the job."""
         if row is None:
             return {}
         rows = (row,) if self.previous[row] < 0 else reversed(self._rows(row))
@@ -284,7 +289,7 @@ class _Details:
         left = [
             (row + self.offsets[row], job_id)
             for job_id, last in self.last.items()
-            if not job_id or job_id not in rejected_ids
+            if last != _CHARGED and (not job_id or job_id not in rejected_ids)
             for row in self._rows(last)
         ]
         for line, job_id in sorted(left):
@@ -293,14 +298,15 @@ class _Details:
 
 
 def _parse_job_row(
-    job_id: str, cells: tuple[str, ...], config: SystemConfig, details: _Details | None
+    job_id: str, cells: tuple[str, ...], config: SystemConfig, details: _Details, row: int | None
 ) -> tuple[str, str, JobRequest, tuple[int, int]]:
-    """Build and price one jobs row, whose first cell, stripped, is `job_id`: its project,
-    partition name, job and the (numerator, denominator) charge `model.total` gives."""
+    """Build and price one jobs row, whose first cell, stripped, is `job_id` and whose last
+    detail row is `row`: its project, partition name, job and the (numerator, denominator)
+    charge `model.total` gives."""
     _, project, partition, nodes, cores, gpus, memory, elapsed = cells
     if not job_id:
         raise ValidationError("job_id: must be non-empty")
-    per_node = {} if details is None else details.per_node(job_id)
+    per_node = details.per_node(row)
     project = project.strip()
     if not project:
         raise ValidationError("project: must be non-empty")
@@ -348,26 +354,24 @@ def _priced_rows(
 ) -> Iterator[_PricedRow | RowError]:
     """What `iter_jobs` yields, in its order, with each record as the priced row it is made from."""
     _require(config, SystemConfig, "config")
-    details = None if details_path is None else _Details(details_path)
-    charged_ids: set[str] = set()
+    details = _Details(details_path)
+    index = details.last
     rejected_ids: set[str] = set()
     for line, cells in _csv_rows(path, JOBS_CSV_COLUMNS, "jobs file"):
         job_id = cells[0].strip()
-        if job_id in charged_ids:
+        row = index.get(job_id)
+        if row == _CHARGED:
             yield RowError(line, f"duplicate job_id {job_id!r}")
             continue
         try:
-            priced = _parse_job_row(job_id, cells, config, details)
+            priced = _parse_job_row(job_id, cells, config, details, row)
         except (ValidationError, CapacityError) as err:
             rejected_ids.add(job_id)
             yield RowError(line, str(err))
         else:
-            if details is not None:
-                details.last.pop(job_id, None)  # a charged job's detail rows are done with
-            charged_ids.add(job_id)
+            index[job_id] = _CHARGED  # a charged job's detail rows are done with
             yield (job_id, *priced)
-    if details is not None:
-        yield from details.orphans(rejected_ids)
+    yield from details.orphans(rejected_ids)
 
 
 def ingest_jobs(

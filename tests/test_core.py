@@ -583,6 +583,8 @@ class Unwritten:
         (lambda: charge_record(RECORD, None), "config must be a SystemConfig, got NoneType"),
         (lambda: memory_fraction(None, CPU_NODE), "usage must be a NodeUsage, got NoneType"),
         (lambda: memory_fraction(NodeUsage(cores_used=1), None), "node must be a NodeType, got NoneType"),
+        (lambda: core_equivalent(None, CPU_NODE), "usage must be a NodeUsage, got NoneType"),
+        (lambda: core_equivalent(NodeUsage(cores_used=1), None), "node must be a NodeType, got NoneType"),
         (lambda: gpu_partition_weight(None), "node must be a NodeType, got NoneType"),
         (lambda: sm_based_weight(None), "node must be a NodeType, got NoneType"),
         (lambda: peak_perf_weight(GPU_NODE, None), "reference_cpu_node must be a NodeType, got NoneType"),
@@ -602,6 +604,10 @@ class Unwritten:
          "model must be a ChargeModel, got str"),
         (lambda: write_sweep_csv([ENERGY], CPU_NODE, GPU_NODE, None),
          "out must be a text stream with a write method, got NoneType"),
+        # a generator would be spent by the sweeps, and the header would name no model
+        (lambda: write_sweep_csv((m for m in (ENERGY, get_model("sm"))), CPU_NODE, GPU_NODE, Unwritten()),
+         "models must be a Sequence, got generator"),
+        (lambda: write_sweep_csv(1, CPU_NODE, GPU_NODE, Unwritten()), "models must be a Sequence, got int"),
         (lambda: build_table(None, APPS, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
         (lambda: build_table(ENERGY, APPS + ("RTM",), CPU_NODE, GPU_NODE),
          "each of apps must be an ApplicationBenchmark, got str"),
@@ -632,6 +638,8 @@ class Unwritten:
         "charge_record-config",
         "memory_fraction-usage",
         "memory_fraction-node",
+        "core_equivalent-usage",
+        "core_equivalent-node",
         "gpu_partition_weight",
         "sm_based_weight",
         "peak_perf_weight",
@@ -648,6 +656,8 @@ class Unwritten:
         "crossover_sweep-node",
         "write_sweep_csv-entry",
         "write_sweep_csv-out",
+        "write_sweep_csv-generator",
+        "write_sweep_csv-int",
         "build_table-model",
         "build_table-app",
         "build_table-generator",

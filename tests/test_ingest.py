@@ -31,7 +31,7 @@ from sumeter import (
     parse_config,
 )
 from sumeter.cli import main
-from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS, _priced_rows
+from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS, Ledger, _priced_rows
 from conftest import TEST_CONFIG, write_jobs_csv
 
 HUGE = 10**5000  # beyond the 4,300 digits that int-to-text conversion allows
@@ -857,12 +857,13 @@ def test_the_detail_join_follows_the_stated_rules(tmp_path_factory, join):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(DETAIL_CSV_COLUMNS)
         writer.writerows((job_id, index, cores, 0, 1) for job_id, index, cores in details)
-    result = ingest_jobs(folder / "jobs.csv", JOIN_CONFIG, details_path=folder / "details.csv")
-    assert (
-        [(record.job_id, record.total_su) for record in result.records],
-        [(error.line, *error_rule(error.message)) for error in result.errors],
-        [orphan.line for orphan in result.orphans],
-    ) == reference_join(jobs, details)
+    for details_path, rows in ((folder / "details.csv", details), (None, [])):
+        result = ingest_jobs(folder / "jobs.csv", JOIN_CONFIG, details_path=details_path)
+        assert (
+            [(record.job_id, record.total_su) for record in result.records],
+            [(error.line, *error_rule(error.message)) for error in result.errors],
+            [orphan.line for orphan in result.orphans],
+        ) == reference_join(jobs, rows)
 
 
 @st.composite
@@ -921,6 +922,19 @@ def test_the_order_of_the_detail_rows_moves_only_line_numbers_and_message_order(
     )
 
 
+@contextlib.contextmanager
+def tracing():
+    """Trace allocations in the block, and leave tracemalloc on or off as it was found."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def test_a_detail_file_is_held_in_under_150_bytes_a_row(tmp_path):
     """The detail file is indexed before the first jobs row is priced: measure what that index holds."""
     rng = random.Random(11)
@@ -933,17 +947,30 @@ def test_a_detail_file_is_held_in_under_150_bytes_a_row(tmp_path):
     write_jobs_csv(tmp_path / "jobs.csv", jobs)
     write_details_csv(tmp_path / "details.csv", details)
     config = parse_config(TEST_CONFIG)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
+    with tracing():
         before = tracemalloc.get_traced_memory()[0]
         items = _priced_rows(tmp_path / "jobs.csv", config, tmp_path / "details.csv")
         next(items)
         held = tracemalloc.get_traced_memory()[0] - before
         items.close()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
     # about 100 bytes a row; a NodeUsage in a tuple in a per-job list for each row took about 230
     assert held / len(details) < 150
+
+
+def test_a_detail_pass_peaks_under_200_bytes_a_charged_job(tmp_path):
+    """The job-id index holds each charged id once: the jobs file's copy of it is not kept."""
+    rng = random.Random(11)
+    jobs = [f"job{number},p{rng.randrange(50)},work,1,1,0,1,1" for number in range(20_000)]
+    details = [f"job{number},0,{rng.randint(1, 36)},0,{rng.randrange(512) / 2}" for number in range(20_000)]
+    rng.shuffle(details)
+    write_jobs_csv(tmp_path / "jobs.csv", jobs)
+    write_details_csv(tmp_path / "details.csv", details)
+    config = parse_config(TEST_CONFIG)
+    with tracing():
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ledger = Ledger._of_priced_rows(_priced_rows(tmp_path / "jobs.csv", config, tmp_path / "details.csv"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    assert (ledger.charged, ledger.errors, ledger.orphans) == (len(jobs), [], [])
+    # about 165 bytes a job; a set of the charged ids beside the index took about 270
+    assert peak / len(jobs) < 200
