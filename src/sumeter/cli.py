@@ -274,17 +274,7 @@ def _csv_name(name: str) -> str:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
-    # The pass builds many objects and no cycle, so the cyclic collector would only rescan
-    # the live detail rows; it is paused for the pass and left as it was found. The parser
-    # `main` built is cyclic garbage by now, still young: a young collection frees it first.
-    collecting = gc.isenabled()
-    gc.collect(1)
-    gc.disable()
-    try:
-        ledger = ingest.Ledger._of_priced_rows(ingest._priced_rows(args.jobs, config, args.details))
-    finally:
-        if collecting:
-            gc.enable()
+    ledger = ingest.Ledger._of_priced_rows(ingest._priced_rows(args.jobs, config, args.details))
     for error in ledger.errors:
         print(f"{args.jobs}:{error.line}: {error.message}", file=sys.stderr)
     for orphan in ledger.orphans:

@@ -43,6 +43,10 @@ from .errors import CapacityError, ModelError, ValidationError
 RealLike = Union[int, float, Fraction, str]
 
 
+# A uniform job and its report hold one slot per node, so a partition is bounded; the
+# largest systems have fewer nodes than this.
+MAX_NODE_COUNT = 1_000_000
+
 # Number text is bounded before it is parsed: Fraction("1e<huge>") builds
 # 10**exp in memory. 400 covers the exponent of every float64.
 MAX_NUMBER_LENGTH = 100
@@ -106,12 +110,14 @@ def _require(value, kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be {article} {name}, got {type(value).__name__}")
 
 
-def _count(value, what: str, minimum: int | None = None) -> int:
-    """`value`, refused unless it is an `int` (a bool is not a count) of at least `minimum`."""
+def _count(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """`value`, refused unless it is an `int` (a bool is not a count) from `minimum` to `maximum`."""
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{what} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{what} must be at most {maximum}")
     return value
 
 
@@ -501,10 +507,6 @@ class ChargeModel(Value):
         """Share of one node the usage is charged for, as (numerator, denominator): the max rule."""
         return node_share(usage, node)
 
-    def _node_shares(self, usages: Sequence[NodeUsage], node: NodeType) -> list[tuple[int, int]]:
-        """`node_share` of each usage, in order; a model whose shares share work replaces this."""
-        return [self.node_share(usage, node) for usage in usages]
-
     def total(self, job: JobRequest) -> tuple[int, int]:
         """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
         return self._priced(job)[0]
@@ -519,7 +521,7 @@ class ChargeModel(Value):
         """The total, the node shares (`repeat` times over) and the weight; a uniform job is priced once."""
         partition = job.partition
         node, (usages, repeat) = partition.node_type, job._priced_by
-        shares = self._node_shares(usages, node)
+        shares = [self.node_share(usage, node) for usage in usages]
         units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
@@ -563,7 +565,7 @@ class Partition(Value):
         problem = _partition_name_problem(name)
         if problem:
             raise ValidationError(f"partition name: {problem}")
-        _count(node_count, f"partition {name!r}: node_count", 1)
+        _count(node_count, f"partition {name!r}: node_count", 1, MAX_NODE_COUNT)
         _require(node_type, NodeType, f"partition {name!r}: node_type")
         _require(model, ChargeModel, f"partition {name!r}: model")
         weight = _amount(model.node_weight(node_type), f"partition {name!r}: weight", positive=True)

@@ -268,10 +268,9 @@ class _Details:
         that `NodeUsage` refuses or that repeats a node_index fails the job."""
         if row is None:
             return {}
-        rows = (row,) if self.previous[row] < 0 else reversed(self._rows(row))
         per_node: dict[int, NodeUsage] = {}
         offsets, indices, cores, gpus, memory = self.offsets, self.indices, self.cores, self.gpus, self.memory
-        for row in rows:
+        for row in reversed(self._rows(row)):
             index = indices[row]
             if type(index) is str:
                 raise ValidationError(f"detail line {row + offsets[row]}: {index}")

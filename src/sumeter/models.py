@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, _amount, _count, _require, exact, node_share,
@@ -207,20 +206,14 @@ class PuhtiModel(ChargeModel):
         return Fraction(*bill)
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        return self._node_shares((usage,), node)[0]
-
-    def _node_shares(self, usages: Sequence[NodeUsage], node: NodeType) -> list[tuple[int, int]]:
-        """Each usage's hourly bill over the whole node's, which is worked out once for all of them."""
+        """The usage's hourly bill over the whole node's."""
+        node_share(usage, node)  # the max rule's fit check, before the zero-rate refusal; the bill is the share
         bill = self._hourly_bill
         full_num, full_den = bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
-        shares = []
-        for usage in usages:
-            node_share(usage, node)  # the max rule's fit check, before the zero-rate refusal; the bill is the share
-            if full_num <= 0:
-                raise ModelError("the configured rates price a whole node at zero")
-            used_num, used_den = bill(usage.cores_used, usage.gpus_used, usage.memory_used_gib, usage.extra_used)
-            shares.append((used_num * full_den, used_den * full_num))
-        return shares
+        if full_num <= 0:
+            raise ModelError("the configured rates price a whole node at zero")
+        used_num, used_den = bill(usage.cores_used, usage.gpus_used, usage.memory_used_gib, usage.extra_used)
+        return used_num * full_den, used_den * full_num
 
 
 _MODEL_CLASSES = {

@@ -236,6 +236,21 @@ def test_node_count_is_bounded_before_usages_are_copied(capsys, config_path, tmp
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_config_partition_of_more_nodes_than_the_bound_is_one_error(capsys, tmp_path):
+    data = copy.deepcopy(TEST_CONFIG)
+    data["partitions"][0]["node_count"] = 10**9
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    job = ["--partition", data["partitions"][0]["name"], "--cores-per-node", "1", "--hours", "1"]
+    assert main(["--config", str(path), "estimate", *job]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {path}: invalid configuration:"
+    ]
+    assert "partitions[0]: partition 'work': node_count must be at most 1000000" in err
+
+
 def test_detail_indices_must_be_exactly_the_job_nodes(config_path, tmp_path):
     jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,2,1,0,2,1.0", "j2,projA,work,2,1,0,2,1.0"])
     # j1 has two rows but skips index 1; j2 has an index past its last node

@@ -488,9 +488,7 @@ class TestUnreadableInput:
     ],
     ids=["charged", "row-error", "config-error"],
 )
-def test_ingest_pauses_the_collector_for_the_pass_only(
-    capsys, config_path, tmp_path, monkeypatch, collecting, tail, code
-):
+def test_ingest_leaves_the_collector_as_it_found_it(capsys, config_path, tmp_path, monkeypatch, collecting, tail, code):
     jobs = tmp_path / "jobs.csv"
     jobs.write_bytes(JOBS_HEADER + b"j1,projA,work,1,1,0,2,1.0\n" + tail)
     priced_rows, seen = cli.ingest._priced_rows, []
@@ -509,7 +507,7 @@ def test_ingest_pauses_the_collector_for_the_pass_only(
     finally:
         (gc.enable if was else gc.disable)()
     assert result[0] == code
-    assert seen and not any(seen)
+    assert seen and all(s is collecting for s in seen)
 
 
 def test_a_paused_ingest_leaves_no_garbage_that_grows_with_its_rows(capsys, config_path, tmp_path):

@@ -53,7 +53,7 @@ from sumeter import (
     write_sweep_csv,
 )
 from sumeter.analysis import sweep_bounds
-from sumeter.core import node_share, parse_real
+from sumeter.core import MAX_NODE_COUNT, node_share, parse_real
 from sumeter.ingest import Ledger
 from sumeter.tables import REFERENCE_CPU, REFERENCE_GPU
 
@@ -386,6 +386,9 @@ class TestPartition:
         with pytest.raises(ValidationError, match="node_count must be an integer"):
             Partition("cpu", cpu_node, node_count=node_count)
 
+    def test_node_count_may_be_the_bound(self, cpu_node):
+        assert Partition("cpu", cpu_node, node_count=10**6).node_count == MAX_NODE_COUNT
+
     def test_name_must_be_a_string(self, cpu_node):
         with pytest.raises(ValidationError) as raised:
             Partition(None, cpu_node)
@@ -524,8 +527,9 @@ class TestNodeUsageValidation:
     def test_rejects_negative_quantities(self):
         with pytest.raises(ValidationError):
             NodeUsage(cores_used=-1)
-        with pytest.raises(ValidationError):
-            NodeUsage(memory_used_gib=-2)
+        for memory in (-2, -1, Fraction(-1, 2)):  # -1 and -1/2 sit at the sign's boundary
+            with pytest.raises(ValidationError):
+                NodeUsage(memory_used_gib=memory)
 
     def test_rejects_a_negative_extra_amount(self):
         with pytest.raises(ValidationError) as raised:
@@ -701,6 +705,8 @@ USAGE = NodeUsage(cores_used=1)
                      id="Partition-node_count"),
         pytest.param(lambda: Partition("p", CPU_NODE, 0), "partition 'p': node_count must be at least 1",
                      id="Partition-node_count-range"),
+        pytest.param(lambda: Partition("p", CPU_NODE, MAX_NODE_COUNT + 1),
+                     "partition 'p': node_count must be at most 1000000", id="Partition-node_count-bound"),
         pytest.param(lambda: JobRequest.uniform(Partition("p", CPU_NODE), True, USAGE, 1), "nodes must be an integer",
                      id="uniform-nodes"),
         pytest.param(lambda: JobRequest.uniform(Partition("p", CPU_NODE), 0, USAGE, 1),

@@ -234,20 +234,3 @@ def test_the_table_choices_are_the_published_tables_and_building_the_parser_runs
     )
     ran, choices, published = probe(code)
     assert (ran, choices) == (False, published)
-
-
-def test_an_ingest_leaves_no_parser_garbage_while_the_collector_is_paused(config_path, tmp_path):
-    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,p,work,1,4,0,0,1"])
-    code = (
-        "import argparse, contextlib, gc, io, json, sys\n"
-        "from sumeter.cli import main\n"
-        "disable, parsers = gc.disable, []\n"
-        "def counting():\n"
-        "    disable()\n"
-        "    parsers.append(sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects()))\n"
-        "gc.disable = counting\n"
-        "with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, parsers]))\n"
-    )
-    assert probe(code, "--config", str(config_path), "ingest", "--jobs", str(jobs)) == [0, [0]]

@@ -225,21 +225,11 @@ class TestPuhtiModel:
         with pytest.raises(ModelError):  # the first node fits, so the zero bill is refused there
             zero.charge(JobRequest(cpu_partition, (fits, too_big), 1))
 
-    def test_a_heterogeneous_job_bills_the_whole_node_once(self, monkeypatch, gpu_node):
+    def test_a_heterogeneous_jobs_fractions_are_each_nodes_share(self, gpu_node):
         model = get_model("puhti")
         partition = Partition("shared", gpu_node, node_count=4, model=model)
         usages = tuple(NodeUsage(cores_used=n, gpus_used=n % 2, memory_used_gib=n) for n in (1, 2, 3, 4))
-        whole_node = (gpu_node.total_cores, gpu_node.gpu_count, gpu_node.memory_total_gib, gpu_node.extra_resources)
-        bills = []
-        hourly_bill = PuhtiModel._hourly_bill
-
-        def counted(self, *quantities):
-            bills.append(quantities)
-            return hourly_bill(self, *quantities)
-
-        monkeypatch.setattr(PuhtiModel, "_hourly_bill", counted)
         report = model.charge(JobRequest(partition, usages, 2))
-        assert bills.count(whole_node) == 1 and len(bills) == 1 + len(usages)
         assert report.per_node_fraction == tuple(Fraction(*model.node_share(usage, gpu_node)) for usage in usages)
 
     @pytest.mark.parametrize(
