@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import (
-    ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, _partition_name_problem, parse_real,
-    set_field,
+    ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, _count, _partition_name_problem,
+    parse_real, set_field,
 )
 from .errors import AccountingError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
@@ -157,9 +157,9 @@ def _processors(entry, kind: ProcessorKind, path: str, errors: list[str]) -> lis
     name = _text(entry.get("name"), f"{path}.name", errors)
     tdp = _decimal(entry.get("tdp_watts"), f"{path}.tdp_watts", errors)
     flops = _decimal(entry.get("peak_flops"), f"{path}.peak_flops", errors)
+    counted = len(errors)
     count = _integer(entry.get("count", 1), f"{path}.count", errors)
-    if not 1 <= count <= MAX_PROCESSOR_COUNT:
-        errors.append(f"{path}.count: must be between 1 and {MAX_PROCESSOR_COUNT}, got {_quote(count)}")
+    _built(lambda: _count(count, "count", 1, MAX_PROCESSOR_COUNT), path, errors, counted)  # once `count` is an int
     unit = "cores" if kind is ProcessorKind.CPU else "streaming_multiprocessors"
     units = _integer(entry.get(unit), f"{path}.{unit}", errors)
     spec = _built(lambda: ProcessorSpec(name, kind, tdp, flops, **{unit: units}), path, errors, before)

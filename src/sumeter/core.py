@@ -60,6 +60,11 @@ def parse_real(text: str) -> Fraction:
     An underscore between two digits is dropped, on every Python, as Python
     3.11+ reads number text; any other underscore is refused.
     """
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """`parse_real` as a reduced (numerator, denominator)."""
     _require(text, str, "number text")
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
@@ -69,16 +74,18 @@ def parse_real(text: str) -> Fraction:
         whole, point, decimals = text.partition(".")
         if whole.isdigit():
             if not point:
-                return Fraction(int(whole))
+                return int(whole), 1
             if decimals.isdigit():
-                return Fraction(int(whole + decimals), 10 ** len(decimals))
+                numerator, denominator = int(whole + decimals), 10 ** len(decimals)
+                common = math.gcd(numerator, denominator)
+                return numerator // common, denominator // common
     # Fraction reads underscores only from Python 3.11 on, so they go first.
     plain = re.sub(r"(?<=\d)_(?=\d)", "", text) if "_" in text else text
     exponent = _EXPONENT.search(plain)
     if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
         raise ValidationError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
     try:
-        return Fraction(plain)
+        return Fraction(plain).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a number: {text!r}") from None
 
@@ -509,26 +516,27 @@ class ChargeModel(Value):
 
     def total(self, job: JobRequest) -> tuple[int, int]:
         """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
-        return self._priced(job)[0]
+        return self._priced(job.partition, *job._priced_by, job.walltime_hours.as_integer_ratio())[0]
 
     def charge(self, job: JobRequest) -> ChargeReport:
         """Charge a job on its partition's node type under this model."""
-        total, shares, repeat, weight = self._priced(job)
+        usages, repeat = job._priced_by
+        total, shares, weight = self._priced(job.partition, usages, repeat, job.walltime_hours.as_integer_ratio())
         per_node = tuple([Fraction(*share) for share in shares]) * repeat
         return ChargeReport(self.id, Fraction(*total), per_node, weight, job.walltime_hours)
 
-    def _priced(self, job: JobRequest):
-        """The total, the node shares (`repeat` times over) and the weight; a uniform job is priced once."""
-        partition = job.partition
-        node, (usages, repeat) = partition.node_type, job._priced_by
+    def _priced(self, partition: Partition, usages: Sequence[NodeUsage], repeat: int, hours: tuple[int, int]):
+        """The total, the node shares and the weight of a job on `partition` that runs `usages`,
+        `repeat` times over, for `hours` (numerator, denominator): each usage is priced once."""
+        node = partition.node_type
         shares = [self.node_share(usage, node) for usage in usages]
         units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)
         weight_num, weight_den = weight.as_integer_ratio()
-        hours_num, hours_den = job.walltime_hours.as_integer_ratio()
+        hours_num, hours_den = hours
         numerator = weight_num * hours_num * units * repeat
-        return (numerator, weight_den * hours_den * denominator), shares, repeat, weight
+        return (numerator, weight_den * hours_den * denominator), shares, weight
 
 
 class EnergyModel(ChargeModel):

@@ -22,7 +22,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
-from .core import ChargeReport, JobRequest, NodeUsage, Value, _require, add_ratios, exact, job_cost, parse_real
+from .core import (
+    ChargeReport, JobRequest, NodeUsage, Value, _check_span, _parse_ratio, _require, add_ratios, exact, job_cost,
+)
 from .errors import CapacityError, ConfigError, ValidationError
 
 JOBS_CSV_COLUMNS = (
@@ -38,8 +40,9 @@ JOBS_CSV_COLUMNS = (
 
 DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
 
-# A charged jobs row: its job_id, project, partition name, job and (numerator, denominator) charge.
-_PricedRow = tuple[str, str, str, JobRequest, tuple[int, int]]
+# A charged jobs row: its job_id, project, partition name, the usages its job is priced by,
+# their repeat count, and its hours and charge as (numerator, denominator) pairs.
+_PricedRow = tuple[str, str, str, Sequence[NodeUsage], int, tuple[int, int], tuple[int, int]]
 
 
 class JobRecord(Value):
@@ -97,7 +100,7 @@ class Ledger:
             raise ValidationError(f"items must be an iterable, got {type(items).__name__}") from None
         for item in items:
             if type(item) is priced_row:
-                _, project, partition, _, total = item
+                _, project, partition, _, _, _, total = item
             elif isinstance(item, JobRecord):
                 project, partition, total = item.project, item.partition, exact(item.total_su).as_integer_ratio()
             elif isinstance(item, RowError):
@@ -146,15 +149,19 @@ def _row_int(raw: str, column: str, minimum: int) -> int:
     return value
 
 
-def _row_real(raw: str, column: str) -> Fraction:
+def _row_ratio(raw: str, column: str) -> tuple[int, int]:
     raw = raw.strip()
     try:
-        value = parse_real(raw)
+        value = _parse_ratio(raw)
     except ValidationError as err:
         raise ValidationError(f"{column}: {err}") from None
-    if value.numerator < 0:
+    if value[0] < 0:
         raise ValidationError(f"{column}: must be nonnegative, got {raw}")
     return value
+
+
+def _row_real(raw: str, column: str) -> Fraction:
+    return Fraction(*_row_ratio(raw, column))
 
 
 def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -298,10 +305,9 @@ class _Details:
 
 def _parse_job_row(
     job_id: str, cells: tuple[str, ...], config: SystemConfig, details: _Details, row: int | None
-) -> tuple[str, str, JobRequest, tuple[int, int]]:
-    """Build and price one jobs row, whose first cell, stripped, is `job_id` and whose last
-    detail row is `row`: its project, partition name, job and the (numerator, denominator)
-    charge `model.total` gives."""
+) -> _PricedRow:
+    """Read and price one jobs row, whose first cell, stripped, is `job_id` and whose last
+    detail row is `row`, running the checks of a `JobRequest` in their order, but building none."""
     _, project, partition, nodes, cores, gpus, memory, elapsed = cells
     if not job_id:
         raise ValidationError("job_id: must be non-empty")
@@ -311,20 +317,21 @@ def _parse_job_row(
         raise ValidationError("project: must be non-empty")
     partition = config.partition(partition.strip())
     nodes = _row_int(nodes, "nodes", 1)
-    elapsed = _row_real(elapsed, "elapsed_hours")
+    hours = _row_ratio(elapsed, "elapsed_hours")
     if per_node:
         # distinct indices >= 0, so these two cover 0..nodes-1 exactly
         if len(per_node) != nodes or max(per_node) >= nodes:
             raise ValidationError(
                 f"detail rows for job {job_id!r} must cover node_index 0..{nodes - 1} exactly"
             )
-        job = JobRequest(partition, tuple([per_node[i] for i in range(nodes)]), elapsed)
+        usages, repeat = [per_node[i] for i in range(nodes)], 1
     else:
         cores, gpus = _row_int(cores, "cores_per_node", 0), _row_int(gpus, "gpus_per_node", 0)
-        usage = NodeUsage(cores, gpus, _row_real(memory, "mem_gib_per_node"))
-        job = JobRequest.uniform(partition, nodes, usage, elapsed)
+        usages, repeat = (NodeUsage(cores, gpus, _row_real(memory, "mem_gib_per_node")),), nodes
+    _check_span(partition, nodes)
     # Pricing checks every capacity: a row that does not fit raises here.
-    return project, partition.name, job, partition.model.total(job)
+    total = partition.model._priced(partition, usages, repeat, hours)[0]
+    return job_id, project, partition.name, usages, repeat, hours, total
 
 
 def iter_jobs(
@@ -344,8 +351,8 @@ def iter_jobs(
         if isinstance(item, RowError):
             yield item
         else:
-            job_id, project, partition, job, total = item
-            yield JobRecord(job_id, project, partition, job.per_node_usage, job.walltime_hours, Fraction(*total))
+            job_id, project, partition, usages, repeat, hours, total = item
+            yield JobRecord(job_id, project, partition, tuple(usages) * repeat, Fraction(*hours), Fraction(*total))
 
 
 def _priced_rows(
@@ -369,7 +376,7 @@ def _priced_rows(
             yield RowError(line, str(err))
         else:
             index[job_id] = _CHARGED  # a charged job's detail rows are done with
-            yield (job_id, *priced)
+            yield priced
     yield from details.orphans(rejected_ids)
 
 

@@ -5,7 +5,8 @@ The routes are `job_cost`, `charge_record` after ingestion, the model that
 commands. Each must give the exact total of the partition's own model.
 The edges of that path are checked here too: the streaming `ingest` pass
 against `ingest_jobs` + `aggregate`, each row charged once while it is
-parsed, orphan detail rows, the number-size and node-count guards,
+parsed and with no `JobRequest`, the checks of a row with several faults in
+their order, orphan detail rows, the number-size and node-count guards,
 `crossover`'s CPU weight and a closed stdout pipe.
 """
 
@@ -184,26 +185,59 @@ def test_uniform_job_prices_its_usage_once(monkeypatch, config_path):
     assert report.total_su == 36 * 2 * 16
 
 
-def test_ingest_charges_each_row_once_while_parsing(monkeypatch, config_path, tmp_path):
+def watch_the_row_path(monkeypatch):
+    """Lists that fill, while ingest runs, with each `JobRequest` validated, each usage
+    `node_share` prices and each job the pricing kernel prices."""
+    built, priced, kernel = [], [], []
+    post_init, share, priced_job = JobRequest.__post_init__, ChargeModel.node_share, ChargeModel._priced
+    monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
+    monkeypatch.setattr(ChargeModel, "node_share", lambda self, u, n: priced.append(u) or share(self, u, n))
+    monkeypatch.setattr(
+        ChargeModel, "_priced", lambda self, *job: kernel.append(job) or priced_job(self, *job)
+    )
+    return built, priced, kernel
+
+
+def test_ingest_charges_each_row_once_while_parsing(monkeypatch, capsys, config_path, tmp_path):
     jobs = write_jobs_csv(
         tmp_path / "jobs.csv",
         ["j1,projA,work,2,1,0,2,1.0", "j2,projA,gpu-sm,3,4,1,16,2.0", "j3,projB,gpu,16,0,4,8,0.5"],
     )
     details = write_details_csv(tmp_path / "details.csv", ["j1,1,9,0,1", "j1,0,36,0,256"])
     config = load_config(config_path)
-    built, priced, totals = [], [], []
-    post_init = JobRequest.__post_init__
-    monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
-    share, total = ChargeModel.node_share, ChargeModel.total
-    monkeypatch.setattr(ChargeModel, "node_share", lambda self, u, n: priced.append(u) or share(self, u, n))
-    monkeypatch.setattr(ChargeModel, "total", lambda self, job: totals.append(job) or total(self, job))
+    built, priced, kernel = watch_the_row_path(monkeypatch)
     result = ingest_jobs(jobs, config, details_path=details)
     assert not result.errors
-    assert len(built) == 3  # one JobRequest per row
+    assert built == []  # no JobRequest: each row goes straight to the pricing kernel
     assert len(priced) == 4  # two detail usages, then one per uniform job
-    assert totals == built  # one total per row, of the row's own JobRequest
+    assert [(usages, repeat) for _, usages, repeat, _ in kernel] == [
+        (list(r.node_usages), 1) if r.job_id == "j1" else ((r.node_usages[0],), len(r.node_usages))
+        for r in result.records
+    ]
+    monkeypatch.undo()
     assert [r.total_su for r in result.records] == [charge_record(r, config).total_su for r in result.records]
     assert result.records[0].total_su == 45  # fractions 1 and 1/4 at weight 36 for one hour
+
+    built, priced, kernel = watch_the_row_path(monkeypatch)
+    assert main(["--config", str(config_path), "ingest", "--jobs", str(jobs), "--details", str(details)]) == 0
+    assert (len(built), len(priced), len(kernel)) == (0, 4, 3)
+    assert capsys.readouterr().out.splitlines()[1] == "projA,gpu-sm,648"  # 3 nodes, one GPU of four, 432 SMs, 2 hours
+
+
+def test_an_ingest_pass_builds_one_fraction_per_uniform_row(monkeypatch, capsys, config_path, tmp_path):
+    """Only a row's memory is read as a Fraction; its hours and charge stay integer pairs."""
+
+    def fractions_built(rows):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"j{i},projA,work,2,1,0,{i % 7 + 1},1.5" for i in range(rows)])
+        built, new = [], Fraction.__new__
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(cls) or new(cls, *a, **k)))
+            assert main(["--config", str(config_path), "ingest", "--jobs", str(jobs)]) == 0
+        capsys.readouterr()
+        return len(built)
+
+    # the difference leaves out what the config and the ledger's few output lines build
+    assert fractions_built(200) - fractions_built(100) <= 100
 
 
 def test_aggregate_sums_the_charge_each_record_carries(config_path, tmp_path):
@@ -359,11 +393,9 @@ def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
 
 def test_duplicate_row_is_refused_before_it_is_priced(monkeypatch, config_path, tmp_path):
     jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0", "j1,projA,work,2,4,0,8,1.0"])
-    built = []
-    post_init = JobRequest.__post_init__
-    monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
+    built, priced, kernel = watch_the_row_path(monkeypatch)
     result = ingest_jobs(jobs, load_config(config_path))
-    assert len(built) == 1
+    assert (built, len(priced), len(kernel)) == ([], 1, 1)  # the first row's one usage, and nothing of the second
     assert [r.job_id for r in result.records] == ["j1"]
     assert [(e.line, e.message) for e in result.errors] == [(3, "duplicate job_id 'j1'")]
 
@@ -375,3 +407,32 @@ def test_only_a_charged_job_id_blocks_a_later_row(config_path, tmp_path):
     assert [e.line for e in result.errors] == [2, 4]
     assert result.errors[0].message.startswith("99 cores requested")
     assert result.errors[1].message == "duplicate job_id 'j1'"
+
+
+GPU_SM_DETAILS = [f"j1,{index},1,0,1" for index in range(8)]  # every node of the 8-node gpu-sm partition
+
+
+@pytest.mark.parametrize(
+    "rows, details, error",
+    [
+        (["j1,projA,work,1001,99,0,2,1.0"], None, (2, "job spans 1001 nodes but partition 'work' has 1000")),
+        (["j1,projA,gpu-sm,9,1,0,2,1.0"], [*GPU_SM_DETAILS, "j1,8,99,0,1"],
+         (2, "job spans 9 nodes but partition 'gpu-sm' has 8")),
+        (["j1,projA,work,1001,0,0,0,1.0"], None, (2, "a node usage must request at least one resource")),
+        (["j1,projA,gpu-sm,9,1,0,2,1.0"], [*GPU_SM_DETAILS, "j1,8,0,0,0"],
+         (2, "detail line 10: a node usage must request at least one resource")),
+        (["j1,projA,work,1001,1,0,2,1.0"], ["j1,0,1,0,1", "j1,1,99,0,1"],
+         (2, "detail rows for job 'j1' must cover node_index 0..1000 exactly")),
+        (["j1,projA,work,1,x,0,2,y"], None, (2, "elapsed_hours: not a number: 'y'")),
+        (["j1,projA,work,1,x,0,2,-1"], None, (2, "elapsed_hours: must be nonnegative, got -1")),
+        (["j1,projA,work,1,99,0,999,1.0"], None, (2, "99 cores requested but node type 'dual-xeon-6240' has 36")),
+        (["j1,projA,work,1,1,0,2,1.0", "j1,projA,work,1,x,0,2,y"], None, (3, "duplicate job_id 'j1'")),
+    ],
+    ids=["span+capacity", "detail-span+capacity", "zero-usage+span", "detail-zero-usage+span", "coverage+span",
+         "hours+cores", "negative-hours+cores", "cores+memory", "duplicate+bad-cells"],
+)
+def test_a_row_with_several_faults_is_refused_for_the_first(config_path, tmp_path, rows, details, error):
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", rows)
+    details_path = None if details is None else write_details_csv(tmp_path / "details.csv", details)
+    result = ingest_jobs(jobs, load_config(config_path), details_path=details_path)
+    assert [(e.line, e.message) for e in result.errors] == [error]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumeter import (
     MODEL_IDS,
@@ -46,7 +46,7 @@ from sumeter import (
     reference_gpu_node,
 )
 import sumeter.core
-from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH, add_ratios, node_share
+from sumeter.core import MAX_DECIMAL_EXPONENT, MAX_NUMBER_LENGTH, _parse_ratio, add_ratios, node_share
 from sumeter.display import exact_text
 from test_properties import (
     DETAIL_VALUES, FUZZ_CONFIG, JOBS_VALUES, MAX_NODES, edge_usages, fuzz_config_data, kernel_node_types,
@@ -119,17 +119,23 @@ number_texts = st.one_of(
 
 @settings(max_examples=500)
 @given(number_texts)
+@example("1" * (MAX_NUMBER_LENGTH + 50))  # longer than the bound
+@example("12.5e-3")  # an exponent within the bound
+@example(f"1E+{MAX_DECIMAL_EXPONENT + 1}")  # an exponent beyond it
 def test_parse_real_matches_the_plain_fraction_path(text):
+    """`parse_real`, and the integer pair `_parse_ratio` reads, against the plain path."""
     try:
         expected = plain_parse_real(text)
     except ValidationError as err:
-        with pytest.raises(ValidationError) as excinfo:
-            parse_real(text)
-        assert str(excinfo.value) == str(err)
+        for parse in (parse_real, _parse_ratio):
+            with pytest.raises(ValidationError) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == str(err)
     else:
         value = parse_real(text)
         assert type(value) is Fraction
         assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert _parse_ratio(text) == (value.numerator, value.denominator)  # reduced, so Fraction(*pair) == value
 
 
 # -------------------------------------------------------------------- charge
