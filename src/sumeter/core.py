@@ -383,27 +383,36 @@ class NodeUsage(Value):
             raise ValidationError("memory_used_gib must be nonnegative")
         if extras and any(amount.numerator < 0 for _, amount in extras):
             raise ValidationError("extra resource amounts must be nonnegative")
-        if not (cores or gpus or memory_units or (extras and any(amount.numerator for _, amount in extras))):
-            raise ValidationError("a node usage must request at least one resource")
+        _check_requested(cores, gpus, memory_units, extras)
+
+
+def _check_requested(cores: int, gpus: int, memory_num: int, extras) -> None:
+    """Refuse a usage, its counts and amounts nonnegative, that requests no resource."""
+    if not (cores or gpus or memory_num or (extras and any(amount.numerator for _, amount in extras))):
+        raise ValidationError("a node usage must request at least one resource")
+
+
+def _cells(usage: NodeUsage) -> tuple:
+    """`usage` as the cells a share reads: (cores, GPUs, memory numerator, memory denominator, extras)."""
+    return (usage.cores_used, usage.gpus_used, *usage.memory_used_gib.as_integer_ratio(), usage.extra_used)
 
 
 def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M), so 0 for none."""
     _require(usage, NodeUsage, "usage")
     _require(node, NodeType, "node")
-    return _core_equivalent(usage, node)
+    return _memory_steps(*usage.memory_used_gib.as_integer_ratio(), node)
 
 
-def _core_equivalent(usage: NodeUsage, node: NodeType) -> int:
-    """`core_equivalent`, its arguments unchecked."""
-    used_num, used_den = usage.memory_used_gib.as_integer_ratio()
+def _memory_steps(memory_num: int, memory_den: int, node: NodeType) -> int:
+    """`core_equivalent` of memory_num / memory_den GiB, unchecked but for the node's memory."""
     cores, _, total_num, total_den = node._share_integers
-    if used_num * total_den > total_num * used_den:
+    if memory_num * total_den > total_num * memory_den:
         raise CapacityError(
-            f"{exact_text(usage.memory_used_gib)} GiB requested but node type {node.name!r} "
+            f"{exact_text(Fraction(memory_num, memory_den))} GiB requested but node type {node.name!r} "
             f"has {exact_text(node.memory_total_gib)} GiB"
         )
-    return -(-(used_num * cores * total_den) // (used_den * total_num))
+    return -(-(memory_num * cores * total_den) // (memory_den * total_num))
 
 
 def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
@@ -418,7 +427,7 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     _require(usage, NodeUsage, "usage")
     _require(node, NodeType, "node")
     node_share(usage, node)
-    return Fraction(_core_equivalent(usage, node), node.total_cores)
+    return Fraction(_memory_steps(*usage.memory_used_gib.as_integer_ratio(), node), node.total_cores)
 
 
 def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
@@ -429,13 +438,19 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     quantity exceeds what the node provides, checking cores, GPUs, memory
     and then the extras. Without extras, the share is the largest core, GPU or memory term.
     """
+    return _share(_cells(usage), node)
+
+
+def _share(cells: tuple, node: NodeType) -> tuple[int, int]:
+    """`node_share` of a usage given as its cells, (cores, GPUs, memory numerator, memory
+    denominator, extra pairs), the memory pair reduced: the max rule."""
+    cores, gpus, memory_num, memory_den, extras = cells
     total_cores, gpu_count, _, _ = node._share_integers
-    cores, gpus = usage.cores_used, usage.gpus_used
     if cores > total_cores:
         raise CapacityError(f"{cores} cores requested but node type {node.name!r} has {total_cores}")
     if gpus > gpu_count:
         raise CapacityError(f"{gpus} GPUs requested but node type {node.name!r} has {gpu_count}")
-    steps = _core_equivalent(usage, node)  # over C, the core count
+    steps = _memory_steps(memory_num, memory_den, node)  # over C, the core count
     if steps < cores:
         steps = cores
     # gpus / G against steps / C, cross-multiplied; gpus > 0 implies G > 0
@@ -444,7 +459,7 @@ def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
     else:
         numerator, denominator = steps, total_cores
     capacities = node.extra_capacities
-    for resource, amount in usage.extra_used:
+    for resource, amount in extras:
         if resource not in capacities:
             raise CapacityError(f"node type {node.name!r} has no resource {resource!r}")
         capacity = capacities[resource]
@@ -492,13 +507,18 @@ class ChargeModel(Value):
     """A deterministic pricing scheme: a node-hour weight and a per-node share.
 
     Every model charges a job the same way, weight * hours * sum of the
-    per-node shares, summed in integers; a model supplies the weight and
-    may replace `node_share`. A CPU-only node weighs its core count unless
-    the model overrides `node_weight` itself.
+    per-node shares, summed in integers; a model supplies the weight and may
+    replace `cell_share`, the share `node_share` and every charge read. A CPU-only
+    node weighs its core count unless the model overrides `node_weight` itself.
     """
 
     __slots__ = ()
     id: str
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "node_share" in vars(cls):  # it would price apart from `total`, `charge` and ingest
+            raise TypeError(f"{cls.__name__} defines node_share; a charge model replaces cell_share instead")
 
     def node_weight(self, node: NodeType) -> Fraction:
         """SU charged for one hour's use of one full node of this type."""
@@ -511,25 +531,29 @@ class ChargeModel(Value):
         raise NotImplementedError
 
     def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        """Share of one node the usage is charged for, as (numerator, denominator): the max rule."""
-        return node_share(usage, node)
+        """Share of one node the usage is charged for, as (numerator, denominator): its `cell_share`."""
+        return self.cell_share(_cells(usage), node)
+
+    cell_share = staticmethod(_share)  # a model may replace it with a method of (self, cells, node)
 
     def total(self, job: JobRequest) -> tuple[int, int]:
         """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
-        return self._priced(job.partition, *job._priced_by, job.walltime_hours.as_integer_ratio())[0]
+        usages, repeat = job._priced_by
+        return self._priced(job.partition, list(map(_cells, usages)), repeat, job.walltime_hours.as_integer_ratio())[0]
 
     def charge(self, job: JobRequest) -> ChargeReport:
         """Charge a job on its partition's node type under this model."""
         usages, repeat = job._priced_by
-        total, shares, weight = self._priced(job.partition, usages, repeat, job.walltime_hours.as_integer_ratio())
+        cells, hours = list(map(_cells, usages)), job.walltime_hours.as_integer_ratio()
+        total, shares, weight = self._priced(job.partition, cells, repeat, hours)
         per_node = tuple([Fraction(*share) for share in shares]) * repeat
         return ChargeReport(self.id, Fraction(*total), per_node, weight, job.walltime_hours)
 
-    def _priced(self, partition: Partition, usages: Sequence[NodeUsage], repeat: int, hours: tuple[int, int]):
-        """The total, the node shares and the weight of a job on `partition` that runs `usages`,
-        `repeat` times over, for `hours` (numerator, denominator): each usage is priced once."""
+    def _priced(self, partition: Partition, usages: Sequence[tuple], repeat: int, hours: tuple[int, int]):
+        """The total, the node shares and the weight of a job on `partition` that runs `usages`, each as its
+        cells, `repeat` times over, for `hours` (numerator, denominator): each usage is priced once."""
         node = partition.node_type
-        shares = [self.node_share(usage, node) for usage in usages]
+        shares = [self.cell_share(cells, node) for cells in usages]
         units, denominator = reduce(add_ratios, shares)
         # the partition worked out its own model's weight once, at construction
         weight = partition.weight if self is partition.model else self.node_weight(node)

@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import SystemConfig, _undecodable_line, load_config, parse_config  # noqa: F401  (re-exported)
 from .core import (
-    ChargeReport, JobRequest, NodeUsage, Value, _check_span, _parse_ratio, _require, add_ratios, exact, job_cost,
+    ChargeReport, JobRequest, NodeUsage, Value, _check_requested, _check_span, _parse_ratio, _require, add_ratios,
+    exact, job_cost,
 )
 from .errors import CapacityError, ConfigError, ValidationError
 
@@ -40,9 +41,9 @@ JOBS_CSV_COLUMNS = (
 
 DETAIL_CSV_COLUMNS = ("job_id", "node_index", "cores", "gpus", "mem_gib")
 
-# A charged jobs row: its job_id, project, partition name, the usages its job is priced by,
-# their repeat count, and its hours and charge as (numerator, denominator) pairs.
-_PricedRow = tuple[str, str, str, Sequence[NodeUsage], int, tuple[int, int], tuple[int, int]]
+# A charged jobs row: its job_id, project, partition name, the cells of the usages its job is priced by
+# (see `ChargeModel.cell_share`), their repeat count, and its hours and charge as (numerator, denominator) pairs.
+_PricedRow = tuple[str, str, str, Sequence[tuple], int, tuple[int, int], tuple[int, int]]
 
 
 class JobRecord(Value):
@@ -160,10 +161,6 @@ def _row_ratio(raw: str, column: str) -> tuple[int, int]:
     return value
 
 
-def _row_real(raw: str, column: str) -> Fraction:
-    return Fraction(*_row_ratio(raw, column))
-
-
 def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Each non-blank row after the header of `path` as (line, its cells in `columns` order).
 
@@ -211,11 +208,11 @@ class _Details:
     """The pass's one index of job ids, and the detail file (if any) held as parallel
     columns, one entry per row in file order: its line less its row number (a shared small
     int while rows are one line each), its node_index (or the message of a row whose cells
-    do not parse), cores, GPUs and memory, and the row before it with the same job id (-1
-    for none). `last` maps each job id ("" for a blank one) to its last detail row, or to
-    `_CHARGED` once the job is charged, so it holds each id once. A row's `NodeUsage` is
-    built only when its job is priced, so a row costs five list slots and an 8-byte link
-    rather than objects of its own. `path` None reads as a detail file with no rows.
+    do not parse), cores, GPUs and memory (a reduced pair), and the row before it with the
+    same job id (-1 for none). `last` maps each job id ("" for a blank one) to its last detail
+    row, or to `_CHARGED` once the job is charged, so it holds each id once. A row is checked
+    and its usage cells put together only when its job is priced, so a row costs five list
+    slots and an 8-byte link rather than objects of its own. `path` None reads as no rows.
 
     Each distinct count or memory cell text is parsed once, and equal cells share one
     value; a cell that does not parse is refused again on every row that holds it.
@@ -231,10 +228,10 @@ class _Details:
         indices: list[int | str] = []
         cores: list[int | None] = []
         gpus: list[int | None] = []
-        memory: list[Fraction | None] = []
+        memory: list[tuple[int, int] | None] = []
         last: dict[str, int] = {}
         counts: dict[str, int] = {}  # every count column has minimum 0, so a cell reads alike in each
-        memory_cells: dict[str, Fraction] = {}
+        memory_cells: dict[str, tuple[int, int]] = {}
         rows = () if path is None else _csv_rows(path, DETAIL_CSV_COLUMNS, "details file")
         for row, (line, (job_id, index_cell, cores_cell, gpus_cell, memory_cell)) in enumerate(rows):
             index, core_count, gpu_count = counts.get(index_cell), counts.get(cores_cell), counts.get(gpus_cell)
@@ -248,7 +245,7 @@ class _Details:
                     if gpu_count is None:
                         gpu_count = counts[gpus_cell] = _row_int(gpus_cell, "gpus", 0)
                     if memory_gib is None:
-                        memory_gib = memory_cells[memory_cell] = _row_real(memory_cell, "mem_gib")
+                        memory_gib = memory_cells[memory_cell] = _row_ratio(memory_cell, "mem_gib")
                 except ValidationError as err:
                     index, core_count, gpu_count, memory_gib = str(err), None, None, None
             offsets.append(line - row)
@@ -269,25 +266,26 @@ class _Details:
             rows.append(row)
         return rows
 
-    def per_node(self, row: int | None) -> dict[int, NodeUsage]:
-        """Each node's usage of the job whose last detail row is `row` (None for a job with
-        none) by node_index, built in file order: the first of its rows that does not parse,
-        that `NodeUsage` refuses or that repeats a node_index fails the job."""
+    def per_node(self, row: int | None) -> dict[int, tuple]:
+        """Each node's usage cells of the job whose last detail row is `row` (None for a job
+        with none) by node_index, in file order: the first of its rows that does not parse,
+        that requests nothing or that repeats a node_index fails the job."""
         if row is None:
             return {}
-        per_node: dict[int, NodeUsage] = {}
+        per_node: dict[int, tuple] = {}
         offsets, indices, cores, gpus, memory = self.offsets, self.indices, self.cores, self.gpus, self.memory
         for row in reversed(self._rows(row)):
             index = indices[row]
             if type(index) is str:
                 raise ValidationError(f"detail line {row + offsets[row]}: {index}")
+            core_count, gpu_count, (memory_num, memory_den) = cores[row], gpus[row], memory[row]
             try:
-                usage = NodeUsage(cores[row], gpus[row], memory[row])
+                _check_requested(core_count, gpu_count, memory_num, ())
             except ValidationError as err:
                 raise ValidationError(f"detail line {row + offsets[row]}: {err}") from None
             if index in per_node:
                 raise ValidationError(f"detail line {row + offsets[row]}: duplicate node_index {index}")
-            per_node[index] = usage
+            per_node[index] = core_count, gpu_count, memory_num, memory_den, ()
         return per_node
 
     def orphans(self, rejected_ids: set[str]) -> Iterator[DetailRowError]:
@@ -327,7 +325,9 @@ def _parse_job_row(
         usages, repeat = [per_node[i] for i in range(nodes)], 1
     else:
         cores, gpus = _row_int(cores, "cores_per_node", 0), _row_int(gpus, "gpus_per_node", 0)
-        usages, repeat = (NodeUsage(cores, gpus, _row_real(memory, "mem_gib_per_node")),), nodes
+        memory_num, memory_den = _row_ratio(memory, "mem_gib_per_node")
+        _check_requested(cores, gpus, memory_num, ())
+        usages, repeat = [(cores, gpus, memory_num, memory_den, ())], nodes
     _check_span(partition, nodes)
     # Pricing checks every capacity: a row that does not fit raises here.
     total = partition.model._priced(partition, usages, repeat, hours)[0]
@@ -351,8 +351,9 @@ def iter_jobs(
         if isinstance(item, RowError):
             yield item
         else:
-            job_id, project, partition, usages, repeat, hours, total = item
-            yield JobRecord(job_id, project, partition, tuple(usages) * repeat, Fraction(*hours), Fraction(*total))
+            job_id, project, partition, cells, repeat, hours, total = item
+            usages = tuple([NodeUsage(c, g, Fraction(num, den), extras) for c, g, num, den, extras in cells])
+            yield JobRecord(job_id, project, partition, usages * repeat, Fraction(*hours), Fraction(*total))
 
 
 def _priced_rows(

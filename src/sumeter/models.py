@@ -1,7 +1,7 @@
 """Pluggable charge models behind one interface.
 
 Every model supplies a node-hour weight and may replace the per-node
-share, `node_share`, an integer (numerator, denominator) pair;
+share of a usage's cells, `cell_share`, an integer (numerator, denominator) pair;
 `ChargeModel.total` and `charge` (in `core`, with `EnergyModel`) turn
 those into a charge the same way for all of them. `energy` prices a GPU
 node by the TDP ratio of its GPUs to its CPUs; `sm` by the
@@ -17,8 +17,7 @@ import math
 from fractions import Fraction
 
 from .core import (
-    ChargeModel, EnergyModel, NodeType, NodeUsage, RealLike, Value, _amount, _count, _require, exact, node_share,
-    set_field,
+    ChargeModel, EnergyModel, NodeType, RealLike, Value, _amount, _count, _require, _share, exact, set_field,
 )
 from .errors import ModelError, ValidationError
 
@@ -156,8 +155,8 @@ class TitanModel(ChargeModel):
     def gpu_node_weight(self, node: NodeType) -> Fraction:
         return Fraction(titan_node_charge(node.total_cores, node.total_streaming_multiprocessors))
 
-    def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        node_share(usage, node)  # the max rule's fit check; the share itself is the whole node
+    def cell_share(self, cells: tuple, node: NodeType) -> tuple[int, int]:
+        _share(cells, node)  # the max rule's fit check; the share itself is the whole node
         return 1, 1
 
 
@@ -188,11 +187,10 @@ class PuhtiModel(ChargeModel):
         # the core, GPU, memory and NVMe rates times their common denominator, then that denominator
         set_field(self, "_integer_rates", (*integers, common))
 
-    def _hourly_bill(self, cores: int, gpus: int, memory_gib: Fraction, extras) -> tuple[int, int]:
-        """`puhti_bu` of one hour's use as (numerator, denominator); NVMe is read from the
-        (resource, amount) pairs `extras`."""
+    def _hourly_bill(self, cores: int, gpus: int, memory_num: int, memory_den: int, extras) -> tuple[int, int]:
+        """`puhti_bu` of one hour's use as (numerator, denominator), memory_num / memory_den GiB
+        of memory; NVMe is read from the (resource, amount) pairs `extras`."""
         core_rate, gpu_rate, memory_rate, nvme_rate, common = self._integer_rates
-        memory_num, memory_den = memory_gib.as_integer_ratio()
         nvme_num, nvme_den = 0, 1
         for resource, amount in extras:
             if resource == self.nvme_resource:
@@ -202,17 +200,15 @@ class PuhtiModel(ChargeModel):
         return hourly, common * memory_den * nvme_den
 
     def node_weight(self, node: NodeType) -> Fraction:
-        bill = self._hourly_bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
-        return Fraction(*bill)
+        return Fraction(*self._hourly_bill(*node._share_integers, node.extra_resources))
 
-    def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
+    def cell_share(self, cells: tuple, node: NodeType) -> tuple[int, int]:
         """The usage's hourly bill over the whole node's."""
-        node_share(usage, node)  # the max rule's fit check, before the zero-rate refusal; the bill is the share
-        bill = self._hourly_bill
-        full_num, full_den = bill(node.total_cores, node.gpu_count, node.memory_total_gib, node.extra_resources)
+        _share(cells, node)  # the max rule's fit check, before the zero-rate refusal; the bill is the share
+        full_num, full_den = self._hourly_bill(*node._share_integers, node.extra_resources)
         if full_num <= 0:
             raise ModelError("the configured rates price a whole node at zero")
-        used_num, used_den = bill(usage.cores_used, usage.gpus_used, usage.memory_used_gib, usage.extra_used)
+        used_num, used_den = self._hourly_bill(*cells)
         return used_num * full_den, used_den * full_num
 
 

@@ -26,9 +26,12 @@ import pytest
 from sumeter import (
     CapacityError,
     ChargeModel,
+    EnergyModel,
     JobRecord,
     JobRequest,
     NodeUsage,
+    Partition,
+    SystemConfig,
     aggregate,
     charge_record,
     ingest_jobs,
@@ -36,8 +39,10 @@ from sumeter import (
     load_config,
 )
 from sumeter.cli import main
+from sumeter.core import _share
 from sumeter.display import exact_text
 from sumeter.errors import ConfigError
+from sumeter.ingest import Ledger, _priced_rows
 from conftest import TEST_CONFIG, write_jobs_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -177,25 +182,31 @@ def test_uniform_job_prices_its_usage_once(monkeypatch, config_path):
     partition = load_config(config_path).partition("work")
     model = partition.model
     calls = []
-    original = type(model).node_share
-    monkeypatch.setattr(type(model), "node_share", lambda self, u, n: calls.append(u) or original(self, u, n))
+    monkeypatch.setattr(type(model), "cell_share", lambda self, c, n: calls.append(c) or _share(c, n))
     report = model.charge(JobRequest.uniform(partition, 64, NodeUsage(cores_used=9), 2))
-    assert len(calls) == 1
+    assert calls == [(9, 0, 0, 1, ())]
     assert report.per_node_fraction == (Fraction(1, 4),) * 64
     assert report.total_su == 36 * 2 * 16
 
 
 def watch_the_row_path(monkeypatch):
-    """Lists that fill, while ingest runs, with each `JobRequest` validated, each usage
-    `node_share` prices and each job the pricing kernel prices."""
-    built, priced, kernel = [], [], []
-    post_init, share, priced_job = JobRequest.__post_init__, ChargeModel.node_share, ChargeModel._priced
+    """Lists that fill, while ingest runs, with each `JobRequest` and `NodeUsage` validated,
+    the cells of each usage `cell_share` prices and each job the pricing kernel prices."""
+    built, validated, priced, kernel = [], [], [], []
+    post_init, usage_post_init = JobRequest.__post_init__, NodeUsage.__post_init__
+    priced_job = ChargeModel._priced
     monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
-    monkeypatch.setattr(ChargeModel, "node_share", lambda self, u, n: priced.append(u) or share(self, u, n))
+    monkeypatch.setattr(NodeUsage, "__post_init__", lambda usage: validated.append(usage) or usage_post_init(usage))
+    monkeypatch.setattr(ChargeModel, "cell_share", lambda self, c, n: priced.append(c) or _share(c, n))
     monkeypatch.setattr(
         ChargeModel, "_priced", lambda self, *job: kernel.append(job) or priced_job(self, *job)
     )
-    return built, priced, kernel
+    return built, validated, priced, kernel
+
+
+def cells(usage):
+    """What `cell_share` reads of `usage`."""
+    return usage.cores_used, usage.gpus_used, *usage.memory_used_gib.as_integer_ratio(), usage.extra_used
 
 
 def test_ingest_charges_each_row_once_while_parsing(monkeypatch, capsys, config_path, tmp_path):
@@ -205,27 +216,28 @@ def test_ingest_charges_each_row_once_while_parsing(monkeypatch, capsys, config_
     )
     details = write_details_csv(tmp_path / "details.csv", ["j1,1,9,0,1", "j1,0,36,0,256"])
     config = load_config(config_path)
-    built, priced, kernel = watch_the_row_path(monkeypatch)
+    built, validated, priced, kernel = watch_the_row_path(monkeypatch)
     result = ingest_jobs(jobs, config, details_path=details)
     assert not result.errors
     assert built == []  # no JobRequest: each row goes straight to the pricing kernel
+    assert len(validated) == 4  # a NodeUsage only for each record `iter_jobs` yields: two nodes, then one a job
     assert len(priced) == 4  # two detail usages, then one per uniform job
     assert [(usages, repeat) for _, usages, repeat, _ in kernel] == [
-        (list(r.node_usages), 1) if r.job_id == "j1" else ((r.node_usages[0],), len(r.node_usages))
+        ([cells(u) for u in r.node_usages], 1) if r.job_id == "j1" else ([cells(r.node_usages[0])], len(r.node_usages))
         for r in result.records
     ]
     monkeypatch.undo()
     assert [r.total_su for r in result.records] == [charge_record(r, config).total_su for r in result.records]
     assert result.records[0].total_su == 45  # fractions 1 and 1/4 at weight 36 for one hour
 
-    built, priced, kernel = watch_the_row_path(monkeypatch)
+    built, validated, priced, kernel = watch_the_row_path(monkeypatch)
     assert main(["--config", str(config_path), "ingest", "--jobs", str(jobs), "--details", str(details)]) == 0
-    assert (len(built), len(priced), len(kernel)) == (0, 4, 3)
+    assert (len(built), len(validated), len(priced), len(kernel)) == (0, 0, 4, 3)  # the command builds no NodeUsage
     assert capsys.readouterr().out.splitlines()[1] == "projA,gpu-sm,648"  # 3 nodes, one GPU of four, 432 SMs, 2 hours
 
 
-def test_an_ingest_pass_builds_one_fraction_per_uniform_row(monkeypatch, capsys, config_path, tmp_path):
-    """Only a row's memory is read as a Fraction; its hours and charge stay integer pairs."""
+def test_an_ingest_pass_builds_no_fraction_per_uniform_row(monkeypatch, capsys, config_path, tmp_path):
+    """A row's memory, hours and charge stay integer pairs."""
 
     def fractions_built(rows):
         jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"j{i},projA,work,2,1,0,{i % 7 + 1},1.5" for i in range(rows)])
@@ -237,7 +249,43 @@ def test_an_ingest_pass_builds_one_fraction_per_uniform_row(monkeypatch, capsys,
         return len(built)
 
     # the difference leaves out what the config and the ledger's few output lines build
-    assert fractions_built(200) - fractions_built(100) <= 100
+    assert fractions_built(200) <= fractions_built(100)
+
+
+class HalfNodeModel(EnergyModel):
+    """The energy model, charging half a node for every usage that fits."""
+
+    __slots__ = ()
+
+    def cell_share(self, cells, node):
+        super().cell_share(cells, node)  # the max rule's fit check
+        return 1, 2
+
+
+def test_a_model_that_replaces_the_cell_share_prices_every_route_by_it(config_path, tmp_path):
+    node = load_config(config_path).partition("work").node_type  # 36 cores: weight 36
+    partition = Partition("half", node, node_count=4, model=HalfNodeModel())
+    usage = NodeUsage(cores_used=1)
+    assert partition.model.node_share(usage, node) == (1, 2)
+    assert Fraction(*partition.model.total(JobRequest.uniform(partition, 2, usage, 3))) == 108
+    jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,p,half,2,1,0,0,3", "j2,p,half,2,1,0,0,3", "j3,p,half,1,99,0,0,1"])
+    details = write_details_csv(tmp_path / "details.csv", ["j2,0,36,0,0", "j2,1,1,0,0"])
+    config = SystemConfig([partition])
+    result = ingest_jobs(jobs, config, details_path=details)
+    assert [(r.job_id, r.total_su) for r in result.records] == [("j1", 108), ("j2", 108)]  # a detail row alike
+    assert [e.message for e in result.errors] == ["99 cores requested but node type 'dual-xeon-6240' has 36"]
+    ledger = Ledger._of_priced_rows(_priced_rows(jobs, config, details))
+    assert list(ledger._reduced_sums()) == [("p", [("half", (216, 1))], (216, 1))]
+
+
+def test_a_model_that_defines_node_share_is_refused():
+    # a `node_share` of its own would price a usage apart from `total`, `charge` and ingest
+    with pytest.raises(TypeError, match="^Bypass defines node_share; a charge model replaces cell_share instead$"):
+        class Bypass(EnergyModel):
+            __slots__ = ()
+
+            def node_share(self, usage, node):
+                return 1, 2
 
 
 def test_aggregate_sums_the_charge_each_record_carries(config_path, tmp_path):
@@ -393,7 +441,7 @@ def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
 
 def test_duplicate_row_is_refused_before_it_is_priced(monkeypatch, config_path, tmp_path):
     jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0", "j1,projA,work,2,4,0,8,1.0"])
-    built, priced, kernel = watch_the_row_path(monkeypatch)
+    built, _, priced, kernel = watch_the_row_path(monkeypatch)
     result = ingest_jobs(jobs, load_config(config_path))
     assert (built, len(priced), len(kernel)) == ([], 1, 1)  # the first row's one usage, and nothing of the second
     assert [r.job_id for r in result.records] == ["j1"]

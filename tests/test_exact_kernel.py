@@ -246,8 +246,18 @@ def plain_model_fraction(model, usage, node):
     return fraction
 
 
+def usage_cells(usage):
+    """What `ChargeModel.cell_share` reads of a usage: cores, GPUs, memory as a reduced pair, extras."""
+    memory = usage.memory_used_gib
+    return usage.cores_used, usage.gpus_used, memory.numerator, memory.denominator, usage.extra_used
+
+
 @settings(max_examples=300)
-@given(models, kernel_node_types().flatmap(lambda node: st.tuples(st.just(node), edge_usages(node))))
+@given(
+    models,
+    kernel_node_types().flatmap(lambda node: st.tuples(st.just(node), edge_usages(node)))
+    | nvme_node_types().flatmap(lambda node: st.tuples(st.just(node), nvme_usages(node))),
+)
 def test_node_share_equals_the_plain_rule(model, case):
     node, usage = case
     try:
@@ -256,10 +266,14 @@ def test_node_share_equals_the_plain_rule(model, case):
         with pytest.raises(CapacityError) as excinfo:
             model.node_share(usage, node)
         assert str(excinfo.value) == str(err)
+        with pytest.raises(CapacityError) as excinfo:
+            model.cell_share(usage_cells(usage), node)
+        assert str(excinfo.value) == str(err)
     else:
         numerator, denominator = model.node_share(usage, node)
         assert type(numerator) is int and type(denominator) is int and denominator > 0
         assert Fraction(numerator, denominator) == expected
+        assert model.cell_share(usage_cells(usage), node) == (numerator, denominator)
 
 
 VIEWS = (

@@ -1,5 +1,6 @@
 """Config loading, jobs CSV ingestion and per-project aggregation."""
 
+import collections
 import contextlib
 import copy
 import csv
@@ -30,6 +31,7 @@ from sumeter import (
     load_config,
     parse_config,
 )
+import sumeter.ingest
 from sumeter.cli import main
 from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS, Ledger, _priced_rows
 from conftest import TEST_CONFIG, write_jobs_csv
@@ -518,9 +520,13 @@ class TestIngestJobs:
         assert len(result.errors) == 1
         assert "node_index" in result.errors[0].message
 
-    def test_repeated_memory_cells_read_as_each_one_alone(self, config_path, tmp_path):
+    def test_repeated_memory_cells_read_as_each_one_alone(self, monkeypatch, config_path, tmp_path):
         # equal values spelt three ways, and a bad and a negative cell each on two rows
         config = load_config(config_path)
+        parsed, parse = [], sumeter.ingest._row_ratio
+        monkeypatch.setattr(
+            sumeter.ingest, "_row_ratio", lambda raw, column: parsed.append((raw, column)) or parse(raw, column)
+        )
         nodes = {"j1": 3, "j2": 2, "j3": 1, "j4": 1, "j5": 2, "j6": 1, "j7": 2}
         jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"{job_id},p,work,{n},1,0,0,1" for job_id, n in nodes.items()])
         details = tmp_path / "details.csv"
@@ -547,8 +553,10 @@ class TestIngestJobs:
         assert result.total_rows == 7 and result.orphans == ()
         first, seventh = result.records
         assert {usage.memory_used_gib for usage in first.node_usages + seventh.node_usages} == {Fraction(3, 2)}
-        # one cell text, one value: a cell is parsed once however often it repeats
-        assert first.node_usages[1].memory_used_gib is seventh.node_usages[0].memory_used_gib
+        # each distinct cell text that parses is parsed once however often it repeats, and one that
+        # does not is refused again on each row that holds it
+        memory_cells = collections.Counter(raw for raw, column in parsed if column == "mem_gib")
+        assert memory_cells == {"1.5": 1, "1.50": 1, " 1.5": 1, "x": 2, "-1": 2}
 
 
 NOTHING_REQUESTED = "a node usage must request at least one resource"

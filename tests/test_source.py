@@ -9,7 +9,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sumeter"
 # text or a built value goes through `core._require` and a count through `core._count`.
 HAND_CHECKS = {
     ("core", "_count"): "the count rule itself",
-    ("core", "NodeUsage.__post_init__"): "runs once per ingest row and checks both counts in one comparison",
+    ("core", "NodeUsage.__post_init__"): (
+        "runs once per usage a caller or `iter_jobs` builds, and checks both counts in one comparison"
+    ),
     ("config", "_text"): "collects the error under its config path, where a helper would raise it",
 }
 
