@@ -353,10 +353,10 @@ class NodeUsage(Value):
 
     __slots__ = _fields = ("cores_used", "gpus_used", "memory_used_gib", "extra_used")
 
-    # Built once per row or node, so each field is set through its slot's setter, which is
-    # faster than the base constructor and than `set_field`, which finds the slot by name.
-    # Validation stays in `__post_init__`, as in `JobRequest`: `bench/spans.py` wraps that
-    # method to count and time it.
+    # `iter_jobs` builds one for each node of every record it yields, so each field is set
+    # through its slot's setter, which is faster than the base constructor and than
+    # `set_field`, which finds the slot by name. Validation stays in `__post_init__`, as in
+    # `JobRequest`: `bench/spans.py` wraps that method to count and time it.
     def __init__(
         self,
         cores_used: int = 0,
@@ -508,17 +508,12 @@ class ChargeModel(Value):
 
     Every model charges a job the same way, weight * hours * sum of the
     per-node shares, summed in integers; a model supplies the weight and may
-    replace `cell_share`, the share `node_share` and every charge read. A CPU-only
-    node weighs its core count unless the model overrides `node_weight` itself.
+    replace `cell_share`, the share every charge reads. A CPU-only node weighs
+    its core count unless the model overrides `node_weight` itself.
     """
 
     __slots__ = ()
     id: str
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        if "node_share" in vars(cls):  # it would price apart from `total`, `charge` and ingest
-            raise TypeError(f"{cls.__name__} defines node_share; a charge model replaces cell_share instead")
 
     def node_weight(self, node: NodeType) -> Fraction:
         """SU charged for one hour's use of one full node of this type."""
@@ -530,16 +525,7 @@ class ChargeModel(Value):
         """Node-hour weight of a node that has GPUs."""
         raise NotImplementedError
 
-    def node_share(self, usage: NodeUsage, node: NodeType) -> tuple[int, int]:
-        """Share of one node the usage is charged for, as (numerator, denominator): its `cell_share`."""
-        return self.cell_share(_cells(usage), node)
-
     cell_share = staticmethod(_share)  # a model may replace it with a method of (self, cells, node)
-
-    def total(self, job: JobRequest) -> tuple[int, int]:
-        """The job's charge, weight * hours * the sum of its node shares, as (numerator, denominator)."""
-        usages, repeat = job._priced_by
-        return self._priced(job.partition, list(map(_cells, usages)), repeat, job.walltime_hours.as_integer_ratio())[0]
 
     def charge(self, job: JobRequest) -> ChargeReport:
         """Charge a job on its partition's node type under this model."""
@@ -626,7 +612,7 @@ class JobRequest(Value):
             raise ValidationError(
                 f"per-node usages must be a sequence of NodeUsage values, got {type(per_node_usage).__name__}"
             ) from None
-        set_partition, set_usages, set_hours = self._setters  # built once per row: slot setters, as in `NodeUsage`
+        set_partition, set_usages, set_hours = self._setters  # one per `charge_record`: slot setters, as in `NodeUsage`
         set_partition(self, partition)
         set_usages(self, per_node_usage)
         set_hours(self, walltime_hours if isinstance(walltime_hours, Fraction) else exact(walltime_hours))

@@ -103,6 +103,8 @@ class Ledger:
             if type(item) is priced_row:
                 _, project, partition, _, _, _, total = item
             elif isinstance(item, JobRecord):
+                _require(item.project, str, "a record's project")
+                _require(item.partition, str, "a record's partition")
                 project, partition, total = item.project, item.partition, exact(item.total_su).as_integer_ratio()
             elif isinstance(item, RowError):
                 (self.orphans if isinstance(item, DetailRowError) else self.errors).append(item)

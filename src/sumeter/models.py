@@ -2,8 +2,8 @@
 
 Every model supplies a node-hour weight and may replace the per-node
 share of a usage's cells, `cell_share`, an integer (numerator, denominator) pair;
-`ChargeModel.total` and `charge` (in `core`, with `EnergyModel`) turn
-those into a charge the same way for all of them. `energy` prices a GPU
+`ChargeModel.charge` (in `core`, with `EnergyModel`) turns those into a
+charge the same way for all of them. `energy` prices a GPU
 node by the TDP ratio of its GPUs to its CPUs; `sm` by the
 streaming-multiprocessor count; `peak-perf` by the ratio of its GPUs' peak
 FLOPs to its own CPUs'; `titan` charges cores plus SMs for whole

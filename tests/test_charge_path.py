@@ -266,8 +266,8 @@ def test_a_model_that_replaces_the_cell_share_prices_every_route_by_it(config_pa
     node = load_config(config_path).partition("work").node_type  # 36 cores: weight 36
     partition = Partition("half", node, node_count=4, model=HalfNodeModel())
     usage = NodeUsage(cores_used=1)
-    assert partition.model.node_share(usage, node) == (1, 2)
-    assert Fraction(*partition.model.total(JobRequest.uniform(partition, 2, usage, 3))) == 108
+    assert partition.model.cell_share(cells(usage), node) == (1, 2)
+    assert partition.model.charge(JobRequest.uniform(partition, 2, usage, 3)).total_su == 108
     jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,p,half,2,1,0,0,3", "j2,p,half,2,1,0,0,3", "j3,p,half,1,99,0,0,1"])
     details = write_details_csv(tmp_path / "details.csv", ["j2,0,36,0,0", "j2,1,1,0,0"])
     config = SystemConfig([partition])
@@ -276,16 +276,9 @@ def test_a_model_that_replaces_the_cell_share_prices_every_route_by_it(config_pa
     assert [e.message for e in result.errors] == ["99 cores requested but node type 'dual-xeon-6240' has 36"]
     ledger = Ledger._of_priced_rows(_priced_rows(jobs, config, details))
     assert list(ledger._reduced_sums()) == [("p", [("half", (216, 1))], (216, 1))]
-
-
-def test_a_model_that_defines_node_share_is_refused():
-    # a `node_share` of its own would price a usage apart from `total`, `charge` and ingest
-    with pytest.raises(TypeError, match="^Bypass defines node_share; a charge model replaces cell_share instead$"):
-        class Bypass(EnergyModel):
-            __slots__ = ()
-
-            def node_share(self, usage, node):
-                return 1, 2
+    # a model prices by one share method and one charge method, so there is no other route to replace
+    public = {name for name in dir(ChargeModel) if not name.startswith("_") and callable(getattr(ChargeModel, name))}
+    assert public == {"cell_share", "charge", "gpu_node_weight", "node_weight"}
 
 
 def test_aggregate_sums_the_charge_each_record_carries(config_path, tmp_path):

@@ -634,6 +634,11 @@ class Unwritten:
          "each item must be a JobRecord or a RowError, got tuple"),
         (lambda: Ledger([JobRecord("j1", "p", "cpu", (), 1, "x")]), "not a number: 'x'"),
         (lambda: aggregate([JobRecord("j1", "p", "cpu", (), 1, True)], builtin_config()), "not a number: True"),
+        # a project or partition is a ledger key, sorted against the others and printed as text
+        (lambda: aggregate([JobRecord("j1", 1, "cpu", (), 1, 1)], builtin_config()),
+         "a record's project must be a string, got int"),
+        (lambda: Ledger([JobRecord("j1", ["p"], "cpu", (), 1, 1)]), "a record's project must be a string, got list"),
+        (lambda: Ledger([JobRecord("j1", "p", 1, (), 1, 1)]), "a record's partition must be a string, got int"),
     ],
     ids=[
         "job_cost",
@@ -677,6 +682,9 @@ class Unwritten:
         "aggregate-priced-row",
         "Ledger-text-total",
         "aggregate-bool-total",
+        "aggregate-int-project",
+        "Ledger-list-project",
+        "Ledger-int-partition",
     ],
 )
 def test_an_argument_of_the_wrong_type_is_refused_by_its_expected_type(call, message):

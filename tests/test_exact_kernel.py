@@ -264,16 +264,12 @@ def test_node_share_equals_the_plain_rule(model, case):
         expected = plain_model_fraction(model, usage, node)
     except CapacityError as err:
         with pytest.raises(CapacityError) as excinfo:
-            model.node_share(usage, node)
-        assert str(excinfo.value) == str(err)
-        with pytest.raises(CapacityError) as excinfo:
             model.cell_share(usage_cells(usage), node)
         assert str(excinfo.value) == str(err)
     else:
-        numerator, denominator = model.node_share(usage, node)
+        numerator, denominator = model.cell_share(usage_cells(usage), node)
         assert type(numerator) is int and type(denominator) is int and denominator > 0
         assert Fraction(numerator, denominator) == expected
-        assert model.cell_share(usage_cells(usage), node) == (numerator, denominator)
 
 
 VIEWS = (
@@ -328,7 +324,7 @@ def uniform_jobs(draw):
 @given(priced_jobs() | uniform_jobs())
 def test_energy_equals_the_per_node_sum(job):
     try:
-        get_model("energy").total(job)
+        get_model("energy").charge(job)
     except CapacityError as err:
         with pytest.raises(CapacityError) as excinfo:
             energy_estimate_wh(job)
@@ -383,13 +379,12 @@ def test_add_ratios_adds_over_the_lcm(pairs):
 @given(priced_jobs())
 def test_integer_charge_equals_the_naive_fraction_sum(job):
     model, node = job.partition.model, job.partition.node_type
-    naive = tuple(Fraction(*model.node_share(usage, node)) for usage in job.per_node_usage)
+    naive = tuple(Fraction(*model.cell_share(usage_cells(usage), node)) for usage in job.per_node_usage)
     if model.id == "puhti":
         assert naive == tuple(plain_puhti_fraction(model, usage, node) for usage in job.per_node_usage)
     report = model.charge(job)
     assert report.per_node_fraction == naive
     expected = model.node_weight(node) * job.walltime_hours * sum(naive)
-    assert Fraction(*model.total(job)) == expected
     assert type(report.total_su) is Fraction
     assert (report.total_su.numerator, report.total_su.denominator) == (expected.numerator, expected.denominator)
 

@@ -23,6 +23,7 @@ from sumeter import (
     sm_based_weight,
     titan_node_charge,
 )
+from sumeter.core import _cells
 from sumeter.models import MODEL_IDS
 
 
@@ -230,7 +231,8 @@ class TestPuhtiModel:
         partition = Partition("shared", gpu_node, node_count=4, model=model)
         usages = tuple(NodeUsage(cores_used=n, gpus_used=n % 2, memory_used_gib=n) for n in (1, 2, 3, 4))
         report = model.charge(JobRequest(partition, usages, 2))
-        assert report.per_node_fraction == tuple(Fraction(*model.node_share(usage, gpu_node)) for usage in usages)
+        shares = tuple(Fraction(*model.cell_share(_cells(usage), gpu_node)) for usage in usages)
+        assert report.per_node_fraction == shares
 
     @pytest.mark.parametrize(
         "arguments, problem",

@@ -37,7 +37,7 @@ from sumeter import (
     titan_node_charge,
 )
 from sumeter.cli import _csv_name, main
-from sumeter.core import node_share
+from sumeter.core import _cells, node_share
 from sumeter.display import exact_text
 from sumeter.ingest import DetailRowError, Ledger, RowError, aggregate, ingest_jobs
 from conftest import TEST_CONFIG
@@ -266,7 +266,7 @@ def test_puhti_model_bills_as_puhti_bu(bill):
             used = puhti_bu(usage.cores_used, usage.memory_used_gib, nvme_used, usage.gpus_used, 1, model.rates)
             expected = used / full_node
     try:
-        share = model.node_share(usage, node)
+        share = model.cell_share(_cells(usage), node)
     except (CapacityError, ModelError) as err:
         assert (type(err), str(err)) == expected
     else:

@@ -38,6 +38,7 @@ from sumeter import (
     job_cost,
     reference_gpu_node,
 )
+from sumeter.core import _cells
 from sumeter.tables import PUBLISHED_TABLES, PublishedTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -226,7 +227,7 @@ def test_caches_stay_out_of_equality_repr_and_copies():
     assert value.total_cores == 40 and value.cpu_tdp_watts == 250 and value.extra_capacities == {"nvme_gib": 1490}
     assert value == node() and hash(value) == hash(node()) and repr(value) == repr(node())
     model = PuhtiModel()
-    model.node_share(usage(), node())  # pricing leaves the model as it was built
+    model.cell_share(_cells(usage()), node())  # pricing leaves the model as it was built
     assert model == PuhtiModel() and hash(model) == hash(PuhtiModel()) and repr(model) == repr(PuhtiModel())
     derived_by_class = {}
     for cls, make, fields in VALUES:
