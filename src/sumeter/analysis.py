@@ -15,7 +15,7 @@ import enum
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .core import NodeType, RealLike, Value, _amount, _count, _require, exact
+from .core import NodeType, RealLike, Value, _amount, _count, _require, _sequence, exact
 from .display import exact_text
 from .errors import ModelError, ValidationError
 from .models import ChargeModel
@@ -30,6 +30,7 @@ class ApplicationBenchmark(Value):
     __slots__ = _fields = ("name", "perf_ratio")
 
     def __init__(self, name: str, perf_ratio: int) -> None:
+        _require(name, str, "benchmark name")
         _count(perf_ratio, f"benchmark {name!r}: perf_ratio", 1)
         super().__init__(name, perf_ratio)
 
@@ -157,9 +158,7 @@ def efficiency_band(
     at the larger of the two thresholds. The band is empty when the upper
     end does not exceed the lower.
     """
-    _require(models, Sequence, "models")
-    for model in models:
-        _require(model, ChargeModel, "each of models")
+    models = _sequence(models, ChargeModel, "models")
     energy_model = next((m for m in models if m.id == "energy"), None)
     if energy_model is None:
         raise ModelError("the band is defined against the energy model; include it")
@@ -181,7 +180,7 @@ def write_sweep_csv(
     steps: int = 96,
 ) -> None:
     """Emit plot data, one row per speedup and one column group per model."""
-    _require(models, Sequence, "models")
+    models = _sequence(models, ChargeModel, "models")
     if not models:
         raise ValidationError("the sweep needs at least one model")
     if not callable(getattr(out, "write", None)):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import (
     ChargeModel, NodeType, Partition, ProcessorKind, ProcessorSpec, Value, _count, _partition_name_problem,
-    parse_real, set_field,
+    _sequence, parse_real, set_field,
 )
 from .errors import AccountingError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
@@ -35,17 +35,9 @@ class SystemConfig(Value):
     __slots__ = (*_fields, "_by_name")
 
     def __init__(self, partitions: Sequence[Partition]) -> None:
-        try:
-            partitions = tuple(partitions)
-        except TypeError:
-            partitions = (partitions,)  # not iterable: refused below, as an entry that is not a partition
-        for partition in partitions:
-            if not isinstance(partition, Partition):
-                got = type(partition).__name__
-                raise ValidationError(f"partitions must be a sequence of Partition values, got {got}")
-        super().__init__(partitions)
+        super().__init__(_sequence(partitions, Partition, "partitions"))
         # the first partition of a name wins, as in a scan of `partitions`
-        set_field(self, "_by_name", {partition.name: partition for partition in reversed(partitions)})
+        set_field(self, "_by_name", {partition.name: partition for partition in reversed(self.partitions)})
 
     def partition(self, name: str) -> Partition:
         try:

@@ -128,6 +128,21 @@ def _count(value, what: str, minimum: int | None = None, maximum: int | None = N
     return value
 
 
+def _sequence(values, kind: type, what: str) -> tuple:
+    """`values` read once into a tuple (a tuple is kept as it is), refused unless each entry is a `kind`."""
+    try:
+        values = tuple(values)
+    except TypeError:  # not iterable: a lone value is refused by its own type
+        wrong = values
+    else:
+        for wrong in values:
+            if not isinstance(wrong, kind):
+                break
+        else:
+            return values
+    raise ValidationError(f"{what} must be a sequence of {kind.__name__} values, got {type(wrong).__name__}")
+
+
 def _amount(value: RealLike, what: str, positive: bool = False) -> Fraction:
     """`exact(value)`, refused when it is negative, or zero too when it must be `positive`."""
     amount = exact(value)
@@ -281,13 +296,8 @@ def _normalize_pairs(pairs, what: str) -> tuple[tuple[str, Fraction], ...]:
 
 def _processors(specs, kind: ProcessorKind, node: str, field: str) -> tuple[ProcessorSpec, ...]:
     """A node type's `field`, `specs`, as a tuple of `kind` processors; anything else is a ValidationError."""
-    try:
-        specs = tuple(specs)
-    except TypeError:
-        specs = (None,)  # not iterable: refused below, as an entry that is not a processor
+    specs = _sequence(specs, ProcessorSpec, f"node type {node!r}: {field}")
     for spec in specs:
-        if not isinstance(spec, ProcessorSpec):
-            raise ValidationError(f"node type {node!r}: {field} must be a sequence of ProcessorSpec values")
         if spec.kind is not kind:
             raise ValidationError(f"node type {node!r}: {spec.name!r} listed under {field} is not a {kind.name}")
     return specs
@@ -606,12 +616,7 @@ class JobRequest(Value):
     __slots__ = (*_fields, "_priced_by")
 
     def __init__(self, partition: Partition, per_node_usage: Sequence[NodeUsage], walltime_hours: RealLike) -> None:
-        try:
-            per_node_usage = tuple(per_node_usage)  # a tuple is kept as it is
-        except TypeError:  # not iterable
-            raise ValidationError(
-                f"per-node usages must be a sequence of NodeUsage values, got {type(per_node_usage).__name__}"
-            ) from None
+        per_node_usage = _sequence(per_node_usage, NodeUsage, "per-node usages")
         set_partition, set_usages, set_hours = self._setters  # one per `charge_record`: slot setters, as in `NodeUsage`
         set_partition(self, partition)
         set_usages(self, per_node_usage)
@@ -628,9 +633,6 @@ class JobRequest(Value):
             priced_by = (first,), len(usages)
         else:
             priced_by = usages, 1
-        for usage in priced_by[0]:
-            if not isinstance(usage, NodeUsage):
-                raise ValidationError(f"per-node usages must be NodeUsage values, got {type(usage).__name__}")
         if hours.numerator < 0:
             raise ValidationError("walltime_hours must be nonnegative")
         _check_span(self.partition, len(usages))

@@ -172,7 +172,7 @@ def _csv_rows(path: str | Path, columns: Sequence[str], kind: str) -> Iterator[t
     be opened or is not UTF-8, or a row the csv module refuses, is a
     ConfigError naming the file (and line).
     """
-    if not isinstance(path, (str, bytes, os.PathLike)):  # open() reads an int as a file descriptor, and closes it
+    if not isinstance(path, (str, os.PathLike)):  # open() reads an int as a file descriptor, and closes it
         raise ValidationError(f"{kind} path must be a str or a PathLike, got {type(path).__name__}")
     try:
         handle = open(path, newline="", encoding="utf-8-sig")

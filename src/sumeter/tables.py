@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .analysis import ApplicationBenchmark
 from .config import SystemConfig
-from .core import NodeType, Partition, ProcessorSpec, RealLike, Value, _require, exact, parse_real
+from .core import NodeType, Partition, ProcessorSpec, RealLike, Value, _require, _sequence, exact, parse_real
 from .display import exact_text, format_fixed, format_real, format_su, round_half_up
 from .errors import ValidationError
 from .models import ChargeModel, get_model
@@ -83,11 +83,9 @@ def build_table(
 ) -> list[BenchmarkTableRow]:
     """One-hour charges per application: equivalent CPU nodes vs one GPU node."""
     _require(model, ChargeModel, "model")
-    _require(apps, Sequence, "apps")  # read twice: checked, then priced
+    apps = _sequence(apps, ApplicationBenchmark, "apps")
     if not apps:
         raise ValidationError("no benchmarks given")
-    for app in apps:
-        _require(app, ApplicationBenchmark, "each of apps")
     cpu_weight = model.node_weight(cpu_node)
     gpu_weight = model.node_weight(gpu_node)
     return [

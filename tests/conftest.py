@@ -135,6 +135,12 @@ def write_jobs_csv(path, rows):
     return path
 
 
+def write_details_csv(path, rows):
+    header = "job_id,node_index,cores,gpus,mem_gib"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def full_node_usage():
     return NodeUsage(cores_used=36, gpus_used=0, memory_used_gib=256)

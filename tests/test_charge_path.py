@@ -43,7 +43,7 @@ from sumeter.core import _share
 from sumeter.display import exact_text
 from sumeter.errors import ConfigError
 from sumeter.ingest import Ledger, _priced_rows
-from conftest import TEST_CONFIG, write_jobs_csv
+from conftest import TEST_CONFIG, write_details_csv, write_jobs_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -126,11 +126,6 @@ DETAILS = [
     "j7,1,1,0,1",
     "ghost,1,not-a-number,0,1",  # orphan even though it does not parse (line 8)
 ]
-
-
-def write_details_csv(path, rows):
-    path.write_text("\n".join(["job_id,node_index,cores,gpus,mem_gib"] + rows) + "\n", encoding="utf-8")
-    return path
 
 
 def test_ingest_command_equals_ingest_jobs_then_aggregate(capsys, config_path, tmp_path):

@@ -1,5 +1,6 @@
 """Core charging engine: resource fractions, weights and job costs."""
 
+import io
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from sumeter import (
     CapacityError,
     JobRecord,
     JobRequest,
+    MODEL_IDS,
     ModelError,
     NodeType,
     NodeUsage,
@@ -19,6 +21,7 @@ from sumeter import (
     ProcessorSpec,
     PuhtiModel,
     PuhtiRates,
+    SystemConfig,
     ValidationError,
     aggregate,
     build_table,
@@ -29,6 +32,7 @@ from sumeter import (
     decide_and_energy,
     decision_threshold,
     efficiency_band,
+    embedded_fixture,
     energy_estimate_wh,
     energy_threshold,
     exact,
@@ -209,7 +213,7 @@ class TestNodeType:
     def test_processors_come_as_a_sequence_of_specs(self, processors, field):
         with pytest.raises(ValidationError) as raised:
             NodeType("bad", memory_total_gib=1, **processors)
-        assert str(raised.value) == f"node type 'bad': {field} must be a sequence of ProcessorSpec values"
+        assert str(raised.value) == f"node type 'bad': {field} must be a sequence of ProcessorSpec values, got int"
 
 
 def one_node_energy(usage, node):
@@ -448,7 +452,7 @@ class TestCounts:
     def test_every_node_usage_must_be_a_node_usage(self, cpu_partition, build, got):
         with pytest.raises(ValidationError) as raised:
             build(cpu_partition)
-        assert str(raised.value) == f"per-node usages must be NodeUsage values, got {got}"
+        assert str(raised.value) == f"per-node usages must be a sequence of NodeUsage values, got {got}"
 
     def test_per_node_usages_come_as_a_sequence(self, cpu_partition):
         with pytest.raises(ValidationError) as raised:
@@ -596,28 +600,24 @@ class Unwritten:
         (lambda: decision_threshold(get_model("energy"), None, GPU_NODE), "cpu_node must be a NodeType, got NoneType"),
         (lambda: decision_threshold("energy", CPU_NODE, GPU_NODE), "model must be a ChargeModel, got str"),
         (lambda: puhti_bu(1, 1, 1, 1, 1, rates=None), "rates must be a PuhtiRates, got NoneType"),
-        (lambda: efficiency_band(None, CPU_NODE, GPU_NODE), "models must be a Sequence, got NoneType"),
+        (lambda: efficiency_band(None, CPU_NODE, GPU_NODE),
+         "models must be a sequence of ChargeModel values, got NoneType"),
         (lambda: efficiency_band([get_model("energy"), None], CPU_NODE, GPU_NODE),
-         "each of models must be a ChargeModel, got NoneType"),
+         "models must be a sequence of ChargeModel values, got NoneType"),
         (lambda: energy_threshold(CPU_NODE, None), "gpu_node must be a NodeType, got NoneType"),
         (lambda: decide_and_energy(2, None, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
         (lambda: decide_and_energy(2, ENERGY, CPU_NODE, None), "gpu_node must be a NodeType, got NoneType"),
         (lambda: crossover_sweep(None, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
         (lambda: crossover_sweep(ENERGY, None, GPU_NODE), "cpu_node must be a NodeType, got NoneType"),
         (lambda: write_sweep_csv([ENERGY, "sm"], CPU_NODE, GPU_NODE, Unwritten()),
-         "model must be a ChargeModel, got str"),
+         "models must be a sequence of ChargeModel values, got str"),
         (lambda: write_sweep_csv([ENERGY], CPU_NODE, GPU_NODE, None),
          "out must be a text stream with a write method, got NoneType"),
-        # a generator would be spent by the sweeps, and the header would name no model
-        (lambda: write_sweep_csv((m for m in (ENERGY, get_model("sm"))), CPU_NODE, GPU_NODE, Unwritten()),
-         "models must be a Sequence, got generator"),
-        (lambda: write_sweep_csv(1, CPU_NODE, GPU_NODE, Unwritten()), "models must be a Sequence, got int"),
+        (lambda: write_sweep_csv(1, CPU_NODE, GPU_NODE, Unwritten()),
+         "models must be a sequence of ChargeModel values, got int"),
         (lambda: build_table(None, APPS, CPU_NODE, GPU_NODE), "model must be a ChargeModel, got NoneType"),
         (lambda: build_table(ENERGY, APPS + ("RTM",), CPU_NODE, GPU_NODE),
-         "each of apps must be an ApplicationBenchmark, got str"),
-        # checking a generator would consume it, and the table would come out empty
-        (lambda: build_table(ENERGY, (app for app in APPS), CPU_NODE, GPU_NODE),
-         "apps must be a Sequence, got generator"),
+         "apps must be a sequence of ApplicationBenchmark values, got str"),
         (lambda: list(iter_jobs("jobs.csv", None)), "config must be a SystemConfig, got NoneType"),
         (lambda: ingest_jobs("jobs.csv", {"partitions": []}), "config must be a SystemConfig, got dict"),
         (lambda: list(iter_jobs(None, builtin_config())), "jobs file path must be a str or a PathLike, got NoneType"),
@@ -665,11 +665,9 @@ class Unwritten:
         "crossover_sweep-node",
         "write_sweep_csv-entry",
         "write_sweep_csv-out",
-        "write_sweep_csv-generator",
         "write_sweep_csv-int",
         "build_table-model",
         "build_table-app",
-        "build_table-generator",
         "iter_jobs-config",
         "ingest_jobs-config",
         "iter_jobs-path",
@@ -691,6 +689,46 @@ def test_an_argument_of_the_wrong_type_is_refused_by_its_expected_type(call, mes
     with pytest.raises(ValidationError) as raised:
         call()
     assert str(raised.value) == message
+
+
+def sweep_text(models) -> str:
+    out = io.StringIO()
+    write_sweep_csv(models, CPU_NODE, GPU_NODE, out, steps=5)
+    return out.getvalue()
+
+
+# Each argument that takes many values: how to call with `values`, what it is called, the type of its entries
+# and the entries of a valid call.
+SEQUENCE_ARGUMENTS = [
+    pytest.param(lambda values: NodeType("n", cpus=values, memory_total_gib=64),
+                 "node type 'n': cpus", "ProcessorSpec", (REFERENCE_CPU, REFERENCE_CPU), id="NodeType-cpus"),
+    pytest.param(lambda values: NodeType("n", cpus=(REFERENCE_CPU,), gpus=values, memory_total_gib=64),
+                 "node type 'n': gpus", "ProcessorSpec", (REFERENCE_GPU,) * 4, id="NodeType-gpus"),
+    pytest.param(lambda values: JobRequest(Partition("p", CPU_NODE, 2), values, 1),
+                 "per-node usages", "NodeUsage", (NodeUsage(cores_used=1), NodeUsage(cores_used=2)), id="JobRequest"),
+    pytest.param(SystemConfig, "partitions", "Partition", builtin_config().partitions, id="SystemConfig"),
+    pytest.param(lambda values: efficiency_band(values, CPU_NODE, GPU_NODE),
+                 "models", "ChargeModel", (ENERGY, get_model("sm")), id="efficiency_band"),
+    pytest.param(sweep_text, "models", "ChargeModel", tuple(map(get_model, MODEL_IDS)), id="write_sweep_csv"),
+    pytest.param(lambda values: build_table(ENERGY, values, CPU_NODE, GPU_NODE),
+                 "apps", "ApplicationBenchmark", embedded_fixture()[2], id="build_table"),
+]
+
+
+@pytest.mark.parametrize("call, what, kind, values", SEQUENCE_ARGUMENTS)
+def test_many_values_are_refused_by_one_rule(call, what, kind, values):
+    """A value that is not iterable, a lone value in place of the sequence, or an entry of another type."""
+    lone = values[0]
+    for argument, got in [(5, "int"), (lone, type(lone).__name__), ((*values, "x"), "str")]:
+        with pytest.raises(ValidationError) as raised:
+            call(argument)
+        assert str(raised.value) == f"{what} must be a sequence of {kind} values, got {got}"
+
+
+@pytest.mark.parametrize("call, what, kind, values", SEQUENCE_ARGUMENTS)
+def test_many_values_may_come_from_a_generator(call, what, kind, values):
+    """Read once into a tuple, so no later read, such as a sweep per model, finds the generator spent."""
+    assert call(value for value in values) == call(values) == call(list(values))
 
 
 def cpu(cores=4, tdp_watts=150, peak_flops=1e12, name="x"):
@@ -743,6 +781,8 @@ USAGE = NodeUsage(cores_used=1)
         pytest.param(lambda: NodeUsage(cores_used=1, extra_used=[(True, 1)]),
                      "usage: resource name must be a string, got bool",
                      id="NodeUsage-resource"),
+        pytest.param(lambda: ApplicationBenchmark(None, 3), "benchmark name must be a string, got NoneType",
+                     id="ApplicationBenchmark-name"),
         pytest.param(lambda: Partition(True, CPU_NODE),
                      "partition name must be a string, got bool", id="Partition-name"),
         pytest.param(lambda: PuhtiModel(nvme_resource=True),

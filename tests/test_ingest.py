@@ -34,14 +34,9 @@ from sumeter import (
 import sumeter.ingest
 from sumeter.cli import main
 from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS, Ledger, _priced_rows
-from conftest import TEST_CONFIG, write_jobs_csv
+from conftest import TEST_CONFIG, write_details_csv, write_jobs_csv
 
 HUGE = 10**5000  # beyond the 4,300 digits that int-to-text conversion allows
-
-
-def write_details_csv(path, rows):
-    path.write_text("\n".join([",".join(DETAIL_CSV_COLUMNS), *rows]) + "\n", encoding="utf-8")
-    return path
 
 
 def with_value(entry, path, value=None, delete=False):
@@ -430,6 +425,15 @@ class TestIngestJobs:
         with pytest.raises(ConfigError) as excinfo:
             ingest_jobs(missing, load_config(config_path))
         assert str(excinfo.value).startswith(f"cannot read jobs file {missing}: ")
+
+    def test_a_jobs_file_path_in_bytes_is_refused_as_a_config_path_in_bytes_is(self, config_path, tmp_path):
+        jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0"])
+        with pytest.raises(ValidationError) as excinfo:
+            ingest_jobs(str(jobs).encode(), load_config(config_path))
+        assert str(excinfo.value) == "jobs file path must be a str or a PathLike, got bytes"
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(str(config_path).encode())
+        assert str(excinfo.value) == "config path must be a str or a PathLike, got bytes"
 
     @pytest.mark.parametrize(
         "cell, outcome",

@@ -62,6 +62,44 @@ def test_a_count_or_a_text_is_checked_by_hand_only_where_listed():
     assert not unused, f"listed in HAND_CHECKS but no longer checking by hand: {unused}"
 
 
+def _catches_type_error(handler: ast.ExceptHandler) -> bool:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(_names(kind, "TypeError") for kind in kinds)
+
+
+def _sequence_checks(tree: ast.AST, scope: str = "") -> list[tuple[str, int, str]]:
+    """(enclosing function or class, line, what) of each check that a sequence is one: a `_require` or
+    `isinstance` of kind `Sequence`, or a `tuple(...)` call tried under `except TypeError`."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif (_calls(node, "_require") or _calls(node, "isinstance")) and len(node.args) >= 2:
+            if _names(node.args[1], "Sequence"):
+                found.append((scope, node.lineno, f"{node.func.id}(..., Sequence)"))
+        elif isinstance(node, ast.Try) and any(_catches_type_error(handler) for handler in node.handlers):
+            for statement in node.body:
+                found += [
+                    (scope, call.lineno, "tuple(...) under except TypeError")
+                    for call in ast.walk(statement)
+                    if _calls(call, "tuple")
+                ]
+        found += _sequence_checks(node, inner)
+    return found
+
+
+def test_a_sequence_of_values_is_read_only_by_core_sequence():
+    """Every many-valued argument goes through `core._sequence`, which reads it once into a tuple."""
+    stray = [
+        f"{path.name}:{line} in {scope or 'the module'}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, line, what in _sequence_checks(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.stem, scope) != ("core", "_sequence")
+    ]
+    assert not stray, "a sequence read by hand, not through core._sequence: " + ", ".join(stray)
+
+
 def test_no_source_line_is_longer_than_120_characters():
     """So a shorter file is not a packed one."""
     long = [
