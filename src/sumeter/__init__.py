@@ -6,12 +6,13 @@ CPUs, and ships rival models (SM count, peak-FLOPs ratio, cores+SMs,
 linear billing units) plus the analysis and reporting tools to compare
 them.
 
-`import sumeter` loads no submodule: each public name imports the module
-that defines it on first use (PEP 562), so `sumeter.load_config(path)`
-never loads the CSV, analysis or table code.
+`import sumeter` loads no submodule: one loader (PEP 562) defers every
+submodule until the first read of one of its attributes, so
+`sumeter.load_config(path)` never loads the CSV, analysis or table code.
 """
 
-from importlib import import_module
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -97,12 +98,19 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
+        qualified = f"{__name__}.{name}"
+        if qualified not in sys.modules:  # registered now, its body run by the first read of an attribute
+            spec = importlib.util.find_spec(qualified)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[qualified] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[qualified])
+        value = globals()[name] = sys.modules[qualified]
+        return value
     try:
         module = _HOME[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    value = globals()[name] = getattr(__getattr__(module), name)
     return value
 
 

@@ -13,13 +13,12 @@ import argparse
 import atexit
 import contextlib
 import gc
-import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
-from types import ModuleType
 
+from . import analysis, ingest, tables  # deferred by the package's loader: each runs when a command reads it
 from .config import SystemConfig, load_config
 from .core import ChargeReport, JobRequest, NodeUsage, Partition, energy_estimate_wh, parse_real
 from .display import _ratio_text, exact_text, format_real, format_su, format_threshold, round_half_up
@@ -28,25 +27,6 @@ from .models import MODEL_IDS, ChargeModel, get_model
 
 DEFAULT_CONFIG = "system.json"
 CONFIG_ENV_VAR = "SUMETER_CONFIG"
-
-
-def _lazy(name: str) -> ModuleType:
-    """The submodule `name`, in sys.modules: one already imported as it is, otherwise one
-    whose body runs on the first read of an attribute, so a command runs only the modules
-    it reads."""
-    qualified = f"{__package__}.{name}"
-    if qualified in sys.modules:
-        return sys.modules[qualified]
-    spec = importlib.util.find_spec(qualified)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-analysis = _lazy("analysis")
-ingest = _lazy("ingest")
-tables = _lazy("tables")
 
 
 def _real_arg(text: str) -> Fraction:
@@ -247,7 +227,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    numbers = [args.table] if args.table else sorted(tables.PUBLISHED_TABLES)
+    numbers = sorted(tables.PUBLISHED_TABLES) if args.table is None else [args.table]
     compared = {number: tables.compare_with_published(number) for number in numbers}
     if args.out:  # each file is written, one table at a time, before anything is printed
         for number, comparisons in compared.items():
@@ -334,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser("report", help="regenerate the published benchmark tables")
     group = report.add_mutually_exclusive_group()
-    group.add_argument("--table", type=int, choices=(2, 3, 4))  # the keys of tables.PUBLISHED_TABLES
+    group.add_argument("--table", type=int)
     group.add_argument("--all", action="store_true", help="all tables (default)")
     report.add_argument("--format", choices=("text", "csv"), default="text")
     report.add_argument("--out", help="directory for per-table CSV files")

@@ -22,8 +22,6 @@ from .core import (
 from .errors import AccountingError, ConfigError, ValidationError
 from .models import MODEL_IDS, PuhtiModel, PuhtiRates, get_model
 
-_PUHTI_PARAMETERS = PuhtiModel._fields
-_PUHTI_RATE_NAMES = PuhtiRates._fields
 # A processor entry is copied `count` times into its node type.
 MAX_PROCESSOR_COUNT = 1024
 
@@ -36,8 +34,12 @@ class SystemConfig(Value):
 
     def __init__(self, partitions: Sequence[Partition]) -> None:
         super().__init__(_sequence(partitions, Partition, "partitions"))
-        # the first partition of a name wins, as in a scan of `partitions`
-        set_field(self, "_by_name", {partition.name: partition for partition in reversed(self.partitions)})
+        by_name = {}
+        for partition in self.partitions:
+            if partition.name in by_name:
+                raise ValidationError(f"duplicate partition {partition.name!r}")
+            by_name[partition.name] = partition
+        set_field(self, "_by_name", by_name)
 
     def partition(self, name: str) -> Partition:
         try:
@@ -68,6 +70,15 @@ class _FloatText(Fraction):
 
     def __repr__(self) -> str:
         return self._text
+
+
+class _Object(dict):
+    """A JSON object as `load_config` reads it, with each key that its text gives more than once."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = {key for key in self if keys.count(key) > 1} if len(keys) > len(self) else ()
 
 
 def _quote(raw) -> str:
@@ -119,13 +130,27 @@ def _optional(entry: dict, key: str, kind: type, path: str, errors: list[str], e
 
 
 def _items(entry: dict, path: str, errors: list[str]):
-    """The (key, value) pairs of a config object; a key that is not a string is
-    the error `path: expected a string key, got <key>`."""
+    """The (key, value) pairs of a config object; a key that is not a string is the error
+    `path: expected a string key, got <key>`, and one its text repeats is `path.key: repeated key`."""
     for key, value in entry.items():
         if isinstance(key, str):
+            if key in getattr(entry, "repeated", ()):
+                errors.append(f"{_at(path, key)}: repeated key")
             yield key, value
         else:
-            errors.append(f"{path}: expected a string key, got {_quote(key)}")
+            errors.append(f"{path or 'top level'}: expected a string key, got {_quote(key)}")
+
+
+def _known(entry: dict, known: tuple[str, ...], path: str, errors: list[str]) -> None:
+    """Collect `path.key: unknown key (known: ...)` for each key of `entry` not in `known`."""
+    for key, _ in _items(entry, path, errors):
+        if key not in known:
+            errors.append(f"{_at(path, key)}: unknown key (known: {', '.join(known) or 'none'})")
+
+
+def _at(path: str, key: str) -> str:
+    """The path of `key` in the object at `path` ("" for the top level)."""
+    return f"{path}.{key}" if path else key
 
 
 def _built(build, path: str, errors: list[str], before: int):
@@ -146,13 +171,14 @@ def _processors(entry, kind: ProcessorKind, path: str, errors: list[str]) -> lis
         errors.append(f"{path}: expected an object")
         return []
     before = len(errors)
+    unit = "cores" if kind is ProcessorKind.CPU else "streaming_multiprocessors"
+    _known(entry, ("name", unit, "tdp_watts", "peak_flops", "count"), path, errors)
     name = _text(entry.get("name"), f"{path}.name", errors)
     tdp = _decimal(entry.get("tdp_watts"), f"{path}.tdp_watts", errors)
     flops = _decimal(entry.get("peak_flops"), f"{path}.peak_flops", errors)
     counted = len(errors)
     count = _integer(entry.get("count", 1), f"{path}.count", errors)
     _built(lambda: _count(count, "count", 1, MAX_PROCESSOR_COUNT), path, errors, counted)  # once `count` is an int
-    unit = "cores" if kind is ProcessorKind.CPU else "streaming_multiprocessors"
     units = _integer(entry.get(unit), f"{path}.{unit}", errors)
     spec = _built(lambda: ProcessorSpec(name, kind, tdp, flops, **{unit: units}), path, errors, before)
     return [] if spec is None else [spec] * count
@@ -163,6 +189,7 @@ def _node_type(entry, path: str, errors: list[str]) -> NodeType | None:
         errors.append(f"{path}: expected an object")
         return None
     before = len(errors)
+    _known(entry, NodeType._fields, path, errors)
     name = _text(entry.get("name"), f"{path}.name", errors)
     memory = _decimal(entry.get("memory_total_gib"), f"{path}.memory_total_gib", errors)
     cpus: list[ProcessorSpec] = []
@@ -184,24 +211,17 @@ def _model_from_entry(model_id: str, entry: dict, path: str, errors: list[str]) 
     parameters = _optional(entry, "model_parameters", dict, path, errors, "an object")
     if model_id == "puhti":
         return _puhti_model(parameters, f"{path}.model_parameters", errors)
-    if parameters:
-        errors.append(f"{path}.model_parameters: model {model_id!r} takes no parameters")
-        return None
+    _known(parameters, (), f"{path}.model_parameters", errors)
     return get_model(model_id)
 
 
 def _puhti_model(parameters: dict, path: str, errors: list[str]) -> ChargeModel | None:
     before = len(errors)
-    for key, _ in _items(parameters, path, errors):
-        if key not in _PUHTI_PARAMETERS:
-            errors.append(f"{path}.{key}: unknown parameter (known: {', '.join(_PUHTI_PARAMETERS)})")
-    rates = {}
+    _known(parameters, PuhtiModel._fields, path, errors)
     raw_rates = _optional(parameters, "rates", dict, path, errors, "an object of rate name -> number")
-    for name, value in _items(raw_rates, f"{path}.rates", errors):
-        if name in _PUHTI_RATE_NAMES:
-            rates[name] = _decimal(value, f"{path}.rates.{name}", errors)
-        else:
-            errors.append(f"{path}.rates.{name}: unknown rate (known: {', '.join(_PUHTI_RATE_NAMES)})")
+    _known(raw_rates, PuhtiRates._fields, f"{path}.rates", errors)
+    rates = {name: _decimal(value, f"{path}.rates.{name}", errors)
+             for name, value in raw_rates.items() if name in PuhtiRates._fields}
     nvme_resource = _text(parameters.get("nvme_resource", "nvme_gib"), f"{path}.nvme_resource", errors)
     return _built(lambda: PuhtiModel(rates=PuhtiRates(**rates), nvme_resource=nvme_resource), path, errors, before)
 
@@ -214,6 +234,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     raw_partitions = data.get("partitions")
     if not isinstance(raw_partitions, list) or not raw_partitions:
         raise ValidationError(f"{source}: 'partitions' must be a non-empty list")
+    _known(data, ("partitions",), "", errors)
     partitions: list[Partition] = []
     seen_names: set[str] = set()
     for i, entry in enumerate(raw_partitions):
@@ -222,6 +243,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
             errors.append(f"{path}: expected an object")
             continue
         before = len(errors)
+        _known(entry, ("name", "model", "node_count", "node", "model_parameters"), path, errors)
         name = _text(entry.get("name"), f"{path}.name", errors)
         problem = f"duplicate partition {name!r}" if name in seen_names else _partition_name_problem(name)
         if problem:
@@ -257,7 +279,7 @@ def load_config(path: str | Path) -> SystemConfig:
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: {err.reason}") from None
     try:
-        data = json.loads(text, parse_float=_FloatText)
+        data = json.loads(text, parse_float=_FloatText, object_pairs_hook=_Object)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     # an integer beyond the digit limit, float text beyond the number bound, or too deep a nesting

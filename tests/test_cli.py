@@ -339,6 +339,12 @@ class TestReport:
             assert code == 0
             assert (tmp_path / "tables" / f"table{number}.csv").read_bytes() == out.encode("utf-8")
 
+    @pytest.mark.parametrize("number", ["5", "0"])
+    def test_an_unknown_table_is_refused_and_writes_nothing(self, capsys, tmp_path, number):
+        code, out, err = run(capsys, "report", "--table", number, "--out", str(tmp_path / "tables"))
+        assert (code, out, err) == (1, "", f"error: no published table {number}; have [2, 3, 4]\n")
+        assert not (tmp_path / "tables").exists()
+
     def test_a_missed_published_value_fails_the_report(self, capsys, monkeypatch):
         rows = list(tables.PUBLISHED_TABLES[4].rows)
         assert rows[0] == ("FUN3D", 41, 1476, "7.69")  # regenerated as 7.6875
@@ -510,7 +516,7 @@ def test_ingest_leaves_the_collector_as_it_found_it(capsys, config_path, tmp_pat
     assert seen and all(s is collecting for s in seen)
 
 
-def test_a_paused_ingest_leaves_no_garbage_that_grows_with_its_rows(capsys, config_path, tmp_path):
+def test_ingest_leaves_no_garbage_that_grows_with_its_rows(capsys, config_path, tmp_path):
     """The same rows four times over leave as many unreachable objects as once, so no row makes a cycle."""
 
     def unreachable(copies):

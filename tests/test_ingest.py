@@ -19,6 +19,7 @@ from sumeter import (
     ConfigError,
     JobRequest,
     NodeUsage,
+    Partition,
     RowError,
     ValidationError,
     aggregate,
@@ -143,8 +144,8 @@ class TestLoadConfig:
             ({"rates": {"core": "1/0"}}, "model_parameters.rates.core: expected a number, got '1/0'"),
             ({"rates": {"core": "1e2000000"}}, "model_parameters.rates.core: expected a number, got '1e2000000'"),
             ({"rates": [1]}, "model_parameters.rates: expected an object of rate name -> number"),
-            ({"rates": {"cpu": 1}}, "model_parameters.rates.cpu: unknown rate (known: core, memory_gib, nvme_gib, gpu)"),
-            ({"rate": {"core": 1}}, "model_parameters.rate: unknown parameter (known: rates, nvme_resource)"),
+            ({"rates": {"cpu": 1}}, "model_parameters.rates.cpu: unknown key (known: core, memory_gib, nvme_gib, gpu)"),
+            ({"rate": {"core": 1}}, "model_parameters.rate: unknown key (known: rates, nvme_resource)"),
             ({"nvme_resource": 3}, "model_parameters.nvme_resource: expected a non-empty string, got 3"),
             ({"nvme_resource": ""}, "model_parameters.nvme_resource: expected a non-empty string, got ''"),
         ],
@@ -349,8 +350,57 @@ class TestLoadConfig:
         entry = dict(TEST_CONFIG["partitions"][0], model_parameters={"rates": {"core": 2}})
         with pytest.raises(ValidationError) as excinfo:
             parse_config({"partitions": [entry]})
-        line = "- partitions[0].model_parameters: model 'energy' takes no parameters"
+        line = "- partitions[0].model_parameters.rates: unknown key (known: none)"
         assert str(excinfo.value).splitlines()[1:] == [line]
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda config, entry: config.update(partition=[]), "partition"),
+            (lambda config, entry: entry.update(modle=entry.pop("model")), "partitions[0].modle"),
+            (lambda config, entry: entry.update(node_cnt=entry.pop("node_count")), "partitions[0].node_cnt"),
+            (lambda config, entry: entry["node"].update(gpu=entry["node"].pop("gpus")), "partitions[0].node.gpu"),
+            (lambda config, entry: entry["node"]["cpus"][0].update(vendor="x"), "partitions[0].node.cpus[0].vendor"),
+            (lambda config, entry: entry["node"]["gpus"][0].update(cores=4), "partitions[0].node.gpus[0].cores"),
+        ],
+        ids=["top-level", "partition", "node-count", "node", "cpu", "gpu"],
+    )
+    def test_every_key_is_known(self, edit, line):
+        config = {"partitions": [copy.deepcopy(TEST_CONFIG["partitions"][1])]}
+        edit(config, config["partitions"][0])
+        known = {
+            "": "partitions",
+            "partitions[0]": "name, model, node_count, node, model_parameters",
+            "partitions[0].node": "name, cpus, memory_total_gib, gpus, extra_resources",
+            "partitions[0].node.cpus[0]": "name, cores, tdp_watts, peak_flops, count",
+            "partitions[0].node.gpus[0]": "name, streaming_multiprocessors, tdp_watts, peak_flops, count",
+        }[line.rpartition(".")[0]]
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(config)
+        assert f"- {line}: unknown key (known: {known})" in str(excinfo.value).splitlines()[1:]
+
+    def test_a_top_level_key_that_is_not_a_string_is_named_at_the_top_level(self):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config({"partitions": TEST_CONFIG["partitions"], 1: []})
+        assert str(excinfo.value).splitlines()[1:] == ["- top level: expected a string key, got 1"]
+
+    @pytest.mark.parametrize(
+        "text, repeated, where",
+        [
+            ('"model": "puhti"', '"model": "sm", "model": "puhti"', "partitions[0].model"),
+            ('"nvme_gib": 1490', '"nvme_gib": 1, "nvme_gib": 1490', "partitions[0].node.extra_resources.nvme_gib"),
+            ('{"partitions": [', '{"partitions": [], "partitions": [', "partitions"),
+        ],
+        ids=["partition", "extra-resources", "top-level"],
+    )
+    def test_a_repeated_key_is_refused_at_its_path(self, tmp_path, text, repeated, where):
+        config = json.dumps({"partitions": [TEST_CONFIG["partitions"][4]]})
+        assert config.count(text) == 1
+        path = tmp_path / "repeated.json"
+        path.write_text(config.replace(text, repeated), encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).splitlines()[1:] == [f"- {where}: repeated key"]
 
 
 class TestConfigRoundTrip:
@@ -359,11 +409,12 @@ class TestConfigRoundTrip:
         assert config.partition("cpu").weight == 36
         assert config.partition("gpu").weight == 192
 
-    @pytest.mark.parametrize("partitions, got", [(None, "NoneType"), ([1], "int")], ids=["container", "entry"])
-    def test_a_config_holds_only_partitions(self, partitions, got):
-        with pytest.raises(ValidationError) as raised:
-            SystemConfig(partitions)
-        assert str(raised.value) == f"partitions must be a sequence of Partition values, got {got}"
+    def test_partition_names_are_unique(self):
+        cpu, gpu = builtin_config().partitions
+        for partitions in [(cpu, Partition("cpu", gpu.node_type, 5)), (cpu, cpu)]:
+            with pytest.raises(ValidationError) as raised:
+                SystemConfig(partitions)
+            assert str(raised.value) == "duplicate partition 'cpu'"
 
 
 class TestIngestJobs:

@@ -109,3 +109,15 @@ def test_no_source_line_is_longer_than_120_characters():
         if len(line) > 120
     ]
     assert not long, "lines over 120 characters: " + ", ".join(long)
+
+
+def test_only_the_package_loader_defers_a_module():
+    """`sumeter.__getattr__` is the one lazy loader: no other module builds a module from its spec."""
+    stray = [
+        f"src/sumeter/{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if any(name in line for name in ("LazyLoader", "find_spec", "module_from_spec"))
+    ]
+    assert not stray, "a module loaded outside the package's __getattr__: " + ", ".join(stray)
