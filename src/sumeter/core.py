@@ -60,12 +60,12 @@ def parse_real(text: str) -> Fraction:
     An underscore between two digits is dropped, on every Python, as Python
     3.11+ reads number text; any other underscore is refused.
     """
+    _require(text, str, "number text")
     return Fraction(*_parse_ratio(text))
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
-    """`parse_real` as a reduced (numerator, denominator)."""
-    _require(text, str, "number text")
+    """`parse_real` of `text`, a `str`, as a reduced (numerator, denominator)."""
     if len(text) > MAX_NUMBER_LENGTH:
         raise ValidationError(f"number longer than {MAX_NUMBER_LENGTH} characters: {text[:20]!r}...")
     # Plain ASCII digits[.digits], the common cell, is read without the regex.
@@ -411,18 +411,7 @@ def core_equivalent(usage: NodeUsage, node: NodeType) -> int:
     """Cores the memory request is charged as, its whole per-core shares: ceil(used * C / M), so 0 for none."""
     _require(usage, NodeUsage, "usage")
     _require(node, NodeType, "node")
-    return _memory_steps(*usage.memory_used_gib.as_integer_ratio(), node)
-
-
-def _memory_steps(memory_num: int, memory_den: int, node: NodeType) -> int:
-    """`core_equivalent` of memory_num / memory_den GiB, unchecked but for the node's memory."""
-    cores, _, total_num, total_den = node._share_integers
-    if memory_num * total_den > total_num * memory_den:
-        raise CapacityError(
-            f"{exact_text(Fraction(memory_num, memory_den))} GiB requested but node type {node.name!r} "
-            f"has {exact_text(node.memory_total_gib)} GiB"
-        )
-    return -(-(memory_num * cores * total_den) // (memory_den * total_num))
+    return _share((0, 0, *usage.memory_used_gib.as_integer_ratio(), ()), node)[0]  # a memory-only share: steps / C
 
 
 def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
@@ -437,7 +426,7 @@ def memory_fraction(usage: NodeUsage, node: NodeType) -> Fraction:
     _require(usage, NodeUsage, "usage")
     _require(node, NodeType, "node")
     node_share(usage, node)
-    return Fraction(_memory_steps(*usage.memory_used_gib.as_integer_ratio(), node), node.total_cores)
+    return Fraction(core_equivalent(usage, node), node.total_cores)
 
 
 def node_share(usage: NodeUsage, node: NodeType) -> tuple[int, int]:
@@ -455,12 +444,18 @@ def _share(cells: tuple, node: NodeType) -> tuple[int, int]:
     """`node_share` of a usage given as its cells, (cores, GPUs, memory numerator, memory
     denominator, extra pairs), the memory pair reduced: the max rule."""
     cores, gpus, memory_num, memory_den, extras = cells
-    total_cores, gpu_count, _, _ = node._share_integers
+    total_cores, gpu_count, total_num, total_den = node._share_integers
     if cores > total_cores:
         raise CapacityError(f"{cores} cores requested but node type {node.name!r} has {total_cores}")
     if gpus > gpu_count:
         raise CapacityError(f"{gpus} GPUs requested but node type {node.name!r} has {gpu_count}")
-    steps = _memory_steps(memory_num, memory_den, node)  # over C, the core count
+    if memory_num * total_den > total_num * memory_den:
+        raise CapacityError(
+            f"{exact_text(Fraction(memory_num, memory_den))} GiB requested but node type {node.name!r} "
+            f"has {exact_text(node.memory_total_gib)} GiB"
+        )
+    # memory in whole per-core shares, over C, the core count: ceil(used * C / M)
+    steps = -(-(memory_num * total_cores * total_den) // (memory_den * total_num))
     if steps < cores:
         steps = cores
     # gpus / G against steps / C, cross-multiplied; gpus > 0 implies G > 0

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +147,17 @@ def write_details_csv(path, rows):
 @pytest.fixture
 def full_node_usage():
     return NodeUsage(cores_used=36, gpus_used=0, memory_used_gib=256)
+
+
+GENERATE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import inputs; from pathlib import Path\n"
+    "inputs.generate_wide(5, Path('wide')); inputs.generate_detail(5, Path('detail'))"
+)
+
+
+@pytest.fixture(scope="session")
+def seed5(tmp_path_factory):
+    """A directory holding the benchmark's seed-5 `wide/` and `detail/` inputs."""
+    directory, bench = tmp_path_factory.mktemp("seed5"), Path(__file__).resolve().parents[1] / "bench"
+    subprocess.run([sys.executable, "-B", "-c", GENERATE, str(bench)], cwd=directory, check=True, timeout=120)
+    return directory

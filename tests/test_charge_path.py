@@ -5,9 +5,9 @@ The routes are `job_cost`, `charge_record` after ingestion, the model that
 commands. Each must give the exact total of the partition's own model.
 The edges of that path are checked here too: the streaming `ingest` pass
 against `ingest_jobs` + `aggregate`, each row charged once while it is
-parsed and with no `JobRequest`, the checks of a row with several faults in
-their order, orphan detail rows, the number-size and node-count guards,
-`crossover`'s CPU weight and a closed stdout pipe.
+parsed (`test_budget.py` bounds its cost), the checks of a row with several
+faults in their order, orphan detail rows, the number-size and node-count
+guards, `crossover`'s CPU weight and a closed stdout pipe.
 """
 
 import copy
@@ -185,18 +185,12 @@ def test_uniform_job_prices_its_usage_once(monkeypatch, config_path):
 
 
 def watch_the_row_path(monkeypatch):
-    """Lists that fill, while ingest runs, with each `JobRequest` and `NodeUsage` validated,
-    the cells of each usage `cell_share` prices and each job the pricing kernel prices."""
-    built, validated, priced, kernel = [], [], [], []
-    post_init, usage_post_init = JobRequest.__post_init__, NodeUsage.__post_init__
-    priced_job = ChargeModel._priced
-    monkeypatch.setattr(JobRequest, "__post_init__", lambda job: built.append(job) or post_init(job))
-    monkeypatch.setattr(NodeUsage, "__post_init__", lambda usage: validated.append(usage) or usage_post_init(usage))
+    """Lists that fill, while ingest runs, with the cells of each usage `cell_share` prices and
+    each job the pricing kernel prices."""
+    priced, kernel, priced_job = [], [], ChargeModel._priced
     monkeypatch.setattr(ChargeModel, "cell_share", lambda self, c, n: priced.append(c) or _share(c, n))
-    monkeypatch.setattr(
-        ChargeModel, "_priced", lambda self, *job: kernel.append(job) or priced_job(self, *job)
-    )
-    return built, validated, priced, kernel
+    monkeypatch.setattr(ChargeModel, "_priced", lambda self, *job: kernel.append(job) or priced_job(self, *job))
+    return priced, kernel
 
 
 def cells(usage):
@@ -211,12 +205,11 @@ def test_ingest_charges_each_row_once_while_parsing(monkeypatch, capsys, config_
     )
     details = write_details_csv(tmp_path / "details.csv", ["j1,1,9,0,1", "j1,0,36,0,256"])
     config = load_config(config_path)
-    built, validated, priced, kernel = watch_the_row_path(monkeypatch)
+    priced, kernel = watch_the_row_path(monkeypatch)
     result = ingest_jobs(jobs, config, details_path=details)
     assert not result.errors
-    assert built == []  # no JobRequest: each row goes straight to the pricing kernel
-    assert len(validated) == 4  # a NodeUsage only for each record `iter_jobs` yields: two nodes, then one a job
     assert len(priced) == 4  # two detail usages, then one per uniform job
+    assert [len(set(map(id, r.node_usages))) for r in result.records] == [2, 1, 1]  # a NodeUsage for each
     assert [(usages, repeat) for _, usages, repeat, _ in kernel] == [
         ([cells(u) for u in r.node_usages], 1) if r.job_id == "j1" else ([cells(r.node_usages[0])], len(r.node_usages))
         for r in result.records
@@ -225,26 +218,10 @@ def test_ingest_charges_each_row_once_while_parsing(monkeypatch, capsys, config_
     assert [r.total_su for r in result.records] == [charge_record(r, config).total_su for r in result.records]
     assert result.records[0].total_su == 45  # fractions 1 and 1/4 at weight 36 for one hour
 
-    built, validated, priced, kernel = watch_the_row_path(monkeypatch)
+    priced, kernel = watch_the_row_path(monkeypatch)
     assert main(["--config", str(config_path), "ingest", "--jobs", str(jobs), "--details", str(details)]) == 0
-    assert (len(built), len(validated), len(priced), len(kernel)) == (0, 0, 4, 3)  # the command builds no NodeUsage
+    assert (len(priced), len(kernel)) == (4, 3)
     assert capsys.readouterr().out.splitlines()[1] == "projA,gpu-sm,648"  # 3 nodes, one GPU of four, 432 SMs, 2 hours
-
-
-def test_an_ingest_pass_builds_no_fraction_per_uniform_row(monkeypatch, capsys, config_path, tmp_path):
-    """A row's memory, hours and charge stay integer pairs."""
-
-    def fractions_built(rows):
-        jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"j{i},projA,work,2,1,0,{i % 7 + 1},1.5" for i in range(rows)])
-        built, new = [], Fraction.__new__
-        with monkeypatch.context() as patch:
-            patch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(cls) or new(cls, *a, **k)))
-            assert main(["--config", str(config_path), "ingest", "--jobs", str(jobs)]) == 0
-        capsys.readouterr()
-        return len(built)
-
-    # the difference leaves out what the config and the ledger's few output lines build
-    assert fractions_built(200) <= fractions_built(100)
 
 
 class HalfNodeModel(EnergyModel):
@@ -429,9 +406,9 @@ def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
 
 def test_duplicate_row_is_refused_before_it_is_priced(monkeypatch, config_path, tmp_path):
     jobs = write_jobs_csv(tmp_path / "jobs.csv", ["j1,projA,work,1,1,0,2,1.0", "j1,projA,work,2,4,0,8,1.0"])
-    built, _, priced, kernel = watch_the_row_path(monkeypatch)
+    priced, kernel = watch_the_row_path(monkeypatch)
     result = ingest_jobs(jobs, load_config(config_path))
-    assert (built, len(priced), len(kernel)) == ([], 1, 1)  # the first row's one usage, and nothing of the second
+    assert (len(priced), len(kernel)) == (1, 1)  # the first row's one usage, and nothing of the second
     assert [r.job_id for r in result.records] == ["j1"]
     assert [(e.line, e.message) for e in result.errors] == [(3, "duplicate job_id 'j1'")]
 

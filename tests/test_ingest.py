@@ -1,15 +1,12 @@
 """Config loading, jobs CSV ingestion and per-project aggregation."""
 
-import collections
 import contextlib
 import copy
 import csv
 import io
 import itertools
 import json
-import random
 import re
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,9 +29,8 @@ from sumeter import (
     load_config,
     parse_config,
 )
-import sumeter.ingest
 from sumeter.cli import main
-from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS, Ledger, _priced_rows
+from sumeter.ingest import DETAIL_CSV_COLUMNS, JOBS_CSV_COLUMNS
 from conftest import TEST_CONFIG, write_details_csv, write_jobs_csv
 
 HUGE = 10**5000  # beyond the 4,300 digits that int-to-text conversion allows
@@ -575,13 +571,9 @@ class TestIngestJobs:
         assert len(result.errors) == 1
         assert "node_index" in result.errors[0].message
 
-    def test_repeated_memory_cells_read_as_each_one_alone(self, monkeypatch, config_path, tmp_path):
+    def test_repeated_memory_cells_read_as_each_one_alone(self, config_path, tmp_path):
         # equal values spelt three ways, and a bad and a negative cell each on two rows
         config = load_config(config_path)
-        parsed, parse = [], sumeter.ingest._row_ratio
-        monkeypatch.setattr(
-            sumeter.ingest, "_row_ratio", lambda raw, column: parsed.append((raw, column)) or parse(raw, column)
-        )
         nodes = {"j1": 3, "j2": 2, "j3": 1, "j4": 1, "j5": 2, "j6": 1, "j7": 2}
         jobs = write_jobs_csv(tmp_path / "jobs.csv", [f"{job_id},p,work,{n},1,0,0,1" for job_id, n in nodes.items()])
         details = tmp_path / "details.csv"
@@ -608,10 +600,6 @@ class TestIngestJobs:
         assert result.total_rows == 7 and result.orphans == ()
         first, seventh = result.records
         assert {usage.memory_used_gib for usage in first.node_usages + seventh.node_usages} == {Fraction(3, 2)}
-        # each distinct cell text that parses is parsed once however often it repeats, and one that
-        # does not is refused again on each row that holds it
-        memory_cells = collections.Counter(raw for raw, column in parsed if column == "mem_gib")
-        assert memory_cells == {"1.5": 1, "1.50": 1, " 1.5": 1, "x": 2, "-1": 2}
 
 
 NOTHING_REQUESTED = "a node usage must request at least one resource"
@@ -983,57 +971,3 @@ def test_the_order_of_the_detail_rows_moves_only_line_numbers_and_message_order(
     assert normalized_ingest(tmp_path_factory.mktemp("order"), jobs, shuffled) == normalized_ingest(
         tmp_path_factory.mktemp("order"), jobs, details
     )
-
-
-@contextlib.contextmanager
-def tracing():
-    """Trace allocations in the block, and leave tracemalloc on or off as it was found."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        yield
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
-def test_a_detail_file_is_held_in_under_150_bytes_a_row(tmp_path):
-    """The detail file is indexed before the first jobs row is priced: measure what that index holds."""
-    rng = random.Random(11)
-    jobs, details = [], []
-    while len(details) < 20_000:
-        job_id, nodes = f"job{len(jobs)}", rng.randint(1, 4)
-        jobs.append(f"{job_id},p{rng.randrange(50)},work,{nodes},1,0,1,1")
-        details += [f"{job_id},{index},{rng.randint(1, 36)},0,{rng.randrange(512) / 2}" for index in range(nodes)]
-    rng.shuffle(details)  # a scheduler writes each node's row when that node is done
-    write_jobs_csv(tmp_path / "jobs.csv", jobs)
-    write_details_csv(tmp_path / "details.csv", details)
-    config = parse_config(TEST_CONFIG)
-    with tracing():
-        before = tracemalloc.get_traced_memory()[0]
-        items = _priced_rows(tmp_path / "jobs.csv", config, tmp_path / "details.csv")
-        next(items)
-        held = tracemalloc.get_traced_memory()[0] - before
-        items.close()
-    # about 100 bytes a row; a NodeUsage in a tuple in a per-job list for each row took about 230
-    assert held / len(details) < 150
-
-
-def test_a_detail_pass_peaks_under_200_bytes_a_charged_job(tmp_path):
-    """The job-id index holds each charged id once: the jobs file's copy of it is not kept."""
-    rng = random.Random(11)
-    jobs = [f"job{number},p{rng.randrange(50)},work,1,1,0,1,1" for number in range(20_000)]
-    details = [f"job{number},0,{rng.randint(1, 36)},0,{rng.randrange(512) / 2}" for number in range(20_000)]
-    rng.shuffle(details)
-    write_jobs_csv(tmp_path / "jobs.csv", jobs)
-    write_details_csv(tmp_path / "details.csv", details)
-    config = parse_config(TEST_CONFIG)
-    with tracing():
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        ledger = Ledger._of_priced_rows(_priced_rows(tmp_path / "jobs.csv", config, tmp_path / "details.csv"))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    assert (ledger.charged, ledger.errors, ledger.orphans) == (len(jobs), [], [])
-    # about 165 bytes a job; a set of the charged ids beside the index took about 270
-    assert peak / len(jobs) < 200

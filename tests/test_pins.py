@@ -126,18 +126,6 @@ SEED5 = {
         "11478f8ccbb2610cd8e2a92e50882ed0f27e8dae53ca7d22c44742176e33d719",
     ),
 }
-GENERATE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import inputs; from pathlib import Path\n"
-    "inputs.generate_wide(5, Path('wide')); inputs.generate_detail(5, Path('detail'))"
-)
-
-
-@pytest.fixture(scope="module")
-def seed5(tmp_path_factory):
-    """A directory holding the benchmark's seed-5 `wide/` and `detail/` inputs."""
-    directory = tmp_path_factory.mktemp("seed5")
-    subprocess.run([sys.executable, "-B", "-c", GENERATE, str(ROOT / "bench")], cwd=directory, check=True, timeout=120)
-    return directory
 
 
 @pytest.mark.parametrize("sink", ["stdout", "out"])
